@@ -1,7 +1,9 @@
 """Command line front end: run or syntax-check a session file.
 
-Exit codes: 0 success, 2 validation or syntax failure, 3 budget or
-resource-cap exhaustion (3 wins when both kinds of block are present).
+Exit codes: 0 success, 2 validation or syntax failure or an `internal`
+error block (an unexpected exception inside a command, i.e. a bug), 3
+budget or resource-cap exhaustion (3 wins when both kinds of block are
+present).
 The default reduction budget comes from BSW_BUDGET when set.
 """
 

@@ -51,6 +51,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_polynomials(cls, polys: list[Polynomial]) -> "MonomialIdeal":
+        if not polys:
+            raise ValidationError("monomial ideal needs at least one generator")
         exps = []
         for p in polys:
             t = p.terms()
@@ -144,10 +146,12 @@ def newton_facets(M: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
     facets = []
     seen = set()
     for lam, c0, d in rows:
-        assert all(x == 0 for x in lam)
+        if any(x != 0 for x in lam):
+            raise StructuralError("Newton projection left a variable uneliminated")
         # 0 <= c0 + d . v  ->  (-d) . v <= c0  ->  d . v >= -c0
         if all(x == 0 for x in d):
-            assert c0 >= 0, "Newton system unexpectedly infeasible"
+            if c0 < 0:
+                raise StructuralError("Newton system unexpectedly infeasible")
             continue
         denom_lcm = 1
         for x in (*d, c0):

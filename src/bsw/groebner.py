@@ -1,9 +1,12 @@
 """Ideals and Groebner bases over Q[x_1..x_n].
 
-Plain Buchberger with the product criterion, the chain criterion and
-normal-strategy pair selection; no F4/F5.  Every run is budgeted: one
-work unit per pair treated and per single reduction step, and running
-out raises BudgetExceededError carrying the partial basis.
+An ideal is the one-component case of the module engine in modgb.py:
+generators are lifted into O^1 under TopOrder(ring) and run through the
+same Buchberger pair loop, division and autoreduce routines.  With one
+component the engine applies the product criterion as well as the chain
+criterion; selection is the normal strategy; no F4/F5.  Every run is
+budgeted: one work unit per pair treated and per single reduction step,
+and running out raises BudgetExceededError carrying the partial basis.
 
 Krull dimension comes from the leading-term ideal of a reduced basis via
 maximal independent variable subsets; intersection goes through one
@@ -13,18 +16,10 @@ auxiliary elimination variable with the internal elim1 block order.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .errors import BudgetExceededError, ResourceCapError, StructuralError, ValidationError
-from .poly import (
-    Exponent,
-    Polynomial,
-    RingContext,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-)
+from .errors import ResourceCapError, StructuralError, ValidationError
+from .modgb import Budget, TopOrder, VecPoly, autoreduce, divide, run_buchberger
+from .poly import Polynomial, RingContext, exp_lcm, exp_sub
 
 DEFAULT_BUDGET = 500_000
 POWER_CAP = 200_000
@@ -80,62 +75,19 @@ class Ideal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-class _Budget:
-    __slots__ = ("left", "total")
-
-    def __init__(self, units: int):
-        self.left = units
-        self.total = units
-
-    def spend(self, cost: int, partial):
-        self.left -= cost
-        if self.left < 0:
-            raise BudgetExceededError(
-                f"Groebner budget of {self.total} work units exhausted",
-                partial=tuple(partial),
-                spent=self.total - self.left,
-            )
+def _lift(p: Polynomial) -> VecPoly:
+    return VecPoly.from_column(p.ring, [p])
 
 
-def _divide(p: Polynomial, reducers: list[Polynomial], budget: _Budget | None = None):
-    """Multivariate division: p = sum q_i * reducers[i] + r.
-
-    Deterministic: always cancels the largest reducible term, trying
-    reducers in list order.  No term of r is divisible by any leading
-    term of the reducers.
-    """
-    ring = p.ring
-    key = ring.order_key
-    lts = [g.leading_term() for g in reducers]
-    quotients = [Polynomial.zero(ring) for _ in reducers]
-    remainder: dict[Exponent, Fraction] = {}
-    h = p
-    while not h.is_zero():
-        e, c = h.leading_term()
-        hit = -1
-        for i, (elt, clt) in enumerate(lts):
-            if exp_divides(elt, e):
-                hit = i
-                break
-        if budget is not None:
-            budget.spend(1, reducers)
-        if hit < 0:
-            remainder[e] = c
-            h = h - Polynomial.monomial(ring, e, c)
-        else:
-            factor = c / lts[hit][1]
-            shift = exp_sub(e, lts[hit][0])
-            quotients[hit] = quotients[hit] + Polynomial.monomial(ring, shift, factor)
-            h = h - reducers[hit].mul_term(shift, factor)
-    return quotients, Polynomial(ring, remainder)
+def _drop(v: VecPoly) -> Polynomial:
+    return v.component(0)
 
 
 def normal_form(p: Polynomial, basis, budget: int | None = None) -> Polynomial:
     """Normal form of p against a Groebner basis (unique remainder)."""
-    reducers = _as_reducers(p, basis)
-    b = _Budget(budget) if budget is not None else None
-    _, r = _divide(p, reducers, b)
-    return r
+    reducers = [_lift(g) for g in _as_reducers(p, basis)]
+    b = Budget(budget, lower=_drop) if budget is not None else None
+    return _drop(divide(_lift(p), reducers, TopOrder(p.ring), b))
 
 
 def _as_reducers(p: Polynomial, basis) -> list[Polynomial]:
@@ -145,7 +97,10 @@ def _as_reducers(p: Polynomial, basis) -> list[Polynomial]:
         if basis.order != p.ring.order:
             raise StructuralError("basis order does not match ring order")
         return list(basis.elements)
-    return list(basis)
+    reducers = list(basis)
+    if any(g.ring != p.ring for g in reducers):
+        raise StructuralError("basis ring does not match polynomial ring")
+    return reducers
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -155,82 +110,21 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.mul_term(exp_sub(lcm, ef), 1 / cf) - g.mul_term(exp_sub(lcm, eg), 1 / cg)
 
 
-def buchberger(gens: list[Polynomial], ring: RingContext, budget: _Budget) -> list[Polynomial]:
-    """Core loop; returns a (non-reduced) basis containing the input."""
-    G: list[Polynomial] = []
-    for g in sorted((g for g in gens if not g.is_zero()),
-                    key=lambda g: ring.order_key(g.leading_monomial())):
-        G.append(g.monic())
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done: set[tuple[int, int]] = set()
-
-    def lcm_of(i: int, j: int) -> Exponent:
-        return exp_lcm(G[i].leading_monomial(), G[j].leading_monomial())
-
-    while pairs:
-        # normal strategy: smallest lcm in the ring order, ties by index
-        i, j = min(pairs, key=lambda ij: (ring.order_key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        done.add((i, j))
-        budget.spend(1, G)
-        ei = G[i].leading_monomial()
-        ej = G[j].leading_monomial()
-        lcm = exp_lcm(ei, ej)
-        # product criterion: coprime leading terms reduce to zero
-        if lcm == exp_add(ei, ej):
-            continue
-        # chain criterion: some g_k divides the lcm and both side pairs settled
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if exp_divides(G[k].leading_monomial(), lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        _, r = _divide(_spoly(G[i], G[j]), G, budget)
-        if not r.is_zero():
-            G.append(r.monic())
-            t = len(G) - 1
-            pairs.update((i2, t) for i2 in range(t))
-    return G
-
-
-def _reduce_basis(G: list[Polynomial], ring: RingContext, budget: _Budget) -> tuple[Polynomial, ...]:
-    # minimal: drop elements whose lt is divisible by another lt
-    G = sorted(G, key=lambda g: ring.order_key(g.leading_monomial()))
-    minimal: list[Polynomial] = []
-    for idx, g in enumerate(G):
-        e = g.leading_monomial()
-        others = [h.leading_monomial() for k, h in enumerate(G) if k != idx]
-        if any(exp_divides(o, e) for o in others if o != e) or any(
-            o == e for o in (h.leading_monomial() for h in minimal)
-        ):
-            continue
-        minimal.append(g)
-    # reduced: each element in normal form against the rest
-    reduced: list[Polynomial] = []
-    for idx, g in enumerate(minimal):
-        rest = minimal[:idx] + minimal[idx + 1:]
-        _, r = _divide(g, rest, budget)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: ring.order_key(g.leading_monomial()))
-    return tuple(reduced)
+def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> list[Polynomial]:
+    """Core loop on gens lifted into O^1; returns a (non-reduced) basis containing the input."""
+    G = run_buchberger([_lift(g) for g in gens], TopOrder(ring), budget)
+    return [_drop(v) for v in G]
 
 
 def groebner_basis(I: Ideal, budget: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of I in its ring's order, budgeted."""
     ring = I.ring
-    b = _Budget(budget if budget is not None else DEFAULT_BUDGET)
+    b = Budget(budget if budget is not None else DEFAULT_BUDGET, lower=_drop)
     if not I.generators:
         return GroebnerBasis((), ring.order, ring)
     G = buchberger(list(I.generators), ring, b)
-    return GroebnerBasis(_reduce_basis(G, ring, b), ring.order, ring)
+    reduced = autoreduce([_lift(g) for g in G], TopOrder(ring), b)
+    return GroebnerBasis((_drop(v) for v in reduced), ring.order, ring)
 
 
 def ideal_member(p: Polynomial, I: Ideal, budget: int | None = None,
@@ -244,10 +138,12 @@ def ideal_member(p: Polynomial, I: Ideal, budget: int | None = None,
     if p.ring != I.ring:
         raise StructuralError("polynomial and ideal rings differ")
     gb = I.groebner(budget=budget)
-    qs, r = _divide(p, list(gb.elements))
+    qs: dict[int, dict] = {}
+    r = divide(_lift(p), [_lift(g) for g in gb.elements], TopOrder(p.ring), quotients=qs)
     member = r.is_zero()
     if certificate:
-        return member, (tuple(qs) if member else None)
+        cofactors = tuple(Polynomial(p.ring, qs.get(i, {})) for i in range(len(gb)))
+        return member, (cofactors if member else None)
     return member
 
 

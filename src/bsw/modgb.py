@@ -1,16 +1,21 @@
-"""Groebner bases for submodules of free modules, and syzygies.
+"""The one Groebner engine: Buchberger for submodules of free modules,
+with ideals as the one-component case, and syzygies.
 
 A vector polynomial is a dict from module monomial (component, exponent)
-to Fraction.  Syzygies of columns m_1..m_c of a matrix over O^r are read
-off a Groebner basis of the graph module generated by w_j = m_j + e_j
-inside O^r + O^c, under a block order where the image block dominates:
-basis elements whose image part vanishes are exactly a basis of the
-syzygy module, and within the tail block we use the Schreyer order
-induced by the leading terms of the m_j (ties to the smaller column), so
-the result is a Groebner basis of Syz(m_1..m_c) under that induced order.
+to Fraction.  One pair loop, one division routine, one autoreduce
+routine and one budget serve both modules and ideals (groebner.py lifts
+ideal generators into O^1 under TopOrder).  Pairs are picked by the
+normal strategy with ties broken by index pair; the chain criterion
+always prunes, while the product criterion is applied only when the
+module has one component, since it is unsound for modules.
 
-The product criterion is unsound for modules, so only the chain
-criterion prunes pairs here.
+Syzygies of columns m_1..m_c of a matrix over O^r are read off a
+Groebner basis of the graph module generated by w_j = m_j + e_j inside
+O^r + O^c, under a block order where the image block dominates: basis
+elements whose image part vanishes are exactly a basis of the syzygy
+module, and within the tail block we use the Schreyer order induced by
+the leading terms of the m_j (ties to the smaller column), so the result
+is a Groebner basis of Syz(m_1..m_c) under that induced order.
 """
 
 from __future__ import annotations
@@ -147,16 +152,50 @@ class BlockOrder(ModuleOrder):
         return (0, self.tail.key((pos - self.split, e)))
 
 
-def _divide_vec(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
-                budget=None) -> VecPoly:
-    """Normal form of v against reducers; same strategy as the ring case."""
+class Budget:
+    """Work meter shared by the pair loop, division and autoreduce.
+
+    One unit per pair treated and per single reduction step.  Running
+    out raises BudgetExceededError carrying the state passed to spend,
+    mapped through `lower` (ideal callers get Polynomials back).
+    """
+
+    __slots__ = ("left", "total", "label", "lower")
+
+    def __init__(self, units: int, label: str = "Groebner", lower=None):
+        self.left = units
+        self.total = units
+        self.label = label
+        self.lower = lower
+
+    def spend(self, cost: int, partial):
+        self.left -= cost
+        if self.left < 0:
+            if self.lower is not None:
+                partial = map(self.lower, partial)
+            raise BudgetExceededError(
+                f"{self.label} budget of {self.total} work units exhausted",
+                partial=tuple(partial), spent=self.total - self.left,
+            )
+
+
+def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
+           budget: Budget | None = None, quotients: dict | None = None) -> VecPoly:
+    """Remainder of v on division by reducers.
+
+    Deterministic: always cancels the largest reducible term, trying
+    reducers in list order.  No term of the remainder is divisible by a
+    leading term of the reducers.  With a `quotients` dict, the quotient
+    of reducers[i] is recorded as quotients[i] = {exponent: coefficient},
+    so that v = sum quotients[i] * reducers[i] + remainder.
+    """
     lts = [order.leading(g) for g in reducers]
     rem: dict[ModMono, Fraction] = {}
     h = v
     while not h.is_zero():
         (pos, e), c = order.leading(h)
         hit = -1
-        for i, ((gpos, ge), gc) in enumerate(lts):
+        for i, ((gpos, ge), _) in enumerate(lts):
             if gpos == pos and exp_divides(ge, e):
                 hit = i
                 break
@@ -166,84 +205,71 @@ def _divide_vec(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
             rem[(pos, e)] = c
             h = h.sub(VecPoly(v.ring, v.ncomp, {(pos, e): c}))
         else:
-            (gpos, ge), gc = lts[hit]
-            h = h.sub(reducers[hit].mul_term(exp_sub(e, ge), c / gc))
+            (_, ge), gc = lts[hit]
+            shift, factor = exp_sub(e, ge), c / gc
+            if quotients is not None:
+                quotients.setdefault(hit, {})[shift] = factor
+            h = h.sub(reducers[hit].mul_term(shift, factor))
     return VecPoly(v.ring, v.ncomp, rem)
 
 
-class _Budget:
-    __slots__ = ("left", "total")
+def run_buchberger(gens: list[VecPoly], order: ModuleOrder,
+                   budget: Budget) -> list[VecPoly]:
+    """The Buchberger pair loop; returns a (non-reduced) monic basis
+    containing the input.
 
-    def __init__(self, units: int):
-        self.left = units
-        self.total = units
-
-    def spend(self, cost: int, partial):
-        self.left -= cost
-        if self.left < 0:
-            raise BudgetExceededError(
-                f"module Groebner budget of {self.total} exhausted",
-                partial=tuple(partial), spent=self.total - self.left,
-            )
-
-
-def module_groebner(gens: list[VecPoly], order: ModuleOrder,
-                    budget_units: int = 2_000_000) -> list[VecPoly]:
-    """Buchberger for submodules; chain criterion only, normal selection."""
-    budget = _Budget(budget_units)
+    Normal selection: the pair with the smallest lcm in the order, ties
+    by index pair.  The chain criterion always prunes; the product
+    criterion prunes only when the module has one component, i.e. for
+    ideals, where it is sound.
+    """
     G = [g.scale(1 / order.leading(g)[1]) for g in gens if not g.is_zero()]
     G.sort(key=lambda g: order.key(order.leading(g)[0]))
-    pairs = set()
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if order.leading(G[i])[0][0] == order.leading(G[j])[0][0]:
-                pairs.add((i, j))
+    lts = [order.leading(g)[0] for g in G]
+    product = bool(G) and G[0].ncomp == 1
+    pairs = {(i, j) for j in range(len(G)) for i in range(j) if lts[i][0] == lts[j][0]}
 
     def lcm_key(ij):
-        i, j = ij
-        (pos, ei), _ = order.leading(G[i])
-        (_, ej), _ = order.leading(G[j])
+        (pos, ei), (_, ej) = lts[ij[0]], lts[ij[1]]
         return (order.key((pos, exp_lcm(ei, ej))), ij)
 
     while pairs:
         i, j = min(pairs, key=lcm_key)
         pairs.discard((i, j))
         budget.spend(1, G)
-        (pos, ei), ci = order.leading(G[i])
-        (_, ej), cj = order.leading(G[j])
+        (pos, ei), (_, ej) = lts[i], lts[j]
         lcm = exp_lcm(ei, ej)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            (kpos, ke), _ = order.leading(G[k])
-            if kpos == pos and exp_divides(ke, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
+        # product criterion: coprime leading terms reduce to zero
+        if product and lcm == exp_add(ei, ej):
             continue
-        s = G[i].mul_term(exp_sub(lcm, ei), 1 / ci).sub(
-            G[j].mul_term(exp_sub(lcm, ej), 1 / cj)
-        )
-        r = _divide_vec(s, G, order, budget)
+        # chain criterion: some g_k divides the lcm and both side pairs settled
+        if any(k != i and k != j and kpos == pos and exp_divides(ke, lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (kpos, ke) in enumerate(lts)):
+            continue
+        s = G[i].mul_term(exp_sub(lcm, ei), 1).sub(G[j].mul_term(exp_sub(lcm, ej), 1))
+        r = divide(s, G, order, budget)
         if not r.is_zero():
-            r = r.scale(1 / order.leading(r)[1])
+            lt, c = order.leading(r)
             t = len(G)
-            G.append(r)
-            rpos = order.leading(r)[0][0]
-            for i2 in range(t):
-                if order.leading(G[i2])[0][0] == rpos:
-                    pairs.add((i2, t))
+            G.append(r.scale(1 / c))
+            lts.append(lt)
+            pairs.update((k, t) for k in range(t) if lts[k][0] == lt[0])
     return G
 
 
-def _autoreduce(G: list[VecPoly], order: ModuleOrder) -> list[VecPoly]:
+def module_groebner(gens: list[VecPoly], order: ModuleOrder,
+                    budget_units: int = 2_000_000) -> list[VecPoly]:
+    """Groebner basis (non-reduced) of a submodule under a fixed budget."""
+    return run_buchberger(gens, order, Budget(budget_units, "module Groebner"))
+
+
+def autoreduce(G: list[VecPoly], order: ModuleOrder,
+               budget: Budget | None = None) -> list[VecPoly]:
     """Minimal + reduced form, canonical ordering by leading term."""
-    G = [g for g in G if not g.is_zero()]
-    G.sort(key=lambda g: order.key(order.leading(g)[0]))
+    G = sorted((g for g in G if not g.is_zero()),
+               key=lambda g: order.key(order.leading(g)[0]))
     minimal: list[VecPoly] = []
     seen_lts: list[ModMono] = []
     for g in G:
@@ -254,8 +280,7 @@ def _autoreduce(G: list[VecPoly], order: ModuleOrder) -> list[VecPoly]:
         seen_lts.append((pos, e))
     out = []
     for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        r = _divide_vec(g, rest, order) if rest else g
+        r = divide(g, minimal[:i] + minimal[i + 1:], order, budget)
         if not r.is_zero():
             out.append(r.scale(1 / order.leading(r)[1]))
     out.sort(key=lambda g: order.key(order.leading(g)[0]))
@@ -295,7 +320,7 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext) -> list[VecPoly]:
             tails.append(VecPoly(ctx, len(live_idx),
                                  {(pos - r, e): cc for (pos, e), cc in g.terms.items()}))
     tail_order = SchreyerOrder(top, inducing)
-    tails = _autoreduce(tails, tail_order)
+    tails = autoreduce(tails, tail_order)
     # re-embed into the full column count (restoring zero-column slots)
     out = []
     for t in tails:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension
-from .modgb import SchreyerOrder, TopOrder, VecPoly, _divide_vec, module_groebner, syzygy_columns
+from .modgb import TopOrder, VecPoly, divide, module_groebner, syzygy_columns
 from .poly import Polynomial, RingContext, weighted_degree_info
 
 
@@ -250,7 +250,7 @@ def _prune_generators(cols: list[VecPoly], ctx: RingContext,
     for j in ranked:
         v = cols[j]
         if kept_gb:
-            r = _divide_vec(v, kept_gb, order)
+            r = divide(v, kept_gb, order)
             if r.is_zero():
                 continue
         kept.append(v)
@@ -383,9 +383,11 @@ def minimalize(C: FreeComplex) -> FreeComplex:
                     prv[a][pi] = prv[a][pi] + lam * prv[a][i]
         # the complement row/column must now vanish by the complex property
         if k + 1 < len(ents) and ents[k + 1]:
-            assert all(p.is_zero() for p in ents[k + 1][pj])
+            if not all(p.is_zero() for p in ents[k + 1][pj]):
+                raise StructuralError("minimalize: complement row did not vanish")
         if k - 1 >= 0:
-            assert all(row[pi].is_zero() for row in ents[k - 1])
+            if not all(row[pi].is_zero() for row in ents[k - 1]):
+                raise StructuralError("minimalize: complement column did not vanish")
         # delete basis element pj of E_{k+1} and pi of E_k
         for i in range(nrows):
             del M[i][pj]

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from math import ceil, gcd
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, StructuralError, ValidationError
 
 POWER_CAP = 200_000
 MU_CAP = 100_000
@@ -260,5 +260,6 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
             cand = N - ell + 1
             if best is None or cand > best[0]:
                 best = (cand, A, ell)
-    assert best is not None
+    if best is None:
+        raise StructuralError("mu search enumerated no ideals")
     return best

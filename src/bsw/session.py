@@ -10,7 +10,8 @@ be re-declared mid-session (a new germ semigroup, a new ambient ring).
 Reports are plain dicts ready for json.dumps.  Rerunning a session with
 the same seed and budget reproduces the report byte for byte; only the
 timestamp field differs.  Command failures (validation, budget) become
-structured error blocks, never process aborts; the only hard stops are
+structured error blocks, never process aborts (any other exception
+becomes an `internal` error block); the only hard stops are
 syntax errors, unknown keywords, duplicate names, and references to
 names that were never bound, all raised at parse time with positions.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -691,9 +693,15 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
              "inputs": cmd.inputs}
     try:
         result = _run_command(cmd, seed=seed, budget=budget, csv_dir=csv_dir)
-    except (BudgetExceededError, ResourceCapError, ValidationError,
-            StructuralError, SamplingError, EstimationError) as exc:
-        error = {"kind": _error_kind(exc), "message": str(exc)}
+    except Exception as exc:
+        kind = _error_kind(exc)
+        message = str(exc)
+        if kind == "internal":
+            # a bug, not bad input: keep the traceback out of the
+            # reproducible report but record it on stderr
+            traceback.print_exc()
+            message = f"{type(exc).__name__}: {exc}"
+        error = {"kind": kind, "message": message}
         block["status"] = "error"
         block["error"] = error
         block["summary"] = _summary(cmd.kind, "error", error)

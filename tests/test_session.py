@@ -188,6 +188,36 @@ def test_budget_error_block():
     assert block["error"]["kind"] == "budget"
 
 
+def test_zero_ideal_gives_one_validation_block_per_command():
+    sess = parse("ring x, y;\nideal Z = 0;\nnewton-closure Z;\n"
+                 "bs-verify-monomial Z --ell 1;\n")
+    rep = run_session(sess)
+    assert [b["command"] for b in rep["blocks"]] == ["newton-closure", "bs-verify-monomial"]
+    for block in rep["blocks"]:
+        assert block["status"] == "error"
+        assert block["error"] == {"kind": "validation",
+                                  "message": "monomial ideal needs at least one generator"}
+    assert report_exit_code(rep) == 2
+
+
+def test_unexpected_exception_becomes_internal_block(tmp_path, capsys, monkeypatch):
+    import bsw.session
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bsw.session, "newton_closure", boom)
+    spath = write(tmp_path, "s.bsw", "ring x, y;\nideal I = x^2, y^3;\nnewton-closure I;\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["run", spath, "--out", str(out)]) == 2
+    blocks = json.loads(out.read_text())["blocks"]
+    assert len(blocks) == 1
+    assert blocks[0]["status"] == "error"
+    assert blocks[0]["error"] == {"kind": "internal", "message": "RuntimeError: boom"}
+    assert blocks[0]["summary"] == "internal error: RuntimeError: boom"
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
 def test_loja_block_and_csv(tmp_path):
     text = (
         "ring z, w weights 2, 5;\n"
