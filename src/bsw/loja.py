@@ -157,6 +157,8 @@ class LojaEstimate:
     n_points: int
     radii_range: tuple[float, float]
     reliable: bool
+    log_a: tuple[float, ...]    # the fitted points: log sum_j |a_j| ...
+    log_phi: tuple[float, ...]  # ... and log |phi|, in sample order
 
 
 def loja_exponent_estimate(phi: Polynomial, a_polys, points,
@@ -167,7 +169,7 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
         raise ValidationError("need at least one ideal generator")
     xs: list[float] = []
     ys: list[float] = []
-    norms: list[float] = []
+    lo, hi = math.inf, 0.0  # range of the kept points' norms
     dropped = 0
     for pt in points:
         va = sum(abs(g.eval_complex(pt)) for g in a_polys)
@@ -177,7 +179,8 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
             continue
         xs.append(math.log(va))
         ys.append(math.log(vp))
-        norms.append(math.sqrt(sum(abs(z) ** 2 for z in pt)))
+        norm = math.sqrt(sum(abs(z) ** 2 for z in pt))
+        lo, hi = min(lo, norm), max(hi, norm)
     total = len(list(points))
     if len(xs) < 20:
         raise EstimationError(f"only {len(xs)} usable points (need 20)")
@@ -195,6 +198,8 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
         intercept=float(intercept),
         residual=residual,
         n_points=len(xs),
-        radii_range=(min(norms), max(norms)),
+        radii_range=(lo, hi),
         reliable=residual <= residual_threshold,
+        log_a=tuple(xs),
+        log_phi=tuple(ys),
     )

@@ -499,7 +499,7 @@ def parse_polynomials(text: str, ring: RingContext) -> list[Polynomial]:
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            out.append(parse_polynomial(text[start:i], ring))
+            out.append(parse_polynomial(text[start:i].strip(), ring))
             start = i + 1
-    out.append(parse_polynomial(text[start:], ring))
+    out.append(parse_polynomial(text[start:].strip(), ring))
     return out

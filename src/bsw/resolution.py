@@ -271,6 +271,8 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
     n = ring.n
     if max_len is None:
         max_len = n
+    elif max_len < 1:
+        raise ValidationError("max_len must be at least 1")
     gens = list(I.generators)
     if not gens:
         return FreeComplex(ring, (1,), (), graded=True, shifts=((0,),))
@@ -601,10 +603,12 @@ def check_cm_depth(S: StrataReport) -> tuple[bool, int, int]:
     return (r_max == 0, depth, depth)
 
 
-def check_bs_condition(S: StrataReport, a: Ideal, m: int | None = None):
+def check_bs_condition(S: StrataReport, a: Ideal, m: int | None = None,
+                       budget: int | None = None):
     """Does codim_Z(Z^r cap Z^a) >= m + 1 + r hold for all r >= 0?
 
     Returns (holds, witness); witness is the first failing (r, codim).
+    `budget` caps each intersection's Groebner basis.
     """
     if a.ring != S.ring:
         raise StructuralError("test ideal ring mismatch")
@@ -617,7 +621,7 @@ def check_bs_condition(S: StrataReport, a: Ideal, m: int | None = None):
         if info.empty:
             continue
         meet = Ideal(S.ring, info.ideal.generators + a.generators)
-        dim_meet = krull_dimension(meet)
+        dim_meet = krull_dimension(meet, budget=budget)
         if dim_meet < 0:
             continue
         codim = S.d - dim_meet

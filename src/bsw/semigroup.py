@@ -208,7 +208,7 @@ def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
         if holds:
             return (N, last_failure) if with_witness else N
         last_failure = failure
-    raise AssertionError("exponent search exceeded its provable bound")
+    raise StructuralError("exponent search exceeded its provable bound")
 
 
 def enumerate_ideals(S: NumericalSemigroup, v_max: int):

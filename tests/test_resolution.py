@@ -2,7 +2,7 @@
 
 import pytest
 
-from bsw.errors import StructuralError, ValidationError
+from bsw.errors import BudgetExceededError, StructuralError, ValidationError
 from bsw.groebner import Ideal, ideal_member, krull_dimension
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
 from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
@@ -104,6 +104,13 @@ def test_resolution_length_bound():
     assert C.length <= 2
     ok, fails = check_acyclicity(C)
     assert ok, fails
+
+
+def test_resolution_rejects_max_len_below_one():
+    for max_len in (0, -1):
+        with pytest.raises(ValidationError, match="max_len must be at least 1"):
+            resolve("x, y", R2, max_len=max_len)
+    assert resolve("x", R2, max_len=1).ranks == (1, 1)
 
 
 def test_graded_autodetect():
@@ -354,6 +361,14 @@ def test_bs_condition_suite():
     S3 = strata(free_resolution(I3), I3)
     holds3, _ = check_bs_condition(S3, Ideal(R3, (P("x", R3),)), 1)
     assert holds3
+
+
+def test_bs_condition_respects_budget():
+    I = ideal("x*z - y^2, y*w - z^2, x*w - y*z", R4)  # twisted cubic
+    S = strata(free_resolution(I), I)
+    assert check_bs_condition(S, ideal("x, w", R4)) == (False, (0, 2))
+    with pytest.raises(BudgetExceededError):
+        check_bs_condition(S, ideal("x, w", R4), budget=1)
 
 
 def test_bs_condition_validates_m():

@@ -1,8 +1,11 @@
 """Session parsing, execution blocks, report assembly, CLI exit codes."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bsw import cli
 from bsw.session import (SessionSyntaxError, parse_session, report_exit_code,
@@ -76,6 +79,12 @@ def test_parse_error_catalogue():
     assert "integer" in str(err("ring x;\nideal I = x;\nresolve I --max-len soon;"))
 
 
+def test_polynomial_list_error_names_the_stripped_generator():
+    assert str(err("ring x, y;\nideal I = x, y +;")) == "expected a factor at position 3 in 'y +'"
+    assert str(err("ring x;\nloja --phi x --a x, x* --curve 2;")) == (
+        "expected a factor at position 2 in 'x*'")
+
+
 def test_germ_ordering_errors():
     assert "no germ semigroup" in str(err("germ member 5;"))
     assert "no germ ideal" in str(err("germ semigroup 2, 5;\ngerm member 5;"))
@@ -102,6 +111,14 @@ def test_loja_parse_errors():
     assert "not a ring variable" in str(
         err(base + "loja --phi w --a z --solve q=z^2;"))
     assert "needs a value" in str(err(base + "loja --phi w --a z --curve;"))
+
+
+def test_loja_csv_must_be_a_plain_file_name():
+    base = "ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5 --csv "
+    for bad in ("../escape.csv", "sub/pts.csv", "/tmp/pts.csv", ".", ".."):
+        e = err(base + bad + ";")
+        assert (e.line, e.col) == (2, 1)
+        assert "plain file name" in str(e)
 
 
 def test_germ_state_snapshots_per_command():
@@ -186,6 +203,14 @@ def test_budget_error_block():
     block = run_command(sess.commands[0], budget=1)
     assert block["status"] == "error"
     assert block["error"]["kind"] == "budget"
+
+
+def test_max_len_below_one_gives_validation_blocks():
+    sess = parse("ring x, y;\nideal I = x, y;\nresolve I --max-len 0;\n"
+                 "strata I --max-len -1;\n")
+    for block in run_session(sess)["blocks"]:
+        assert block["error"] == {"kind": "validation",
+                                  "message": "max_len must be at least 1"}
 
 
 def test_zero_ideal_gives_one_validation_block_per_command():
@@ -341,3 +366,98 @@ def test_cli_seed_changes_sampling(tmp_path, capsys):
     assert r1["seed"] == 1 and r2["seed"] == 2
     assert r1["blocks"][0]["result"] != r2["blocks"][0]["result"]
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- fuzz
+
+SMALL = hst.integers(-1, 4)
+KINDS = ("resolve", "strata", "check-cm", "check-normal", "check-bs", "bs-verify-monomial",
+         "newton-closure", "loja", "germ member", "germ closure-member", "germ bs-exponent",
+         "germ mu")
+IDEAL_NAMES = hst.sampled_from(("I", "J", "I", "J", "I", "J", "f", "K"))  # f a poly, K unbound
+
+
+@hst.composite
+def _poly(draw, names):
+    """Up to three terms of degree <= 2 with coefficients in -2..2."""
+    terms = draw(hst.lists(hst.tuples(hst.integers(-2, 2),
+                                      hst.lists(hst.sampled_from(names), max_size=2)),
+                           min_size=1, max_size=3))
+    return " + ".join(f"{c}" + "".join(f"*{v}" for v in mono) for c, mono in terms)
+
+
+def _opt(draw, text):
+    return text if draw(hst.booleans()) else ""
+
+
+@hst.composite
+def _command(draw, kind, names):
+    """A `kind` statement with small, sometimes zero, negative or unbound values."""
+    name, small = draw(IDEAL_NAMES), draw(SMALL)
+    if kind in ("resolve", "strata"):
+        text = (f"{kind} {name}" + _opt(draw, f" --max-len {small}")
+                + _opt(draw, " --certify false"))
+    elif kind in ("check-cm", "check-normal", "newton-closure"):
+        text = f"{kind} {name}"
+    elif kind == "check-bs":
+        text = f"check-bs {name} --ideal {draw(IDEAL_NAMES)}" + _opt(draw, f" --m {small}")
+    elif kind == "bs-verify-monomial":
+        text = f"bs-verify-monomial {name} --ell {small}" + _opt(draw, f" --d {draw(SMALL)}")
+    elif kind == "loja":
+        if draw(hst.booleans()):
+            variety = "--curve " + ",".join(str(draw(hst.integers(0, 4))) for _ in names)
+        else:  # in a one-variable ring the expression uses the solved variable
+            var = draw(hst.sampled_from(names))
+            variety = f"--solve {var}={draw(_poly([v for v in names if v != var] or [var]))}"
+        text = (f"loja --phi {draw(_poly(names))} --a {draw(hst.sampled_from(('I', 'f')))} "
+                f"{variety}" + _opt(draw, " --per-radius 3") + _opt(draw, " --csv pts.csv"))
+    elif kind in ("germ member", "germ closure-member"):
+        text = f"{kind} {draw(hst.integers(-1, 8))}"
+        if kind == "germ closure-member":
+            text += _opt(draw, f" power={small}")
+    elif kind == "germ bs-exponent":
+        text = f"germ bs-exponent ell={small}" + _opt(draw, " mode=closure-power")
+    else:
+        text = f"germ mu vmax={draw(hst.integers(-1, 8))} lmax={draw(hst.integers(-1, 3))}"
+    return text + ";"
+
+
+@hst.composite
+def _session(draw, kind):
+    """Declarations (some invalid or missing), a `kind` command, up to two more."""
+    names = ("x", "y", "z")[:draw(hst.integers(1, 3))]
+    weights = _opt(draw, " weights " + ", ".join(
+        str(draw(hst.sampled_from((1, 2, 3) * 5 + (0,)))) for _ in names))
+    lines = [f"ring {', '.join(names)}{weights};"]
+    for name in ("I", "J"):
+        gens = draw(hst.lists(_poly(names), min_size=1, max_size=3))
+        lines.append(f"ideal {name} = {', '.join(gens)};")
+    lines.append(f"poly f = {draw(_poly(names))};")
+    gens = draw(hst.sampled_from(((2, 5), (2, 3), (3, 4, 5), (3, 5)) * 3 + ((2, 4), (0, 3))))
+    lines.append(f"germ semigroup {', '.join(map(str, gens))};")
+    if draw(hst.integers(0, 4)) < 4:  # sometimes no germ ideal; shifts sometimes 0 or -1
+        shifts = draw(hst.lists(hst.sampled_from(gens * 4 + (0, -1)), min_size=1,
+                                max_size=2))
+        lines.append(f"germ ideal {', '.join(map(str, shifts))};")
+    kinds = draw(hst.permutations([kind] + draw(hst.lists(hst.sampled_from(KINDS),
+                                                          max_size=2))))
+    lines += [draw(_command(k, names)) for k in kinds]
+    return "\n".join(lines) + "\n", kinds
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30)
+@given(data=hst.data())
+def test_fuzzed_sessions_parse_or_give_one_clean_block_per_command(kind, data):
+    text, kinds = data.draw(_session(kind))
+    try:
+        sess = parse_session(text)
+    except SessionSyntaxError:
+        return
+    with tempfile.TemporaryDirectory() as csv_dir:
+        report = run_session(sess, budget=20000, csv_dir=csv_dir)
+    assert [b["command"] for b in report["blocks"]] == kinds
+    assert report["commands"] == len(kinds)
+    for block in report["blocks"]:
+        assert block["status"] == "ok" or block["error"]["kind"] != "internal", block
+    json.dumps(report)

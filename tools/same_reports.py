@@ -1,0 +1,98 @@
+"""Check that this checkout writes the same session reports as a git revision.
+
+    python3 tools/same_reports.py REV
+
+`git archive`s REV into a temporary directory, then runs
+`bsw.cli.main(["run", SESSION, "--out", REPORT, "--seed", N])` with the
+code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw
+and a two-line loja session that writes CSVs, at seeds 0, 3 and 11.  Both
+trees read the session files of this checkout, so only the code differs.
+Each run writes into its own directory; the reports are compared with the
+"timestamp" value blanked, every other file (the loja CSVs) byte for byte,
+and the exit codes too.  Prints one line per run and exits 1 on any
+difference.  Standard library only; nothing is written inside either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (0, 3, 11)
+RUN = "import sys; from bsw.cli import main; sys.exit(main(sys.argv[1:]))"
+TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+CSV_SESSION = ("ring z, w weights 2, 5;\n"
+               "loja --phi w --a z --curve 2,5 --csv curve.csv;\n"
+               "loja --phi z^3 --a z, w --solve w=z^2 --csv solve.csv;\n")
+
+
+def _run(tree: str, session: str, seed: int, out_dir: str) -> int:
+    os.makedirs(out_dir)
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    report = os.path.join(out_dir, "report.json")
+    proc = subprocess.run([sys.executable, "-c", RUN, "run", session, "--out", report,
+                           "--seed", str(seed)],
+                          cwd=out_dir, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return proc.returncode
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "report.json":
+        data = TIMESTAMP.sub(b'"timestamp": ""', data)
+    return data
+
+
+def _differences(a: str, b: str) -> list[str]:
+    names_a, names_b = sorted(os.listdir(a)), sorted(os.listdir(b))
+    if names_a != names_b:
+        return [f"files {names_a} vs {names_b}"]
+    return [name for name in names_a
+            if _read(os.path.join(a, name)) != _read(os.path.join(b, name))]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    rev = parser.parse_args(argv).rev
+    with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
+        other = os.path.join(tmp, "rev")
+        os.makedirs(other)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", other], input=archive, check=True)
+        csv_session = os.path.join(tmp, "loja_csv.bsw")
+        with open(csv_session, "w", encoding="utf-8") as fh:
+            fh.write(CSV_SESSION)
+        sessions = sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.bsw")))
+        sessions.append(os.path.join(ROOT, "sessions", "acceptance.bsw"))
+        labels = [os.path.relpath(s, ROOT) for s in sessions] + ["loja --csv session"]
+        sessions.append(csv_session)
+        n_diff = 0
+        for i, (session, label) in enumerate(zip(sessions, labels)):
+            for seed in SEEDS:
+                out_here = os.path.join(tmp, "here", f"{i}-{seed}")
+                out_rev = os.path.join(tmp, "rev-out", f"{i}-{seed}")
+                code_here = _run(ROOT, session, seed, out_here)
+                code_rev = _run(other, session, seed, out_rev)
+                diffs = _differences(out_here, out_rev)
+                if code_here != code_rev:
+                    diffs.append(f"exit code {code_here} vs {code_rev}")
+                n_diff += bool(diffs)
+                print(f"{'DIFF' if diffs else 'same'}  {label} seed {seed}"
+                      + (f": {', '.join(diffs)}" if diffs else ""))
+        total = len(sessions) * len(SEEDS)
+        print(f"{total - n_diff} of {total} runs identical to {rev}")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
