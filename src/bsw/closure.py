@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import Exponent, Polynomial, RingContext
+from .poly import Exponent, Polynomial, RingContext, exp_divides
 
 FM_ROW_CAP = 20_000
 POWER_CAP = 200_000
@@ -63,15 +63,12 @@ class MonomialIdeal:
 
     def member(self, v: Exponent) -> bool:
         """x^v in M iff some generator divides it."""
-        return any(all(g[j] <= v[j] for j in range(self.nvars)) for g in self.exponents)
+        return any(exp_divides(g, v) for g in self.exponents)
 
     def power(self, ell: int, cap: int = POWER_CAP) -> "MonomialIdeal":
         if ell < 1:
             raise ValidationError("power wants ell >= 1")
-        m = len(self.exponents)
-        count = 1
-        for i in range(ell):
-            count = count * (m + i) // (i + 1)
+        count = comb(len(self.exponents) + ell - 1, ell)
         if count > cap:
             raise ResourceCapError(f"monomial power needs {count} sums (cap {cap})")
         sums = set()
@@ -92,7 +89,7 @@ def minimalize_antichain(exps) -> tuple[Exponent, ...]:
     uniq = sorted(set(tuple(e) for e in exps), key=lambda e: (sum(e), e))
     kept: list[Exponent] = []
     for v in uniq:
-        if not any(all(u[j] <= v[j] for j in range(len(v))) for u in kept):
+        if not any(exp_divides(u, v) for u in kept):
             kept.append(v)
     return tuple(sorted(kept))
 
@@ -198,12 +195,18 @@ def np_member(v: Exponent, facets, scale: int = 1) -> bool:
     return True
 
 
+def _box(M: MonomialIdeal, scale: int = 1):
+    """Lattice points of [0, scale * max_g g_j] per coordinate j, which
+    bound the minimal generators of the closure of M^scale."""
+    sides = [scale * max(g[j] for g in M.exponents) for j in range(M.nvars)]
+    return itertools.product(*(range(b + 1) for b in sides))
+
+
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: minimal generators of the lattice points of NP(M)."""
     facets = newton_facets(M)
-    box = [max(g[j] for g in M.exponents) for j in range(M.nvars)]
     found: list[Exponent] = []
-    for v in itertools.product(*(range(b + 1) for b in box)):
+    for v in _box(M):
         if np_member(v, facets):
             found.append(v)
     return MonomialIdeal(M.nvars, tuple(found))
@@ -220,8 +223,8 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
     facets = newton_facets(M)
-    box = [e * max(g[j] for g in M.exponents) for j in range(M.nvars)]
-    for v in itertools.product(*(range(b + 1) for b in box)):
+    for v in _box(M, e):
+        # the cheap divisibility test first; most box points are in target
         if target.member(v):
             continue
         if np_member(v, facets, scale=e):

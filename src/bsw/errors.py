@@ -30,7 +30,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """A guarded enumeration (ideal power, mu search) exceeded its cap."""
+    """A guarded enumeration (ideal power, mu search) exceeded its cap,
+    or a resolution did not terminate within its max_len."""
 
 
 class SamplingError(RuntimeError):

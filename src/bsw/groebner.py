@@ -9,16 +9,18 @@ budgeted: one work unit per pair treated and per single reduction step,
 and running out raises BudgetExceededError carrying the partial basis.
 
 Krull dimension comes from the leading-term ideal of a reduced basis via
-maximal independent variable subsets; intersection goes through one
-auxiliary elimination variable with the internal elim1 block order.
+maximal independent variable subsets; intersection is read off the
+syzygies of the two generator lists (modgb.syzygy_columns).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .modgb import Budget, TopOrder, VecPoly, autoreduce, divide, run_buchberger
+from .modgb import (Budget, TopOrder, VecPoly, autoreduce, divide, run_buchberger,
+                    syzygy_columns)
 from .poly import Polynomial, RingContext, exp_lcm, exp_sub
 
 DEFAULT_BUDGET = 500_000
@@ -110,10 +112,9 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.mul_term(exp_sub(lcm, ef), 1 / cf) - g.mul_term(exp_sub(lcm, eg), 1 / cg)
 
 
-def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> list[Polynomial]:
-    """Core loop on gens lifted into O^1; returns a (non-reduced) basis containing the input."""
-    G = run_buchberger([_lift(g) for g in gens], TopOrder(ring), budget)
-    return [_drop(v) for v in G]
+def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> list[VecPoly]:
+    """Pair loop on gens lifted into O^1; returns a non-reduced basis in O^1 containing them."""
+    return run_buchberger([_lift(g) for g in gens], TopOrder(ring), budget)
 
 
 def groebner_basis(I: Ideal, budget: int | None = None) -> GroebnerBasis:
@@ -122,8 +123,7 @@ def groebner_basis(I: Ideal, budget: int | None = None) -> GroebnerBasis:
     b = Budget(budget if budget is not None else DEFAULT_BUDGET, lower=_drop)
     if not I.generators:
         return GroebnerBasis((), ring.order, ring)
-    G = buchberger(list(I.generators), ring, b)
-    reduced = autoreduce([_lift(g) for g in G], TopOrder(ring), b)
+    reduced = autoreduce(buchberger(list(I.generators), ring, b), TopOrder(ring), b)
     return GroebnerBasis((_drop(v) for v in reduced), ring.order, ring)
 
 
@@ -147,7 +147,7 @@ def ideal_member(p: Polynomial, I: Ideal, budget: int | None = None,
     return member
 
 
-def ideal_combine(I: Ideal, J: Ideal, kind: str, budget: int | None = None) -> Ideal:
+def ideal_combine(I: Ideal, J: Ideal, kind: str) -> Ideal:
     """sum | product | intersection of two ideals in the same ring."""
     if I.ring != J.ring:
         raise StructuralError("ideals live in different rings")
@@ -158,41 +158,22 @@ def ideal_combine(I: Ideal, J: Ideal, kind: str, budget: int | None = None) -> I
         gens = [f * g for f in I.generators for g in J.generators]
         return Ideal(ring, gens)
     if kind == "intersection":
-        return _intersect(I, J, budget)
+        return _intersect(I, J)
     raise ValidationError(f"unknown combine kind {kind!r}")
 
 
-def _fresh_tname(ring: RingContext) -> str:
-    t = "_t"
-    while t in ring.variable_names:
-        t += "_"
-    return t
-
-
-def _intersect(I: Ideal, J: Ideal, budget: int | None) -> Ideal:
-    """I cap J = (t*I + (1-t)*J) cap Q[x] with one elimination variable."""
+def _intersect(I: Ideal, J: Ideal) -> Ideal:
+    """For each syzygy (u, v) of (f_1..f_m, g_1..g_k), sum u_i f_i = -sum v_j g_j
+    lies in both ideals; over a generating set of syzygies these span I cap J."""
     ring = I.ring
     if not I.generators or not J.generators:
         return Ideal(ring, ())
-    ext = RingContext(
-        (_fresh_tname(ring),) + ring.variable_names,
-        (1,) + ring.weights,
-        "elim1",
-    )
-
-    def lift(p: Polynomial, tdeg: int) -> Polynomial:
-        return Polynomial(ext, {(tdeg,) + e: c for e, c in p.terms().items()})
-
-    t = Polynomial.variable(ext, 0)
-    one = Polynomial.constant(ext, 1)
-    gens = [t * lift(g, 0) for g in I.generators]
-    gens += [(one - t) * lift(g, 0) for g in J.generators]
-    gb = Ideal(ext, gens).groebner(budget=budget)
     out = []
-    for g in gb.elements:
-        tms = g.terms()
-        if all(e[0] == 0 for e in tms):
-            out.append(Polynomial(ring, {e[1:]: c for e, c in tms.items()}))
+    for s in syzygy_columns([_lift(g) for g in I.generators + J.generators], ring):
+        h = Polynomial.zero(ring)
+        for i, f in enumerate(I.generators):
+            h = h + s.component(i) * f
+        out.append(h)
     return Ideal(ring, out)
 
 
@@ -203,20 +184,15 @@ def ideal_power(I: Ideal, ell: int, cap: int = POWER_CAP) -> Ideal:
     m = len(I.generators)
     if m == 0:
         return Ideal(I.ring, ())
-    if m ** ell > cap:
-        raise ResourceCapError(f"ideal power would need {m ** ell} products (cap {cap})")
+    count = math.comb(m + ell - 1, ell)
+    if count > cap:
+        raise ResourceCapError(f"ideal power would need {count} products (cap {cap})")
+    one = Polynomial.constant(I.ring, 1)
     gens = [
-        _product(I.ring, combo)
+        math.prod(combo, start=one)
         for combo in itertools.combinations_with_replacement(I.generators, ell)
     ]
     return Ideal(I.ring, gens)
-
-
-def _product(ring: RingContext, polys) -> Polynomial:
-    out = Polynomial.constant(ring, 1)
-    for p in polys:
-        out = out * p
-    return out
 
 
 def krull_dimension(I: Ideal, budget: int | None = None) -> int:

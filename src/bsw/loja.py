@@ -181,7 +181,7 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
         ys.append(math.log(vp))
         norm = math.sqrt(sum(abs(z) ** 2 for z in pt))
         lo, hi = min(lo, norm), max(hi, norm)
-    total = len(list(points))
+    total = len(xs) + dropped
     if len(xs) < 20:
         raise EstimationError(f"only {len(xs)} usable points (need 20)")
     if dropped > total / 2:

@@ -15,7 +15,8 @@ O^r + O^c, under a block order where the image block dominates: basis
 elements whose image part vanishes are exactly a basis of the syzygy
 module, and within the tail block we use the Schreyer order induced by
 the leading terms of the m_j (ties to the smaller column), so the result
-is a Groebner basis of Syz(m_1..m_c) under that induced order.
+is a Groebner basis of Syz(m_1..m_c) under that induced order.  This is
+the package's only elimination; resolutions and ideal intersections use it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .errors import BudgetExceededError, StructuralError, ValidationError
 from .poly import Exponent, Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
 
 ModMono = tuple[int, Exponent]  # (component, exponent)
-
-MODULE_ORDER_TAG = "module-Schreyer"
 
 
 class VecPoly:

@@ -2,14 +2,15 @@
 
 A polynomial is stored as a dict from exponent tuple to Fraction with no
 zero coefficients; the ring is a small immutable context carrying the
-variable names, positive integer weights and a monomial-order tag.
-Coefficients stay exact rationals end to end.  Representatives of germs
-are polynomials only; there is no truncated-series layer.
+variable names, positive integer weights and one of the monomial orders
+in RING_ORDERS.  Coefficients stay exact rationals end to end.
+Representatives of germs are polynomials only; there is no
+truncated-series layer.
 
 Monomial orders are realized as sort keys: for two exponent vectors a, b
 we have a > b in the order iff order_key(a) > order_key(b) as Python
 tuples.  Keys are additive, so every order here is multiplicative, and
-every key strictly grows with the (weighted) degree, so 1 is minimal.
+1 has the smallest key.  There is no elimination order; modgb.py eliminates.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .errors import StructuralError, ValidationError
 Exponent = tuple[int, ...]
 
 RING_ORDERS = ("weighted-degrevlex", "degrevlex", "lex")
-# "elim1" is internal: first variable forms an elimination block, the
-# rest are compared weighted-degrevlex.  Used for ideal intersection.
-_KNOWN_ORDERS = RING_ORDERS + ("elim1",)
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class RingContext:
         if any((not isinstance(x, int)) or x < 1 for x in w):
             raise ValidationError("weights must be positive integers")
         object.__setattr__(self, "weights", w)
-        if self.order not in _KNOWN_ORDERS:
+        if self.order not in RING_ORDERS:
             raise ValidationError(f"unknown order tag {self.order!r}")
 
     @property
@@ -80,11 +78,6 @@ def monomial_key(e: Exponent, ctx: RingContext):
         return (sum(e), tuple(-x for x in reversed(e)))
     if ctx.order == "weighted-degrevlex":
         return (ctx.weighted_degree(e), tuple(-x for x in reversed(e)))
-    if ctx.order == "elim1":
-        rest = e[1:]
-        wrest = ctx.weights[1:]
-        wdeg = sum(w * k for w, k in zip(wrest, rest))
-        return (e[0], wdeg, tuple(-x for x in reversed(rest)))
     raise StructuralError(f"order {ctx.order!r} not comparable here")
 
 
@@ -488,9 +481,9 @@ def _parse_factor(tk: _Tokens, ring: RingContext) -> Polynomial:
     return p
 
 
-def parse_polynomials(text: str, ring: RingContext) -> list[Polynomial]:
-    """Comma-separated list of polynomials."""
-    out = []
+def split_top_commas(text: str) -> list[str]:
+    """Split on commas outside parentheses; parts come back stripped."""
+    parts = []
     depth = 0
     start = 0
     for i, ch in enumerate(text):
@@ -499,7 +492,12 @@ def parse_polynomials(text: str, ring: RingContext) -> list[Polynomial]:
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            out.append(parse_polynomial(text[start:i].strip(), ring))
+            parts.append(text[start:i].strip())
             start = i + 1
-    out.append(parse_polynomial(text[start:].strip(), ring))
-    return out
+    parts.append(text[start:].strip())
+    return parts
+
+
+def parse_polynomials(text: str, ring: RingContext) -> list[Polynomial]:
+    """Comma-separated list of polynomials."""
+    return [parse_polynomial(part, ring) for part in split_top_commas(text)]

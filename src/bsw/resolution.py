@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, StructuralError, ValidationError
+from .errors import ResourceCapError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension
 from .modgb import TopOrder, VecPoly, divide, module_groebner, syzygy_columns
 from .poly import Polynomial, RingContext, weighted_degree_info
@@ -308,10 +308,7 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
             sort_keys = [top.key(top.leading(c)[0]) for c in cols]
         cols = _prune_generators(cols, ring, sort_keys)
         if len(maps) == max_len:
-            raise BudgetExceededError(
-                f"resolution did not terminate within max_len={max_len}",
-                partial=tuple(maps),
-            )
+            raise ResourceCapError(f"resolution did not terminate within max_len={max_len}")
         M = PolyMatrix.from_columns(ring, current.cols, cols)
         maps.append(M)
         ranks.append(M.cols)

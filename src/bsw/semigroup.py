@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, gcd
+from functools import cached_property
+from math import ceil, comb, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 
@@ -39,7 +40,7 @@ class NumericalSemigroup:
             return True
         return s not in self._gap_set
 
-    @property
+    @cached_property
     def _gap_set(self):
         return frozenset(self.gaps)
 
@@ -142,10 +143,7 @@ def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
     """A^ell: minimalized ell-fold sumset of the shifts."""
     if ell < 1:
         raise ValidationError("power wants ell >= 1")
-    m = len(A.shifts)
-    count = 1
-    for i in range(ell):
-        count = count * (m + i) // (i + 1)
+    count = comb(len(A.shifts) + ell - 1, ell)
     if count > cap:
         raise ResourceCapError(f"semigroup ideal power needs {count} sums (cap {cap})")
     sums = {sum(c) for c in itertools.combinations_with_replacement(A.shifts, ell)}
@@ -249,6 +247,9 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
     """
     if ell_max < 1:
         raise ValidationError("ell_max must be at least 1")
+    if v_max < S.generators[0]:
+        raise ValidationError(
+            f"v_max must be at least {S.generators[0]}, the smallest element of {S}")
     best: tuple[int, SemigroupIdeal, int] | None = None
     count = 0
     for A in enumerate_ideals(S, v_max):
@@ -260,6 +261,4 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
             cand = N - ell + 1
             if best is None or cand > best[0]:
                 best = (cand, A, ell)
-    if best is None:
-        raise StructuralError("mu search enumerated no ideals")
     return best

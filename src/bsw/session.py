@@ -37,7 +37,7 @@ from .groebner import DEFAULT_BUDGET, Ideal
 from .loja import (hypersurface_sampler, loja_exponent_estimate,
                    monomial_curve_sampler, sample_variety)
 from .poly import (Polynomial, RING_ORDERS, RingContext, parse_polynomial,
-                   parse_polynomials)
+                   parse_polynomials, split_top_commas)
 from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
                          free_resolution, minimalize, normality_witness, strata)
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
@@ -112,22 +112,6 @@ def _statements(text: str):
         raise SessionSyntaxError("statement missing ';'", start[0], start[1])
 
 
-def _split_top_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
 def _parse_flags(tokens: list[str], allowed: tuple[str, ...], positional_max: int = 1):
     """Positional names, then --key value... / key=value flags."""
     positionals: list[str] = []
@@ -178,12 +162,12 @@ def _bool(value: str, what: str) -> bool:
 
 
 def _int_list(value: str, what: str) -> tuple[int, ...]:
-    return tuple(_int(p, what) for p in _split_top_commas(value))
+    return tuple(_int(p, what) for p in split_top_commas(value))
 
 
 def _float_list(value: str, what: str) -> tuple[float, ...]:
     out = []
-    for p in _split_top_commas(value):
+    for p in split_top_commas(value):
         try:
             out.append(float(p))
         except ValueError:
@@ -239,7 +223,7 @@ def _parse_ring(rest: str, st: _ParseState):
     while i < len(words) and words[i] not in ("weights", "order"):
         names_part.append(words[i])
         i += 1
-    names = tuple(n for n in _split_top_commas(" ".join(names_part)) if n)
+    names = tuple(n for n in split_top_commas(" ".join(names_part)) if n)
     while i < len(words):
         if words[i] == "weights":
             if i + 1 >= len(words):
@@ -322,9 +306,8 @@ def _parse_check_bs(kind: str, tokens: list[str], st: _ParseState):
     inputs, payload, flags = _named_ideal(tokens, st, "check-bs wants NAME --ideal A",
                                           ("m",), ("ideal",))
     a = st.lookup(flags["ideal"], "ideal")
-    m = _int(flags["m"], "m") if "m" in flags else None
-    inputs.update(test_ideal=flags["ideal"], test_generators=_gen_strings(a),
-                  m=m if m is not None else len(a.generators))
+    m = _int(flags["m"], "m") if "m" in flags else len(a.generators)
+    inputs.update(test_ideal=flags["ideal"], test_generators=_gen_strings(a), m=m)
     payload.update(a=a, m=m)
     return inputs, payload
 
@@ -502,8 +485,8 @@ def _run_check_normal(p: dict, budget: int, **_):
 
 def _run_check_bs(p: dict, budget: int, **_):
     S = _strata_for(p, budget)
-    holds, w = check_bs_condition(S, p["a"], p["m"], budget=budget)
-    m = p["m"] if p["m"] is not None else len(p["a"].generators)
+    m = p["m"]
+    holds, w = check_bs_condition(S, p["a"], m, budget=budget)
     if holds:
         return {"holds": True, "m": m, "witness": None}, f"containment condition holds (m={m})"
     return ({"holds": False, "m": m, "witness": {"r": w[0], "codim": w[1]}},

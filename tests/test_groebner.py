@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsw.errors import BudgetExceededError, StructuralError, ValidationError
+from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
+                        ValidationError)
 from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
                           ideal_power, krull_dimension, normal_form)
 from bsw.groebner import _spoly  # exercised post-hoc on produced bases
-from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
+from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
+                      parse_polynomials)
 
 from _oracles import macaulay_member
 
@@ -140,6 +142,14 @@ def test_power_cap():
     assert "cap" in str(e.value)
 
 
+def test_power_cap_counts_products_not_sequences():
+    # C(3 + 12 - 1, 12) = 91 products, not 3^12
+    cube = ideal("x, y, z", R3)
+    assert len(ideal_power(cube, 12).generators) == 91
+    with pytest.raises(ResourceCapError, match="91 products"):
+        ideal_power(cube, 12, cap=90)
+
+
 # ---------------------------------------------------------------- dimension
 
 def test_dimension_examples():
@@ -217,6 +227,25 @@ def test_nf_idempotent_and_linear(I, p, q):
 def test_intersection_dimension(I, J):
     both = ideal_combine(I, J, "intersection")
     assert krull_dimension(both) == max(krull_dimension(I), krull_dimension(J))
+
+
+@st.composite
+def monomial_ideal_pair(draw):
+    ring = draw(st.sampled_from((RingContext(("x",)), R2, R3)))
+    exps = st.tuples(*[st.integers(0, 3)] * ring.n)
+    I, J = (draw(st.lists(exps, min_size=1, max_size=3)) for _ in range(2))
+    return ring, I, J
+
+
+@given(monomial_ideal_pair())
+def test_intersection_of_monomial_ideals_is_pairwise_lcms(pair):
+    ring, I, J = pair
+
+    def mono(exps):
+        return Ideal(ring, tuple(Polynomial.monomial(ring, e) for e in exps))
+
+    lcms = mono([exp_lcm(a, b) for a in I for b in J])
+    assert gb_strings(ideal_combine(mono(I), mono(J), "intersection")) == gb_strings(lcms)
 
 
 @given(rand_ideal())

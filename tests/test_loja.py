@@ -148,3 +148,14 @@ def test_estimator_preconditions():
         loja_exponent_estimate(Polynomial.zero(RW), [P("z")], pts)
     with pytest.raises(EstimationError):
         loja_exponent_estimate(P("w"), [P("z")], [pts[0]] * 25)  # flat regressor
+
+
+def test_estimator_accepts_an_iterator():
+    # dropped points are counted against the points seen, not a second pass
+    pts = curve_points() + [(0j, 0j)] * 5
+    from_list = loja_exponent_estimate(P("w"), [P("z")], pts)
+    from_iter = loja_exponent_estimate(P("w"), [P("z")], iter(pts))
+    assert from_iter.slope == from_list.slope
+    assert abs(from_list.slope - 2.5) <= 0.1
+    with pytest.raises(EstimationError, match="more than half"):
+        loja_exponent_estimate(P("w"), [P("z")], iter(curve_points() + [(0j, 0j)] * 71))

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsw.errors import StructuralError, ValidationError
-from bsw.poly import (Polynomial, RingContext, cmp_monomials, format_polynomial,
-                      monomial_key, parse_polynomial, parse_polynomials,
-                      weighted_degree_info)
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, cmp_monomials,
+                      format_polynomial, monomial_key, parse_polynomial,
+                      parse_polynomials, split_top_commas, weighted_degree_info)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -108,6 +108,13 @@ def test_unknown_order_rejected():
         RingContext(("x",), order="mystery")
 
 
+def test_only_the_ring_orders_are_accepted():
+    for order in RING_ORDERS:
+        assert RingContext(("x", "y"), order=order).order == order
+    with pytest.raises(ValidationError):
+        RingContext(("x",), order="elim1")  # no internal elimination order
+
+
 def test_ring_validation():
     with pytest.raises(ValidationError):
         RingContext(())
@@ -175,6 +182,11 @@ def test_parse_errors_carry_position():
 def test_parse_polynomials_splits_top_level():
     lst = parse_polynomials("x^2, (x + y), y", R2)
     assert lst == [P("x^2"), P("x + y"), P("y")]
+
+
+def test_split_top_commas_strips_and_respects_parentheses():
+    assert split_top_commas(" a , (b, (c, d)) ,e ") == ["a", "(b, (c, d))", "e"]
+    assert split_top_commas("") == [""]
 
 
 def test_format_canonical():

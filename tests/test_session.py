@@ -213,6 +213,20 @@ def test_max_len_below_one_gives_validation_blocks():
                                   "message": "max_len must be at least 1"}
 
 
+def test_too_small_max_len_gives_resource_cap_block():
+    rep = run_session(parse("ring x, y;\nideal I = x, y;\nresolve I --max-len 1;\n"))
+    assert rep["blocks"][0]["error"] == {
+        "kind": "resource-cap", "message": "resolution did not terminate within max_len=1"}
+    assert report_exit_code(rep) == 3
+
+
+def test_germ_mu_below_smallest_element_gives_validation_block():
+    block = run_one("germ semigroup 2, 5;\ngerm mu vmax=1 lmax=1;")
+    assert block["error"] == {
+        "kind": "validation",
+        "message": "v_max must be at least 2, the smallest element of <2, 5>"}
+
+
 def test_zero_ideal_gives_one_validation_block_per_command():
     sess = parse("ring x, y;\nideal Z = 0;\nnewton-closure Z;\n"
                  "bs-verify-monomial Z --ell 1;\n")
