@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 validation or syntax failure or an `internal`
 error block (an unexpected exception inside a command, i.e. a bug), 3
 budget or resource-cap exhaustion (3 wins when both kinds of block are
 present).
-The default reduction budget comes from BSW_BUDGET when set.
+`--budget N` caps each command's Groebner work at N units (S-pairs and
+reduction steps); the default comes from BSW_BUDGET when set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .groebner import DEFAULT_BUDGET
+from .modgb import DEFAULT_BUDGET
 from .session import SessionSyntaxError, parse_session, report_exit_code, run_session
 
 BUDGET_ENV = "BSW_BUDGET"
@@ -25,14 +26,10 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         print(f"bsw: {BUDGET_ENV} must be an integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(2) from None
-    if value < 1:
-        print(f"bsw: {BUDGET_ENV} must be positive", file=sys.stderr)
-        raise SystemExit(2)
-    return value
 
 
 def _read(path: str) -> str:
@@ -53,7 +50,7 @@ def main(argv=None) -> int:
     run_p.add_argument("session", help="session file path")
     run_p.add_argument("--out", help="report destination (default: stdout)")
     run_p.add_argument("--budget", type=int, default=None,
-                       help="reduction-step budget per command")
+                       help="work units (S-pairs and reduction steps) per command")
     run_p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     check_p = sub.add_parser("check", help="parse a session file without running it")

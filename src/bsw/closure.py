@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .poly import Exponent, Polynomial, RingContext, exp_divides
 
 FM_ROW_CAP = 20_000
+BOX_CAP = 2_000_000
 POWER_CAP = 200_000
 
 
@@ -196,17 +197,21 @@ def np_member(v: Exponent, facets, scale: int = 1) -> bool:
 
 
 def _box(M: MonomialIdeal, scale: int = 1):
-    """Lattice points of [0, scale * max_g g_j] per coordinate j, which
-    bound the minimal generators of the closure of M^scale."""
+    """Lattice points of [0, scale * max_g g_j] per coordinate j, which bound
+    the minimal generators of the closure of M^scale; at most BOX_CAP."""
     sides = [scale * max(g[j] for g in M.exponents) for j in range(M.nvars)]
+    points = prod(b + 1 for b in sides)
+    if points > BOX_CAP:
+        raise ResourceCapError(f"Newton box scan needs {points} lattice points (cap {BOX_CAP})")
     return itertools.product(*(range(b + 1) for b in sides))
 
 
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: minimal generators of the lattice points of NP(M)."""
+    box = _box(M)
     facets = newton_facets(M)
     found: list[Exponent] = []
-    for v in _box(M):
+    for v in box:
         if np_member(v, facets):
             found.append(v)
     return MonomialIdeal(M.nvars, tuple(found))
@@ -222,8 +227,9 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     """
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
+    box = _box(M, e)
     facets = newton_facets(M)
-    for v in _box(M, e):
+    for v in box:
         # the cheap divisibility test first; most box points are in target
         if target.member(v):
             continue

@@ -17,10 +17,10 @@ class ValidationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A step-budgeted computation ran out of budget.
+    """A budget meter (modgb.Budget) ran out of work units.
 
-    `partial` holds whatever intermediate state existed when the budget
-    ran out (e.g. the basis-so-far of a Groebner run).
+    `partial` is the engine's state when it ran out, a tuple of VecPoly
+    (e.g. the basis so far); `spent` counts all units drawn on the meter.
     """
 
     def __init__(self, message: str, partial=None, spent: int | None = None):

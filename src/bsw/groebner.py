@@ -4,9 +4,9 @@ An ideal is the one-component case of the module engine in modgb.py:
 generators are lifted into O^1 under TopOrder(ring) and run through the
 same Buchberger pair loop, division and autoreduce routines.  With one
 component the engine applies the product criterion as well as the chain
-criterion; selection is the normal strategy; no F4/F5.  Every run is
-budgeted: one work unit per pair treated and per single reduction step,
-and running out raises BudgetExceededError carrying the partial basis.
+criterion; selection is the normal strategy; no F4/F5.  Bases, normal
+forms and membership tests draw on the modgb.Budget passed in (an int or
+None makes a fresh one), and running out raises BudgetExceededError.
 
 Krull dimension comes from the leading-term ideal of a reduced basis via
 maximal independent variable subsets; intersection is read off the
@@ -19,11 +19,10 @@ import itertools
 import math
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .modgb import (Budget, TopOrder, VecPoly, autoreduce, divide, run_buchberger,
-                    syzygy_columns)
+from .modgb import (DEFAULT_BUDGET, Budget, TopOrder, VecPoly, autoreduce, divide,
+                    run_buchberger, syzygy_columns)
 from .poly import Polynomial, RingContext, exp_lcm, exp_sub
 
-DEFAULT_BUDGET = 500_000
 POWER_CAP = 200_000
 
 
@@ -68,7 +67,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb: GroebnerBasis | None = None
 
-    def groebner(self, budget: int | None = None) -> GroebnerBasis:
+    def groebner(self, budget: Budget | int | None = None) -> GroebnerBasis:
         if self._gb is None:
             self._gb = groebner_basis(self, budget=budget)
         return self._gb
@@ -85,11 +84,10 @@ def _drop(v: VecPoly) -> Polynomial:
     return v.component(0)
 
 
-def normal_form(p: Polynomial, basis, budget: int | None = None) -> Polynomial:
+def normal_form(p: Polynomial, basis, budget: Budget | int | None = None) -> Polynomial:
     """Normal form of p against a Groebner basis (unique remainder)."""
     reducers = [_lift(g) for g in _as_reducers(p, basis)]
-    b = Budget(budget, lower=_drop) if budget is not None else None
-    return _drop(divide(_lift(p), reducers, TopOrder(p.ring), b))
+    return _drop(divide(_lift(p), reducers, TopOrder(p.ring), Budget.of(budget)))
 
 
 def _as_reducers(p: Polynomial, basis) -> list[Polynomial]:
@@ -117,17 +115,17 @@ def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> lis
     return run_buchberger([_lift(g) for g in gens], TopOrder(ring), budget)
 
 
-def groebner_basis(I: Ideal, budget: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of I in its ring's order, budgeted."""
+def groebner_basis(I: Ideal, budget: Budget | int | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of I in its ring's order, charged to Budget.of(budget)."""
     ring = I.ring
-    b = Budget(budget if budget is not None else DEFAULT_BUDGET, lower=_drop)
+    b = Budget.of(budget)
     if not I.generators:
         return GroebnerBasis((), ring.order, ring)
     reduced = autoreduce(buchberger(list(I.generators), ring, b), TopOrder(ring), b)
     return GroebnerBasis((_drop(v) for v in reduced), ring.order, ring)
 
 
-def ideal_member(p: Polynomial, I: Ideal, budget: int | None = None,
+def ideal_member(p: Polynomial, I: Ideal, budget: Budget | int | None = None,
                  certificate: bool = False):
     """Membership via zero normal form against the reduced basis.
 
@@ -137,9 +135,10 @@ def ideal_member(p: Polynomial, I: Ideal, budget: int | None = None,
     """
     if p.ring != I.ring:
         raise StructuralError("polynomial and ideal rings differ")
+    budget = Budget.of(budget)
     gb = I.groebner(budget=budget)
     qs: dict[int, dict] = {}
-    r = divide(_lift(p), [_lift(g) for g in gb.elements], TopOrder(p.ring), quotients=qs)
+    r = divide(_lift(p), [_lift(g) for g in gb.elements], TopOrder(p.ring), budget, qs)
     member = r.is_zero()
     if certificate:
         cofactors = tuple(Polynomial(p.ring, qs.get(i, {})) for i in range(len(gb)))
@@ -195,7 +194,7 @@ def ideal_power(I: Ideal, ell: int, cap: int = POWER_CAP) -> Ideal:
     return Ideal(I.ring, gens)
 
 
-def krull_dimension(I: Ideal, budget: int | None = None) -> int:
+def krull_dimension(I: Ideal, budget: Budget | int | None = None) -> int:
     """dim V(I): largest variable subset independent modulo leading terms.
 
     Unit ideal -> -1 (empty variety); zero ideal in n vars -> n.

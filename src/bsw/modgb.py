@@ -3,7 +3,7 @@ with ideals as the one-component case, and syzygies.
 
 A vector polynomial is a dict from module monomial (component, exponent)
 to Fraction.  One pair loop, one division routine, one autoreduce
-routine and one budget serve both modules and ideals (groebner.py lifts
+routine and one budget meter serve both modules and ideals (groebner.py lifts
 ideal generators into O^1 under TopOrder).  Pairs are picked by the
 normal strategy with ties broken by index pair; the chain criterion
 always prunes, while the product criterion is applied only when the
@@ -27,6 +27,8 @@ from .errors import BudgetExceededError, StructuralError, ValidationError
 from .poly import Exponent, Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
 
 ModMono = tuple[int, Exponent]  # (component, exponent)
+
+DEFAULT_BUDGET = 500_000
 
 
 class VecPoly:
@@ -152,26 +154,31 @@ class BlockOrder(ModuleOrder):
 
 
 class Budget:
-    """Work meter shared by the pair loop, division and autoreduce.
+    """The one work meter: a unit per pair treated and per reduction step.
 
-    One unit per pair treated and per single reduction step.  Running
-    out raises BudgetExceededError carrying the state passed to spend,
-    mapped through `lower` (ideal callers get Polynomials back).
+    A session command passes one meter to all of its steps; Budget.of
+    gives a library call with an int or None (DEFAULT_BUDGET) a fresh
+    one.  Running out raises BudgetExceededError carrying the engine
+    state passed to spend and the units spent on this meter.
     """
 
-    __slots__ = ("left", "total", "label", "lower")
+    __slots__ = ("left", "total", "label")
 
-    def __init__(self, units: int, label: str = "Groebner", lower=None):
+    def __init__(self, units: int, label: str = "Groebner"):
         self.left = units
         self.total = units
         self.label = label
-        self.lower = lower
+
+    @classmethod
+    def of(cls, budget: "Budget | int | None", label: str = "Groebner") -> "Budget":
+        """The meter itself, or a fresh one of `budget` (None: DEFAULT_BUDGET) units."""
+        if isinstance(budget, Budget):
+            return budget
+        return cls(DEFAULT_BUDGET if budget is None else budget, label)
 
     def spend(self, cost: int, partial):
         self.left -= cost
         if self.left < 0:
-            if self.lower is not None:
-                partial = map(self.lower, partial)
             raise BudgetExceededError(
                 f"{self.label} budget of {self.total} work units exhausted",
                 partial=tuple(partial), spent=self.total - self.left,
@@ -179,7 +186,7 @@ class Budget:
 
 
 def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
-           budget: Budget | None = None, quotients: dict | None = None) -> VecPoly:
+           budget: Budget, quotients: dict | None = None) -> VecPoly:
     """Remainder of v on division by reducers.
 
     Deterministic: always cancels the largest reducible term, trying
@@ -198,8 +205,7 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
             if gpos == pos and exp_divides(ge, e):
                 hit = i
                 break
-        if budget is not None:
-            budget.spend(1, reducers)
+        budget.spend(1, reducers)
         if hit < 0:
             rem[(pos, e)] = c
             h = h.sub(VecPoly(v.ring, v.ncomp, {(pos, e): c}))
@@ -259,13 +265,12 @@ def run_buchberger(gens: list[VecPoly], order: ModuleOrder,
 
 
 def module_groebner(gens: list[VecPoly], order: ModuleOrder,
-                    budget_units: int = 2_000_000) -> list[VecPoly]:
-    """Groebner basis (non-reduced) of a submodule under a fixed budget."""
-    return run_buchberger(gens, order, Budget(budget_units, "module Groebner"))
+                    budget_units: Budget | int | None = None) -> list[VecPoly]:
+    """Groebner basis (non-reduced) of a submodule, charged to Budget.of(budget_units)."""
+    return run_buchberger(gens, order, Budget.of(budget_units, "module Groebner"))
 
 
-def autoreduce(G: list[VecPoly], order: ModuleOrder,
-               budget: Budget | None = None) -> list[VecPoly]:
+def autoreduce(G: list[VecPoly], order: ModuleOrder, budget: Budget) -> list[VecPoly]:
     """Minimal + reduced form, canonical ordering by leading term."""
     G = sorted((g for g in G if not g.is_zero()),
                key=lambda g: order.key(order.leading(g)[0]))
@@ -286,9 +291,10 @@ def autoreduce(G: list[VecPoly], order: ModuleOrder,
     return out
 
 
-def syzygy_columns(columns: list[VecPoly], ctx: RingContext) -> list[VecPoly]:
+def syzygy_columns(columns: list[VecPoly], ctx: RingContext,
+                   budget: Budget | int | None = None) -> list[VecPoly]:
     """Generators (a Groebner basis under the induced Schreyer order) of
-    the syzygies of the given columns of O^r.
+    the syzygies of the given columns of O^r, charged to Budget.of(budget).
 
     Zero columns get the immediate syzygy e_j.  Output columns are
     VecPoly in O^c, c = len(columns), sorted by the Schreyer order.
@@ -312,14 +318,15 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext) -> list[VecPoly]:
         terms = dict(columns[j].terms)
         terms[(r + slot, (0,) * ctx.n)] = Fraction(1)
         graph.append(VecPoly(ctx, r + len(live_idx), terms))
-    G = module_groebner(graph, order)
+    budget = Budget.of(budget, "module Groebner")
+    G = module_groebner(graph, order, budget)
     tails = []
     for g in G:
         if all(pos >= r for (pos, _e) in g.terms):
             tails.append(VecPoly(ctx, len(live_idx),
                                  {(pos - r, e): cc for (pos, e), cc in g.terms.items()}))
     tail_order = SchreyerOrder(top, inducing)
-    tails = autoreduce(tails, tail_order)
+    tails = autoreduce(tails, tail_order, budget)
     # re-embed into the full column count (restoring zero-column slots)
     out = []
     for t in tails:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension
-from .modgb import TopOrder, VecPoly, divide, module_groebner, syzygy_columns
+from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_columns
 from .poly import Polynomial, RingContext, weighted_degree_info
 
 
@@ -237,35 +237,32 @@ def _column_degree(col: VecPoly, prev_shifts, ring: RingContext) -> int:
     return deg
 
 
-def _prune_generators(cols: list[VecPoly], ctx: RingContext,
-                      sort_keys) -> list[VecPoly]:
+def _prune_generators(cols: list[VecPoly], ctx: RingContext, sort_keys,
+                      budget: Budget) -> list[int]:
     """Greedy minimal generating subset: keep a column only if it is not
-    in the module generated by the already-kept ones.  With columns
-    sorted by increasing degree this yields a minimal generating set in
-    the graded case."""
+    in the module generated by the already-kept ones; returns the kept
+    indices in keeping order.  With columns sorted by increasing degree
+    this yields a minimal generating set in the graded case."""
     order = TopOrder(ctx)
-    ranked = sorted(range(len(cols)), key=lambda j: sort_keys[j])
-    kept: list[VecPoly] = []
+    kept: list[int] = []
     kept_gb: list[VecPoly] = []
-    for j in ranked:
-        v = cols[j]
-        if kept_gb:
-            r = divide(v, kept_gb, order)
-            if r.is_zero():
-                continue
-        kept.append(v)
-        kept_gb = module_groebner(kept, order)
+    for j in sorted(range(len(cols)), key=lambda j: sort_keys[j]):
+        if kept_gb and divide(cols[j], kept_gb, order, budget).is_zero():
+            continue
+        kept.append(j)
+        kept_gb = module_groebner([cols[i] for i in kept], order, budget)
     return kept
 
 
 def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = None,
-                    certify: bool = True, budget: int | None = None) -> FreeComplex:
+                    certify: bool = True, budget: Budget | int | None = None) -> FreeComplex:
     """Iterated-syzygy resolution of O/I with f_1 = the generator row.
 
     Syzygy generating sets are pruned to minimal ones from level 2 on,
     which keeps the chain within the global-dimension bound; the first
     map keeps the generators exactly as given, so redundant generators
-    surface as unit entries for minimalize to strip.
+    surface as unit entries for minimalize to strip.  All steps draw on
+    one Budget.of(budget).
     """
     ring = I.ring
     n = ring.n
@@ -276,10 +273,11 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
     gens = list(I.generators)
     if not gens:
         return FreeComplex(ring, (1,), (), graded=True, shifts=((0,),))
+    budget = Budget.of(budget)
+    infos = [weighted_degree_info(g) for g in gens]
     if graded is None:
-        graded = all(weighted_degree_info(g).quasi_homogeneous for g in gens)
+        graded = all(info.quasi_homogeneous for info in infos)
     if graded:
-        infos = [weighted_degree_info(g) for g in gens]
         if any(not info.quasi_homogeneous for info in infos):
             raise ValidationError("graded resolution wants quasi-homogeneous generators")
         if any(info.max_degree == 0 for info in infos):
@@ -292,28 +290,27 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
     maps = [PolyMatrix(ring, [list(gens)])]
     shifts: list[tuple[int, ...]] = [(0,)]
     if graded:
-        shifts.append(tuple(weighted_degree_info(g).max_degree for g in gens))
+        shifts.append(tuple(info.max_degree for info in infos))
 
+    top = TopOrder(ring)
     current = maps[0]
     while True:
-        cols = syzygy_columns(current.columns(), ring)
+        cols = syzygy_columns(current.columns(), ring, budget)
         cols = [c for c in cols if not c.is_zero()]
         if not cols:
             break
-        top = TopOrder(ring)
+        sort_keys = [top.key(top.leading(c)[0]) for c in cols]
         if graded:
             degs = [_column_degree(c, shifts[-1], ring) for c in cols]
-            sort_keys = [(degs[j], top.key(top.leading(cols[j])[0])) for j in range(len(cols))]
-        else:
-            sort_keys = [top.key(top.leading(c)[0]) for c in cols]
-        cols = _prune_generators(cols, ring, sort_keys)
+            sort_keys = list(zip(degs, sort_keys))
+        kept = _prune_generators(cols, ring, sort_keys, budget)
         if len(maps) == max_len:
             raise ResourceCapError(f"resolution did not terminate within max_len={max_len}")
-        M = PolyMatrix.from_columns(ring, current.cols, cols)
+        M = PolyMatrix.from_columns(ring, current.cols, [cols[j] for j in kept])
         maps.append(M)
         ranks.append(M.cols)
         if graded:
-            shifts.append(tuple(_column_degree(c, shifts[-1], ring) for c in cols))
+            shifts.append(tuple(degs[j] for j in kept))
         current = M
 
     C = FreeComplex(ring, tuple(ranks), tuple(maps), graded=graded,
@@ -462,13 +459,14 @@ def rank_locus_ideal(C: FreeComplex, k: int, ambient: Ideal) -> tuple[Ideal, boo
     return Ideal(C.ring, tuple(mins) + ambient.generators), False
 
 
-def check_acyclicity(C: FreeComplex, budget: int | None = None):
+def check_acyclicity(C: FreeComplex, budget: Budget | int | None = None):
     """Exactness certificate via ranks and minor-locus codimensions.
 
     Returns (acyclic, failures); each failure is (k, reason).  The test
     is exact over a polynomial ring: codimension equals grade there.
-    """
+    All codimensions draw on one Budget.of(budget)."""
     ring = C.ring
+    budget = Budget.of(budget)
     n = ring.n
     rho = expected_ranks(C)
     failures = []
@@ -532,12 +530,14 @@ class StrataReport:
         return self.strata.get(r)
 
 
-def strata(C: FreeComplex, I: Ideal, budget: int | None = None) -> StrataReport:
+def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:
     """Rank-drop strata of the resolving complex C of O/I, plus the
-    Jacobian singular stratum Z^0; codims are measured inside Z."""
+    Jacobian singular stratum Z^0; codims, measured inside Z, draw on
+    one Budget.of(budget)."""
     ring = I.ring
     if C.ring != ring:
         raise StructuralError("complex and ideal rings differ")
+    budget = Budget.of(budget)
     n = ring.n
     d = krull_dimension(I, budget=budget)
     if d < 0:
@@ -601,18 +601,18 @@ def check_cm_depth(S: StrataReport) -> tuple[bool, int, int]:
 
 
 def check_bs_condition(S: StrataReport, a: Ideal, m: int | None = None,
-                       budget: int | None = None):
+                       budget: Budget | int | None = None):
     """Does codim_Z(Z^r cap Z^a) >= m + 1 + r hold for all r >= 0?
 
     Returns (holds, witness); witness is the first failing (r, codim).
-    `budget` caps each intersection's Groebner basis.
-    """
+    All intersections draw on one Budget.of(budget)."""
     if a.ring != S.ring:
         raise StructuralError("test ideal ring mismatch")
     if m is None:
         m = len(a.generators)
     if m < 1:
         raise ValidationError("m must be at least 1")
+    budget = Budget.of(budget)
     for r in sorted(S.strata):
         info = S.strata[r]
         if info.empty:

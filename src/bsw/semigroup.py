@@ -25,6 +25,7 @@ from .errors import ResourceCapError, StructuralError, ValidationError
 
 POWER_CAP = 200_000
 MU_CAP = 100_000
+TABLE_CAP = 1_100_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,12 @@ class NumericalSemigroup:
 
 
 def semigroup_build(generators) -> NumericalSemigroup:
-    """Membership table, conductor and gaps for <g_1, ..., g_k>, gcd 1."""
+    """Membership table, conductor and gaps for <g_1, ..., g_k>, gcd 1.
+
+    By Schur's bound the conductor is at most (g_min - 1)(g_max - 1), so
+    a table of g_min * g_max + 2 entries holds every gap; tables above
+    TABLE_CAP entries are refused.
+    """
     gens = tuple(sorted(set(int(g) for g in generators)))
     if not gens or any(g < 1 for g in gens):
         raise ValidationError("semigroup generators must be positive integers")
@@ -65,33 +71,18 @@ def semigroup_build(generators) -> NumericalSemigroup:
         g = gcd(g, x)
     if g != 1:
         raise ValidationError("semigroup generators must have gcd 1")
-    gmin, gmax = gens[0], gens[-1]
-    bound = gmin * gmax + 2
-    while True:
-        member = [False] * bound
-        member[0] = True
-        for i in range(1, bound):
-            for x in gens:
-                if i >= x and member[i - x]:
-                    member[i] = True
-                    break
-        run_start = _find_run(member, gmin)
-        if run_start is not None:
-            c = run_start
-            while c > 0 and member[c - 1]:
-                c -= 1
-            gaps = tuple(i for i in range(c) if not member[i])
-            return NumericalSemigroup(gens, c, gaps)
-        bound *= 2
-
-
-def _find_run(member: list[bool], length: int) -> int | None:
-    run = 0
-    for i, ok in enumerate(member):
-        run = run + 1 if ok else 0
-        if run >= length:
-            return i - length + 1
-    return None
+    size = gens[0] * gens[-1] + 2
+    if size > TABLE_CAP:
+        raise ValidationError(f"semigroup table of {size} entries exceeds the cap {TABLE_CAP}")
+    member = [False] * size
+    member[0] = True
+    for i in range(1, size):
+        for x in gens:
+            if i >= x and member[i - x]:
+                member[i] = True
+                break
+    gaps = tuple(i for i in range(size) if not member[i])
+    return NumericalSemigroup(gens, gaps[-1] + 1 if gaps else 0, gaps)
 
 
 @dataclass(frozen=True)

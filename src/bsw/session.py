@@ -33,9 +33,10 @@ from . import __version__
 from .closure import MonomialIdeal, bs_verify_monomial, newton_closure
 from .errors import (BudgetExceededError, EstimationError, ResourceCapError,
                      SamplingError, StructuralError, ValidationError)
-from .groebner import DEFAULT_BUDGET, Ideal
+from .groebner import Ideal
 from .loja import (hypersurface_sampler, loja_exponent_estimate,
                    monomial_curve_sampler, sample_variety)
+from .modgb import DEFAULT_BUDGET, Budget
 from .poly import (Polynomial, RING_ORDERS, RingContext, parse_polynomial,
                    parse_polynomials, split_top_commas)
 from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
@@ -414,11 +415,11 @@ def _parse_loja(kind: str, tokens: list[str], st: _ParseState):
     return inputs, payload
 
 
-# Run functions take the payload plus budget, seed and csv_dir keywords and
-# return (result, summary).  They call library functions through this
-# module's globals, so a wrapper rebound on those names sees the calls.
+# Run functions take the payload and keywords budget (the command's meter),
+# seed and csv_dir, and return (result, summary).  Library calls go through
+# this module's globals, so a wrapper rebound on those names sees them.
 
-def _run_resolve(p: dict, budget: int, **_):
+def _run_resolve(p: dict, budget: Budget, **_):
     C = free_resolution(p["ideal"], max_len=p["max_len"], certify=p["certify"],
                         budget=budget)
     result = {"ranks": list(C.ranks), "graded": C.graded,
@@ -433,14 +434,14 @@ def _run_resolve(p: dict, budget: int, **_):
     return result, summary
 
 
-def _strata_for(p: dict, budget: int):
+def _strata_for(p: dict, budget: Budget):
     I: Ideal = p["ideal"]
     C = free_resolution(I, max_len=p.get("max_len"),
                         certify=p.get("certify", True), budget=budget)
     return strata(C, I, budget=budget)
 
 
-def _run_strata(p: dict, budget: int, **_):
+def _run_strata(p: dict, budget: Budget, **_):
     S = _strata_for(p, budget)
     strata_rows = []
     for r in sorted(S.strata):
@@ -468,14 +469,14 @@ def _run_strata(p: dict, budget: int, **_):
                     f"purity {'ok' if S.purity_ok else 'VIOLATED'}")
 
 
-def _run_check_cm(p: dict, budget: int, **_):
+def _run_check_cm(p: dict, budget: Budget, **_):
     S = _strata_for(p, budget)
     is_cm, depth = check_cm_depth(S)[:2]
     head = "Cohen-Macaulay" if is_cm else "not Cohen-Macaulay"
     return {"is_cm": is_cm, "depth": depth, "dim": S.d}, f"{head}; depth {depth} of dim {S.d}"
 
 
-def _run_check_normal(p: dict, budget: int, **_):
+def _run_check_normal(p: dict, budget: Budget, **_):
     w = normality_witness(_strata_for(p, budget))
     if w is None:
         return {"holds": True, "witness": None}, "normality condition holds"
@@ -483,7 +484,7 @@ def _run_check_normal(p: dict, budget: int, **_):
             f"normality condition fails at r={w[0]} (codim {w[1]})")
 
 
-def _run_check_bs(p: dict, budget: int, **_):
+def _run_check_bs(p: dict, budget: Budget, **_):
     S = _strata_for(p, budget)
     m = p["m"]
     holds, w = check_bs_condition(S, p["a"], m, budget=budget)
@@ -646,14 +647,13 @@ def _error_kind(exc: Exception) -> str:
 
 def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
                 csv_dir: str = ".") -> dict:
-    """Execute one command into a report block; failures become blocks."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    """Execute one command on one budget meter into a report block; failures become blocks."""
     block = {"command": cmd.kind, "line": cmd.line, "col": cmd.col,
              "inputs": cmd.inputs}
     try:
         run = _COMMANDS[cmd.kind][1]
-        result, summary = run(cmd.payload, budget=budget, seed=seed, csv_dir=csv_dir)
+        result, summary = run(cmd.payload, budget=Budget.of(budget), seed=seed,
+                              csv_dir=csv_dir)
     except Exception as exc:
         kind = _error_kind(exc)
         message = str(exc)

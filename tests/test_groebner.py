@@ -11,6 +11,7 @@ from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
 from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
                           ideal_power, krull_dimension, normal_form)
 from bsw.groebner import _spoly  # exercised post-hoc on produced bases
+from bsw.modgb import DEFAULT_BUDGET, Budget
 from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
                       parse_polynomials)
 
@@ -176,6 +177,20 @@ def test_budget_generous_succeeds():
     assert len(G.elements) >= 2
     for g in I.generators:
         assert normal_form(g, G).is_zero()
+
+
+def test_one_budget_is_drawn_down_by_every_call():
+    I = ideal("x^3 - y^4, x*y^2 - x^2")
+    b = Budget(200000)
+    assert Budget.of(b) is b and Budget.of(None).total == DEFAULT_BUDGET
+    ideal_member(P("x^4 - x*y^4"), I, budget=b)
+    after_member = b.left
+    assert after_member < b.total
+    normal_form(P("x^4 + y^5"), I.groebner(), budget=b)
+    assert b.left < after_member
+    with pytest.raises(BudgetExceededError) as e:
+        normal_form(P("x^4 + y^5"), I.groebner(), budget=Budget(1))
+    assert e.value.spent == 2
 
 
 # ---------------------------------------------------------------- properties

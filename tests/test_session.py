@@ -205,6 +205,31 @@ def test_budget_error_block():
     assert block["error"]["kind"] == "budget"
 
 
+def test_one_budget_meter_per_command():
+    # strata T needs about 290 units over all its steps, no single step 200
+    block = run_one("ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nstrata T;\n",
+                    budget=200)
+    assert block["error"]["kind"] == "budget"
+    # syzygies and generator pruning draw on the meter without certification too
+    block = run_one("ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
+                    "resolve TC --certify false;\n", budget=1)
+    assert block["error"]["kind"] == "budget"
+
+
+def test_newton_box_scans_are_capped():
+    rep = run_session(parse("ring x, y;\nideal B = x^100000, y^100000;\n"
+                            "newton-closure B;\nbs-verify-monomial B --ell 1;\n"))
+    assert [b["error"]["kind"] for b in rep["blocks"]] == ["resource-cap"] * 2
+    assert "10000200001 lattice points" in rep["blocks"][0]["error"]["message"]
+    assert report_exit_code(rep) == 3
+
+
+def test_semigroup_table_is_capped():
+    e = err("ring x;\ngerm semigroup 2, 5;\n  germ semigroup 3001, 3007;\n")
+    assert (e.line, e.col) == (3, 3)
+    assert "semigroup table of 9024009 entries" in str(e)
+
+
 def test_max_len_below_one_gives_validation_blocks():
     sess = parse("ring x, y;\nideal I = x, y;\nresolve I --max-len 0;\n"
                  "strata I --max-len -1;\n")
