@@ -29,11 +29,10 @@ POWER_CAP = 200_000
 class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
-    __slots__ = ("elements", "order", "ring")
+    __slots__ = ("elements", "ring")
 
-    def __init__(self, elements, order: str, ring: RingContext):
+    def __init__(self, elements, ring: RingContext):
         self.elements = tuple(elements)
-        self.order = order
         self.ring = ring
 
     def __iter__(self):
@@ -91,14 +90,11 @@ def normal_form(p: Polynomial, basis, budget: Budget | int | None = None) -> Pol
 
 
 def _as_reducers(p: Polynomial, basis) -> list[Polynomial]:
-    if isinstance(basis, GroebnerBasis):
-        if basis.ring != p.ring:
-            raise StructuralError("basis ring does not match polynomial ring")
-        if basis.order != p.ring.order:
-            raise StructuralError("basis order does not match ring order")
-        return list(basis.elements)
+    """The basis as a list; a GroebnerBasis's ring (which fixes the order)
+    must match p's even when it has no elements."""
     reducers = list(basis)
-    if any(g.ring != p.ring for g in reducers):
+    owners = reducers + [basis] if isinstance(basis, GroebnerBasis) else reducers
+    if any(x.ring != p.ring for x in owners):
         raise StructuralError("basis ring does not match polynomial ring")
     return reducers
 
@@ -120,9 +116,9 @@ def groebner_basis(I: Ideal, budget: Budget | int | None = None) -> GroebnerBasi
     ring = I.ring
     b = Budget.of(budget)
     if not I.generators:
-        return GroebnerBasis((), ring.order, ring)
+        return GroebnerBasis((), ring)
     reduced = autoreduce(buchberger(list(I.generators), ring, b), TopOrder(ring), b)
-    return GroebnerBasis((_drop(v) for v in reduced), ring.order, ring)
+    return GroebnerBasis((_drop(v) for v in reduced), ring)
 
 
 def ideal_member(p: Polynomial, I: Ideal, budget: Budget | int | None = None,

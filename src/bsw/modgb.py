@@ -4,7 +4,10 @@ with ideals as the one-component case, and syzygies.
 A vector polynomial is a dict from module monomial (component, exponent)
 to Fraction.  One pair loop, one division routine, one autoreduce
 routine and one budget meter serve both modules and ideals (groebner.py lifts
-ideal generators into O^1 under TopOrder).  Pairs are picked by the
+ideal generators into O^1 under TopOrder).  Division works in place: it
+reduces one mutable term dict, adding each -c*x^a*g into it through
+poly.add_term, and builds a single VecPoly for the remainder; S-vectors are
+added into one dict the same way.  Pairs are picked by the
 normal strategy with ties broken by index pair; the chain criterion
 always prunes, while the product criterion is applied only when the
 module has one component, since it is unsound for modules.
@@ -24,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceededError, StructuralError, ValidationError
-from .poly import Exponent, Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
+from .poly import (Exponent, Polynomial, RingContext, add_term, exp_add, exp_divides, exp_lcm,
+                   exp_sub)
 
 ModMono = tuple[int, Exponent]  # (component, exponent)
 
@@ -45,12 +49,7 @@ class VecPoly:
                 continue
             if not 0 <= pos < ncomp:
                 raise StructuralError("component index out of range")
-            key = (pos, tuple(e))
-            s = clean.get(key, Fraction(0)) + c
-            if s == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = s
+            add_term(clean, (pos, tuple(e)), c)
         self.ring = ring
         self.ncomp = ncomp
         self.terms = clean
@@ -58,30 +57,14 @@ class VecPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add(self, other: "VecPoly") -> "VecPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return VecPoly(self.ring, self.ncomp, out)
-
     def scale(self, c) -> "VecPoly":
         c = Fraction(c)
         return VecPoly(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
 
-    def mul_term(self, e: Exponent, c) -> "VecPoly":
-        c = Fraction(c)
-        return VecPoly(
-            self.ring,
-            self.ncomp,
-            {(p, exp_add(e0, e)): c * v for (p, e0), v in self.terms.items()},
-        )
-
-    def sub(self, other: "VecPoly") -> "VecPoly":
-        return self.add(other.scale(-1))
+    def add_shifted_into(self, terms: dict, e: Exponent, c) -> None:
+        """terms += c * x^e * self, in place, on a ModMono -> Fraction dict."""
+        for (pos, e0), v in self.terms.items():
+            add_term(terms, (pos, exp_add(e0, e)), c * v)
 
     def component(self, pos: int) -> Polynomial:
         return Polynomial(
@@ -187,19 +170,20 @@ class Budget:
 
 def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
            budget: Budget, quotients: dict | None = None) -> VecPoly:
-    """Remainder of v on division by reducers.
+    """Remainder of v on division by reducers, reduced in one mutable dict.
 
     Deterministic: always cancels the largest reducible term, trying
-    reducers in list order.  No term of the remainder is divisible by a
+    reducers in list order; a term no reducer divides moves to the
+    remainder.  No term of the remainder is divisible by a
     leading term of the reducers.  With a `quotients` dict, the quotient
     of reducers[i] is recorded as quotients[i] = {exponent: coefficient},
     so that v = sum quotients[i] * reducers[i] + remainder.
     """
     lts = [order.leading(g) for g in reducers]
     rem: dict[ModMono, Fraction] = {}
-    h = v
-    while not h.is_zero():
-        (pos, e), c = order.leading(h)
+    h = dict(v.terms)
+    while h:
+        pos, e = m = max(h, key=order.key)
         hit = -1
         for i, ((gpos, ge), _) in enumerate(lts):
             if gpos == pos and exp_divides(ge, e):
@@ -207,14 +191,13 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
                 break
         budget.spend(1, reducers)
         if hit < 0:
-            rem[(pos, e)] = c
-            h = h.sub(VecPoly(v.ring, v.ncomp, {(pos, e): c}))
+            rem[m] = h.pop(m)
         else:
             (_, ge), gc = lts[hit]
-            shift, factor = exp_sub(e, ge), c / gc
+            shift, factor = exp_sub(e, ge), h[m] / gc
             if quotients is not None:
                 quotients.setdefault(hit, {})[shift] = factor
-            h = h.sub(reducers[hit].mul_term(shift, factor))
+            reducers[hit].add_shifted_into(h, shift, -factor)
     return VecPoly(v.ring, v.ncomp, rem)
 
 
@@ -253,8 +236,10 @@ def run_buchberger(gens: list[VecPoly], order: ModuleOrder,
                and (min(j, k), max(j, k)) not in pairs
                for k, (kpos, ke) in enumerate(lts)):
             continue
-        s = G[i].mul_term(exp_sub(lcm, ei), 1).sub(G[j].mul_term(exp_sub(lcm, ej), 1))
-        r = divide(s, G, order, budget)
+        s: dict[ModMono, Fraction] = {}
+        G[i].add_shifted_into(s, exp_sub(lcm, ei), 1)
+        G[j].add_shifted_into(s, exp_sub(lcm, ej), -1)
+        r = divide(VecPoly(G[i].ring, G[i].ncomp, s), G, order, budget)
         if not r.is_zero():
             lt, c = order.leading(r)
             t = len(G)

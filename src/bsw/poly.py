@@ -4,6 +4,8 @@ A polynomial is stored as a dict from exponent tuple to Fraction with no
 zero coefficients; the ring is a small immutable context carrying the
 variable names, positive integer weights and one of the monomial orders
 in RING_ORDERS.  Coefficients stay exact rationals end to end.
+Every sparse term dict, here and in modgb.py, is filled through
+add_term, which adds a coefficient in place and drops the key at 0.
 Representatives of germs are polynomials only; there is no
 truncated-series layer.
 
@@ -15,9 +17,8 @@ tuples.  Keys are additive, so every order here is multiplicative, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import StructuralError, ValidationError
 
@@ -106,6 +107,15 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def add_term(terms: dict, key, c) -> None:
+    """terms[key] += c in place; the key is dropped when the sum is 0."""
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `_terms` after construction."""
 
@@ -119,18 +129,7 @@ class Polynomial:
                 raise StructuralError("exponent arity does not match ring")
             if any((not isinstance(x, int)) or x < 0 for x in e):
                 raise StructuralError("exponents must be nonnegative integers")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            c0 = clean.get(e)
-            if c0 is None:
-                clean[e] = c
-            else:
-                s = c0 + c
-                if s == 0:
-                    del clean[e]
-                else:
-                    clean[e] = s
+            add_term(clean, e, Fraction(c))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -208,11 +207,7 @@ class Polynomial:
         self._check(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            add_term(out, e, c)
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -226,12 +221,7 @@ class Polynomial:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = exp_add(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                add_term(out, exp_add(e1, e2), c1 * c2)
         return Polynomial(self.ring, out)
 
     def __pow__(self, k: int) -> "Polynomial":

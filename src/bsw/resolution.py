@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension
@@ -60,11 +59,9 @@ class PolyMatrix:
         ents = [[col.component(i) for col in columns] for i in range(nrows)]
         return cls(ring, ents, cols_hint=len(columns))
 
-    def column(self, j: int) -> VecPoly:
-        return VecPoly.from_column(self.ring, [self.entries[i][j] for i in range(self.rows)])
-
     def columns(self) -> list[VecPoly]:
-        return [self.column(j) for j in range(self.cols)]
+        return [VecPoly.from_column(self.ring, [row[j] for row in self.entries])
+                for j in range(self.cols)]
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self @ other (apply other first)."""
@@ -219,22 +216,11 @@ def syzygies(M: PolyMatrix) -> PolyMatrix:
 
 
 def _column_degree(col: VecPoly, prev_shifts, ring: RingContext) -> int:
-    deg = None
-    for pos in range(col.ncomp):
-        p = col.component(pos)
-        if p.is_zero():
-            continue
-        info = weighted_degree_info(p)
-        if not info.quasi_homogeneous:
-            raise StructuralError("syzygy entry not quasi-homogeneous in graded mode")
-        d = info.max_degree + prev_shifts[pos]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise StructuralError("syzygy column degrees inconsistent in graded mode")
-    if deg is None:
-        raise StructuralError("zero syzygy column")
-    return deg
+    """Degree of a graded column: deg x^a + prev_shifts[pos], equal on every term x^a e_pos."""
+    degs = {ring.weighted_degree(e) + prev_shifts[pos] for pos, e in col.terms}
+    if len(degs) != 1:
+        raise StructuralError("syzygy column not quasi-homogeneous in graded mode")
+    return degs.pop()
 
 
 def _prune_generators(cols: list[VecPoly], ctx: RingContext, sort_keys,
@@ -293,9 +279,9 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
         shifts.append(tuple(info.max_degree for info in infos))
 
     top = TopOrder(ring)
-    current = maps[0]
+    cols = [VecPoly.from_column(ring, [g]) for g in gens]
     while True:
-        cols = syzygy_columns(current.columns(), ring, budget)
+        cols = syzygy_columns(cols, ring, budget)
         cols = [c for c in cols if not c.is_zero()]
         if not cols:
             break
@@ -306,12 +292,11 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
         kept = _prune_generators(cols, ring, sort_keys, budget)
         if len(maps) == max_len:
             raise ResourceCapError(f"resolution did not terminate within max_len={max_len}")
-        M = PolyMatrix.from_columns(ring, current.cols, [cols[j] for j in kept])
-        maps.append(M)
-        ranks.append(M.cols)
+        cols = [cols[j] for j in kept]
+        maps.append(PolyMatrix.from_columns(ring, ranks[-1], cols))
+        ranks.append(len(cols))
         if graded:
             shifts.append(tuple(degs[j] for j in kept))
-        current = M
 
     C = FreeComplex(ring, tuple(ranks), tuple(maps), graded=graded,
                     shifts=tuple(shifts) if graded else None)

@@ -282,12 +282,15 @@ def _gen_strings(I: Ideal) -> list[str]:
 
 def _named_ideal(tokens: list[str], st: _ParseState, usage: str,
                  allowed: tuple[str, ...] = (), required: tuple[str, ...] = ()):
-    """NAME of a bound ideal plus flags; returns (inputs, payload, flags)."""
+    """NAME of a bound ideal plus flags; returns (inputs, payload, flags).
+    The payload holds a fresh copy of the Ideal, so no command reuses a basis
+    cached by another and no budget verdict depends on command order."""
     pos, flags = _parse_flags(tokens, required + allowed)
     if len(pos) != 1 or any(k not in flags for k in required):
         raise ValidationError(usage)
     I = st.lookup(pos[0], "ideal")
-    return {"ideal": pos[0], "generators": _gen_strings(I)}, {"ideal": I}, flags
+    payload = {"ideal": Ideal(I.ring, I.generators)}
+    return {"ideal": pos[0], "generators": _gen_strings(I)}, payload, flags
 
 
 def _parse_ideal(kind: str, tokens: list[str], st: _ParseState):

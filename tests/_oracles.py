@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Nothing here touches the division or basis machinery under test: the
-membership oracle is dense exact linear algebra on a truncated monomial
-basis, and the closure oracles are brute-force lattice searches.
+membership and Hilbert-function oracles are dense exact linear algebra on
+a truncated monomial basis, and the closure oracles are brute-force
+lattice searches.
 """
 
 from __future__ import annotations
@@ -89,6 +90,28 @@ def macaulay_member(p: Polynomial, gens, degree: int = 6) -> bool:
     if _total_degree(p) > degree:
         raise ValueError("test polynomial exceeds the oracle degree")
     return span.contains(vector(p))
+
+
+def hilbert_function(gens, degree: int) -> int:
+    """dim_Q (S/I)_degree for homogeneous gens of I in the standard grading.
+
+    I_degree is the span of {x^a * g : deg(x^a * g) = degree}; its rank is
+    taken by exact row reduction, so no Groebner basis is involved.
+    """
+    ring = gens[0].ring
+    basis = [e for e in monomials_up_to(ring.n, degree) if sum(e) == degree]
+    index = {e: i for i, e in enumerate(basis)}
+    span = _RowSpan(len(basis))
+    for g in gens:
+        room = degree - _total_degree(g)
+        for e in monomials_up_to(ring.n, room):
+            if sum(e) != room:
+                continue
+            row = [Fraction(0)] * len(basis)
+            for m, c in g.mul_term(e, Fraction(1)).terms().items():
+                row[index[m]] = c
+            span.add(row)
+    return len(basis) - len(span.pivots)
 
 
 def np_member_bruteforce(v, exponents, k_max: int = 8) -> bool:

@@ -1,5 +1,7 @@
 """Free resolutions, minimalization, Koszul complexes, rank strata."""
 
+import math
+
 import pytest
 
 from bsw.errors import BudgetExceededError, StructuralError, ValidationError
@@ -11,6 +13,8 @@ from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             expected_ranks, free_resolution, koszul_complex,
                             minimalize, minors, normality_witness,
                             rank_locus_ideal, strata, syzygies)
+
+from _oracles import hilbert_function
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -121,6 +125,41 @@ def test_graded_autodetect():
 
 
 # ---------------------------------------------------------------- minimalize
+
+def _k_polynomial(shifts) -> dict[int, int]:
+    """sum_k (-1)^k sum_j t^shifts[k][j], as {degree: coefficient}."""
+    out: dict[int, int] = {}
+    for k, level in enumerate(shifts):
+        for d in level:
+            out[d] = out.get(d, 0) + (-1) ** k
+    return {d: c for d, c in out.items() if c}
+
+
+def _hilbert_numerator(gens, top: int) -> dict[int, int]:
+    """(1-t)^n * sum_d HF(d) t^d through degree `top`, as {degree: coefficient}."""
+    n = gens[0].ring.n
+    hf = [hilbert_function(gens, d) for d in range(top + 1)]
+    out = {}
+    for d in range(top + 1):
+        c = sum((-1) ** i * math.comb(n, i) * hf[d - i] for i in range(min(n, d) + 1))
+        if c:
+            out[d] = c
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "x*z, x*w, y*z, y*w",                            # two planes
+    "x*z - y^2, y*w - z^2, x*w - y*z",               # twisted cubic
+    "x^2, y^2, z^2",
+    "x^2 - y*z, y^2 - x*w, x*z^2 - w^3",             # complete intersection 2, 2, 3
+])
+def test_resolution_shifts_match_hilbert_series(text):
+    I = ideal(text, R4)
+    C = free_resolution(I)
+    want = _hilbert_numerator(list(I.generators), max(map(max, C.shifts)) + 1)
+    assert _k_polynomial(C.shifts) == want
+    assert _k_polynomial(minimalize(C).shifts) == want
+
 
 def test_minimalize_keeps_minimal_complex():
     K = koszul_complex((P("x"), P("y")))

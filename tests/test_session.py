@@ -216,6 +216,19 @@ def test_one_budget_meter_per_command():
     assert block["error"]["kind"] == "budget"
 
 
+def test_budget_verdict_does_not_depend_on_command_order():
+    # check-cm T computes T's basis first; strata T must still pay for its own
+    head = "ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\n"
+    verdicts = set()
+    for budget in range(279, 291):
+        a = run_session(parse(head + "strata T;\n"), budget=budget)["blocks"][-1]
+        b = run_session(parse(head + "check-cm T;\nstrata T;\n"), budget=budget)["blocks"][-1]
+        del a["line"], b["line"]
+        assert a == b
+        verdicts.add(a["status"])
+    assert verdicts == {"ok", "error"}
+
+
 def test_newton_box_scans_are_capped():
     rep = run_session(parse("ring x, y;\nideal B = x^100000, y^100000;\n"
                             "newton-closure B;\nbs-verify-monomial B --ell 1;\n"))
