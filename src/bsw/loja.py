@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, SamplingError, StructuralError, ValidationError
+from .errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
+                     ValidationError)
 from .poly import Polynomial, RingContext
 
 UNDERFLOW_FLOOR = 1e-300
 RESIDUAL_THRESHOLD = 0.25
 RESIDUAL_TOLERANCE = 1e-9
+SAMPLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,11 @@ def _residual_ok(f: Polynomial, point) -> bool:
 
 
 def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
-    """Points ordered by (radius index, sample index); residual-checked."""
+    """Points ordered by (radius index, sample index); residual-checked;
+    at most SAMPLE_CAP of them."""
+    total = len(sampler.radii) * sampler.samples_per_radius
+    if total > SAMPLE_CAP:
+        raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
     rng = np.random.default_rng(sampler.seed)
     ring = sampler.ring
     points: list[tuple[complex, ...]] = []

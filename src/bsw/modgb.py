@@ -14,12 +14,13 @@ module has one component, since it is unsound for modules.
 
 Syzygies of columns m_1..m_c of a matrix over O^r are read off a
 Groebner basis of the graph module generated by w_j = m_j + e_j inside
-O^r + O^c, under a block order where the image block dominates: basis
-elements whose image part vanishes are exactly a basis of the syzygy
-module, and within the tail block we use the Schreyer order induced by
-the leading terms of the m_j (ties to the smaller column), so the result
-is a Groebner basis of Syz(m_1..m_c) under that induced order.  This is
-the package's only elimination; resolutions and ideal intersections use it.
+O^r + O^c, under one graph order: the image components dominate under
+TopOrder, and a tail monomial x^a e_{r+j} is keyed by lt(x^a m_j) (ties to
+the smaller column), the Schreyer order the m_j induce.  Basis elements
+whose image part vanishes are exactly a Groebner basis of Syz(m_1..m_c)
+under that induced order; they are autoreduced under the same order, still
+in graph coordinates, and moved into O^c once.  This is the package's
+only elimination; resolutions and ideal intersections use it.
 """
 
 from __future__ import annotations
@@ -80,21 +81,8 @@ class VecPoly:
         return cls(ring, len(column), terms)
 
 
-class ModuleOrder:
-    """Key-based order on module monomials; bigger key = bigger monomial."""
-
-    def key(self, m: ModMono):
-        raise NotImplementedError
-
-    def leading(self, v: VecPoly) -> tuple[ModMono, Fraction]:
-        if v.is_zero():
-            raise ValidationError("zero vector has no leading term")
-        m = max(v.terms, key=self.key)
-        return m, v.terms[m]
-
-
-class TopOrder(ModuleOrder):
-    """Ring order on the monomial, ties to the smaller component."""
+class TopOrder:
+    """Ring order on the monomial, ties to the smaller component; bigger key = bigger monomial."""
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
@@ -103,37 +91,32 @@ class TopOrder(ModuleOrder):
         pos, e = m
         return (self.ctx.order_key(e), -pos)
 
+    def leading(self, v: VecPoly) -> tuple[ModMono, Fraction]:
+        if v.is_zero():
+            raise ValidationError("zero vector has no leading term")
+        m = max(v.terms, key=self.key)
+        return m, v.terms[m]
 
-class SchreyerOrder(ModuleOrder):
-    """Order induced by leading terms of inducing columns.
 
-    x^a e_j > x^b e_k iff lt(x^a m_j) > lt(x^b m_k) under the base
-    order on the target module, with ties going to the smaller column.
+class _GraphOrder(TopOrder):
+    """The order on O^r + O^c for the graph module of nonzero columns m_j of O^r.
+
+    Image components [0, r) dominate, ordered by TopOrder.  A tail
+    monomial x^a e_{r+j} is keyed by lt(x^a m_j) under TopOrder, ties
+    going to the smaller column: the Schreyer order induced by the m_j.
     """
 
-    def __init__(self, base: ModuleOrder, inducing_lts: list[ModMono]):
-        self.base = base
-        self.lts = inducing_lts
+    def __init__(self, ctx: RingContext, columns: list[VecPoly]):
+        super().__init__(ctx)
+        self.r = columns[0].ncomp
+        self.lts = [TopOrder(ctx).leading(m)[0] for m in columns]
 
     def key(self, m: ModMono):
         pos, e = m
-        tpos, te = self.lts[pos]
-        return (self.base.key((tpos, exp_add(te, e))), -pos)
-
-
-class BlockOrder(ModuleOrder):
-    """Image components [0, split) dominate tail components [split, n)."""
-
-    def __init__(self, split: int, image: ModuleOrder, tail: ModuleOrder):
-        self.split = split
-        self.image = image
-        self.tail = tail
-
-    def key(self, m: ModMono):
-        pos, e = m
-        if pos < self.split:
-            return (1, self.image.key((pos, e)))
-        return (0, self.tail.key((pos - self.split, e)))
+        if pos < self.r:
+            return (1, TopOrder.key(self, m))
+        tpos, te = self.lts[pos - self.r]
+        return (0, TopOrder.key(self, (tpos, exp_add(te, e))), self.r - pos)
 
 
 class Budget:
@@ -168,7 +151,7 @@ class Budget:
             )
 
 
-def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
+def divide(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
            budget: Budget, quotients: dict | None = None) -> VecPoly:
     """Remainder of v on division by reducers, reduced in one mutable dict.
 
@@ -201,7 +184,7 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: ModuleOrder,
     return VecPoly(v.ring, v.ncomp, rem)
 
 
-def run_buchberger(gens: list[VecPoly], order: ModuleOrder,
+def run_buchberger(gens: list[VecPoly], order: TopOrder,
                    budget: Budget) -> list[VecPoly]:
     """The Buchberger pair loop; returns a (non-reduced) monic basis
     containing the input.
@@ -249,13 +232,13 @@ def run_buchberger(gens: list[VecPoly], order: ModuleOrder,
     return G
 
 
-def module_groebner(gens: list[VecPoly], order: ModuleOrder,
+def module_groebner(gens: list[VecPoly], order: TopOrder,
                     budget_units: Budget | int | None = None) -> list[VecPoly]:
     """Groebner basis (non-reduced) of a submodule, charged to Budget.of(budget_units)."""
     return run_buchberger(gens, order, Budget.of(budget_units, "module Groebner"))
 
 
-def autoreduce(G: list[VecPoly], order: ModuleOrder, budget: Budget) -> list[VecPoly]:
+def autoreduce(G: list[VecPoly], order: TopOrder, budget: Budget) -> list[VecPoly]:
     """Minimal + reduced form, canonical ordering by leading term."""
     G = sorted((g for g in G if not g.is_zero()),
                key=lambda g: order.key(order.leading(g)[0]))
@@ -282,39 +265,24 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext,
     the syzygies of the given columns of O^r, charged to Budget.of(budget).
 
     Zero columns get the immediate syzygy e_j.  Output columns are
-    VecPoly in O^c, c = len(columns), sorted by the Schreyer order.
+    nonzero VecPoly in O^c, c = len(columns): the e_j first, then the
+    rest sorted by the Schreyer order.
     """
     if not columns:
         return []
+    c, one = len(columns), (0,) * ctx.n
+    live = [j for j, m in enumerate(columns) if not m.is_zero()]
+    out = [VecPoly(ctx, c, {(j, one): 1}) for j, m in enumerate(columns) if m.is_zero()]
+    if not live:
+        return out
     r = columns[0].ncomp
-    c = len(columns)
-    top = TopOrder(ctx)
-    zero_syz = []
-    live_idx = [j for j, m in enumerate(columns) if not m.is_zero()]
-    for j, m in enumerate(columns):
-        if m.is_zero():
-            zero_syz.append(VecPoly(ctx, c, {(j, (0,) * ctx.n): 1}))
-    if not live_idx:
-        return zero_syz
-    inducing = [top.leading(columns[j])[0] for j in live_idx]
-    order = BlockOrder(r, top, SchreyerOrder(top, inducing))
-    graph = []
-    for slot, j in enumerate(live_idx):
-        terms = dict(columns[j].terms)
-        terms[(r + slot, (0,) * ctx.n)] = Fraction(1)
-        graph.append(VecPoly(ctx, r + len(live_idx), terms))
+    order = _GraphOrder(ctx, [columns[j] for j in live])
+    graph = [VecPoly(ctx, r + len(live), {**columns[j].terms, (r + slot, one): 1})
+             for slot, j in enumerate(live)]
     budget = Budget.of(budget, "module Groebner")
     G = module_groebner(graph, order, budget)
-    tails = []
-    for g in G:
-        if all(pos >= r for (pos, _e) in g.terms):
-            tails.append(VecPoly(ctx, len(live_idx),
-                                 {(pos - r, e): cc for (pos, e), cc in g.terms.items()}))
-    tail_order = SchreyerOrder(top, inducing)
-    tails = autoreduce(tails, tail_order, budget)
-    # re-embed into the full column count (restoring zero-column slots)
-    out = []
-    for t in tails:
-        out.append(VecPoly(ctx, c, {(live_idx[pos], e): cc
-                                    for (pos, e), cc in t.terms.items()}))
-    return zero_syz + out
+    # basis elements with no image part generate the syzygies; reduce them
+    # in graph coordinates, then move tail slot r + s to column live[s]
+    tails = autoreduce([g for g in G if all(pos >= r for pos, _e in g.terms)], order, budget)
+    return out + [VecPoly(ctx, c, {(live[pos - r], e): v for (pos, e), v in t.terms.items()})
+                  for t in tails]

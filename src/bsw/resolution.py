@@ -282,7 +282,6 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
     cols = [VecPoly.from_column(ring, [g]) for g in gens]
     while True:
         cols = syzygy_columns(cols, ring, budget)
-        cols = [c for c in cols if not c.is_zero()]
         if not cols:
             break
         sort_keys = [top.key(top.leading(c)[0]) for c in cols]
@@ -307,8 +306,12 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
     return C
 
 
+def _dot(us, vs, zero: Polynomial) -> Polynomial:
+    return sum((u * v for u, v in zip(us, vs)), zero)
+
+
 def minimalize(C: FreeComplex) -> FreeComplex:
-    """Strip unit (degree-0) entries by row/column reduction.
+    """Strip unit (degree-0) entries, each by one Schur-complement update.
 
     Graded complexes only.  Pivots are chosen deterministically: lowest
     map index first, then row-major within the map.  The result has no
@@ -337,45 +340,31 @@ def minimalize(C: FreeComplex) -> FreeComplex:
         if hit is None:
             break
         k, pi, pj, c = hit
-        M = ents[k]
-        nrows = len(M)
-        ncols = len(M[0]) if nrows else 0
-        # clear the pivot row with column operations (basis change in E_{k+1})
-        for j in range(ncols):
-            if j == pj or M[pi][j].is_zero():
+        M, zero = ents[k], Polynomial.zero(ring)
+        # the pair cancels only if row pi of f_{k+1} composes to zero with
+        # f_{k+2} and f_k composes to zero with column pj of f_{k+1}
+        if k + 1 < len(ents) and any(not _dot(M[pi], col, zero).is_zero()
+                                     for col in zip(*ents[k + 1])):
+            raise StructuralError("minimalize: complement row did not vanish")
+        if k > 0 and any(not _dot(row, [r[pj] for r in M], zero).is_zero()
+                         for row in ents[k - 1]):
+            raise StructuralError("minimalize: complement column did not vanish")
+        # Schur complement: what the surviving entries become once the
+        # pivot row and column are cleared by basis changes in E_{k+1}, E_k
+        for a, row in enumerate(M):
+            if a == pi or row[pj].is_zero():
                 continue
-            lam = M[pi][j].scale(1 / c)
-            for i in range(nrows):
-                M[i][j] = M[i][j] - lam * M[i][pj]
-            if k + 1 < len(ents):
-                nxt = ents[k + 1]
-                for b in range(len(nxt[0]) if nxt else 0):
-                    nxt[pj][b] = nxt[pj][b] + lam * nxt[j][b]
-        # clear the pivot column with row operations (basis change in E_k)
-        for i in range(nrows):
-            if i == pi or M[i][pj].is_zero():
-                continue
-            lam = M[i][pj].scale(1 / c)
-            for j in range(ncols):
-                M[i][j] = M[i][j] - lam * M[pi][j]
-            if k - 1 >= 0:
-                prv = ents[k - 1]
-                for a in range(len(prv)):
-                    prv[a][pi] = prv[a][pi] + lam * prv[a][i]
-        # the complement row/column must now vanish by the complex property
-        if k + 1 < len(ents) and ents[k + 1]:
-            if not all(p.is_zero() for p in ents[k + 1][pj]):
-                raise StructuralError("minimalize: complement row did not vanish")
-        if k - 1 >= 0:
-            if not all(row[pi].is_zero() for row in ents[k - 1]):
-                raise StructuralError("minimalize: complement column did not vanish")
+            lam = row[pj].scale(1 / c)
+            for j, p in enumerate(M[pi]):
+                if j != pj and not p.is_zero():
+                    row[j] = row[j] - lam * p
         # delete basis element pj of E_{k+1} and pi of E_k
-        for i in range(nrows):
-            del M[i][pj]
+        for row in M:
+            del row[pj]
         del M[pi]
         if k + 1 < len(ents):
             del ents[k + 1][pj]
-        if k - 1 >= 0:
+        if k > 0:
             for row in ents[k - 1]:
                 del row[pi]
         del shifts[k + 1][pj]

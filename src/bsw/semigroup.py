@@ -11,7 +11,9 @@ copies of the minimal shift leaves s - ell*v(A) >= conductor, which is
 in S.  So containment checks only scan the finite window below
 ell*v(A) + conductor, and the containment exponent search terminates by
 N <= ell + ceil(conductor / v(A)): once N*v(A) reaches the bound the
-window is empty and containment holds.
+window is empty and containment holds.  A search whose bound exceeds
+SEARCH_CAP is refused, and so is a mu search (which repeats the search for
+every ell up to its gauge) whose largest bound exceeds MU_SEARCH_CAP.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import ResourceCapError, StructuralError, ValidationError
 
 POWER_CAP = 200_000
 MU_CAP = 100_000
+SEARCH_CAP = 1_000
+MU_SEARCH_CAP = 100
 TABLE_CAP = 1_100_000
 
 
@@ -189,8 +193,7 @@ def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
     """
     if ell < 1:
         raise ValidationError("ell must be at least 1")
-    v = A.valuation
-    n_cap = ell + ceil(S.conductor / v) + 1
+    n_cap = _search_bound(ell, A.valuation, S, SEARCH_CAP)
     last_failure: int | None = None
     for N in range(1, n_cap + 1):
         holds, failure = containment_holds(A, N, ell, S, mode=mode)
@@ -198,6 +201,14 @@ def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
             return (N, last_failure) if with_witness else N
         last_failure = failure
     raise StructuralError("exponent search exceeded its provable bound")
+
+
+def _search_bound(ell: int, v: int, S: NumericalSemigroup, cap: int) -> int:
+    """ell + ceil(conductor / v) + 1, the last N an exponent search tries; at most cap."""
+    bound = ell + ceil(S.conductor / v) + 1
+    if bound > cap:
+        raise ResourceCapError(f"exponent search bound {bound} exceeds the cap {cap}")
+    return bound
 
 
 def enumerate_ideals(S: NumericalSemigroup, v_max: int):
@@ -241,6 +252,7 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
     if v_max < S.generators[0]:
         raise ValidationError(
             f"v_max must be at least {S.generators[0]}, the smallest element of {S}")
+    _search_bound(ell_max, S.generators[0], S, MU_SEARCH_CAP)
     best: tuple[int, SemigroupIdeal, int] | None = None
     count = 0
     for A in enumerate_ideals(S, v_max):

@@ -48,7 +48,8 @@ def test_gb_quadratic_pair():
 
 def test_gb_unit_ideal():
     assert gb_strings(ideal("1, x")) == ["1"]
-    assert groebner_basis(ideal("x - 1, x")).is_unit
+    assert groebner_basis(ideal("x - 1, x")).is_unit()
+    assert not groebner_basis(ideal("x, y")).is_unit()
 
 
 def test_gb_cusp_with_line():

@@ -177,6 +177,26 @@ def test_minimalize_duplicate_generator():
     assert M.maps[0].to_strings() == [["x"]]
 
 
+@pytest.mark.parametrize("text, ranks, shifts", [
+    ("x, y, z, x + y", (1, 3, 3, 1), ((0,), (1, 1, 1), (2, 2, 2), (3,))),
+    ("x^2, x*y, y^2, x^2 + x*y, z", (1, 4, 5, 2),
+     ((0,), (2, 2, 2, 1), (3, 3, 3, 3, 3), (4, 4))),
+    ("x, y, x*y, z^2, y*z", (1, 3, 3, 1), ((0,), (1, 1, 2), (2, 3, 3), (4,))),
+    # pivots -1/2 and -2: a Schur update that multiplies by the pivot fails
+    ("x, y, 2*x + 3*y, z^2, x*z", (1, 3, 3, 1), ((0,), (1, 1, 2), (2, 3, 3), (4,))),
+])
+def test_minimalize_cancels_units_with_a_following_map(text, ranks, shifts):
+    # redundant generators put units in f_2, and f_3 exists, so each
+    # cancelled pair also has a following map
+    I = ideal(text, R3)
+    M = minimalize(free_resolution(I))
+    assert (M.ranks, M.shifts) == (ranks, shifts)
+    assert all(p.constant_value() in (None, 0) for mp in M.maps for row in mp.entries
+               for p in row)
+    top = max(map(max, shifts)) + 1
+    assert _k_polynomial(M.shifts) == _hilbert_numerator(list(I.generators), top)
+
+
 def test_minimalize_requires_graded():
     C = resolve("z^2 + w, z^3", RW)
     with pytest.raises(ValidationError):

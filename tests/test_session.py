@@ -237,6 +237,22 @@ def test_newton_box_scans_are_capped():
     assert report_exit_code(rep) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("germ semigroup 2, 5;\ngerm ideal 2;\ngerm bs-exponent ell=998;",
+     "exponent search bound 1001 exceeds the cap 1000"),
+    ("germ semigroup 2, 5;\ngerm mu vmax=2 lmax=98;",
+     "exponent search bound 101 exceeds the cap 100"),
+    ("ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5 --per-radius 14286;",
+     "sampler needs 100002 points (cap 100000)"),
+])
+def test_user_sized_searches_are_capped(text, message):
+    # each value is just above its cap: bs-exponent and mu search up to
+    # ell + ceil(conductor / v) + 1 = ell + 3, loja samples 7 radii
+    rep = run_session(parse(text))
+    assert rep["blocks"][0]["error"] == {"kind": "resource-cap", "message": message}
+    assert report_exit_code(rep) == 3
+
+
 def test_semigroup_table_is_capped():
     e = err("ring x;\ngerm semigroup 2, 5;\n  germ semigroup 3001, 3007;\n")
     assert (e.line, e.col) == (3, 3)

@@ -5,8 +5,11 @@
 `git archive`s REV into a temporary directory, then runs
 `bsw.cli.main(["run", SESSION, "--out", REPORT, "--seed", N])` with the
 code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw
-and a two-line loja session that writes CSVs, at seeds 0, 3 and 11.  Both
-trees read the session files of this checkout, so only the code differs.
+and a two-line loja session that writes CSVs, at seeds 0, 3 and 11, and
+on sessions/acceptance.bsw at seed 0 with `--budget` 1, 289 and 290, so
+budget verdicts are compared too (289/290 is where `strata TP` runs out):
+18 runs.  Both trees read the session files of this checkout, so only the
+code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -25,6 +28,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 3, 11)
+BUDGETS = (1, 289, 290)
 RUN = "import sys; from bsw.cli import main; sys.exit(main(sys.argv[1:]))"
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 CSV_SESSION = ("ring z, w weights 2, 5;\n"
@@ -32,12 +36,11 @@ CSV_SESSION = ("ring z, w weights 2, 5;\n"
                "loja --phi z^3 --a z, w --solve w=z^2 --csv solve.csv;\n")
 
 
-def _run(tree: str, session: str, seed: int, out_dir: str) -> int:
+def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
     os.makedirs(out_dir)
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     report = os.path.join(out_dir, "report.json")
-    proc = subprocess.run([sys.executable, "-c", RUN, "run", session, "--out", report,
-                           "--seed", str(seed)],
+    proc = subprocess.run([sys.executable, "-c", RUN, "run", session, "--out", report, *flags],
                           cwd=out_dir, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
     return proc.returncode
@@ -72,25 +75,28 @@ def main(argv=None) -> int:
         csv_session = os.path.join(tmp, "loja_csv.bsw")
         with open(csv_session, "w", encoding="utf-8") as fh:
             fh.write(CSV_SESSION)
+        acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
         sessions = sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.bsw")))
-        sessions.append(os.path.join(ROOT, "sessions", "acceptance.bsw"))
+        sessions.append(acceptance)
         labels = [os.path.relpath(s, ROOT) for s in sessions] + ["loja --csv session"]
         sessions.append(csv_session)
+        runs = [(session, label, ["--seed", str(seed)])
+                for session, label in zip(sessions, labels) for seed in SEEDS]
+        runs += [(acceptance, os.path.relpath(acceptance, ROOT),
+                  ["--seed", "0", "--budget", str(budget)]) for budget in BUDGETS]
         n_diff = 0
-        for i, (session, label) in enumerate(zip(sessions, labels)):
-            for seed in SEEDS:
-                out_here = os.path.join(tmp, "here", f"{i}-{seed}")
-                out_rev = os.path.join(tmp, "rev-out", f"{i}-{seed}")
-                code_here = _run(ROOT, session, seed, out_here)
-                code_rev = _run(other, session, seed, out_rev)
-                diffs = _differences(out_here, out_rev)
-                if code_here != code_rev:
-                    diffs.append(f"exit code {code_here} vs {code_rev}")
-                n_diff += bool(diffs)
-                print(f"{'DIFF' if diffs else 'same'}  {label} seed {seed}"
-                      + (f": {', '.join(diffs)}" if diffs else ""))
-        total = len(sessions) * len(SEEDS)
-        print(f"{total - n_diff} of {total} runs identical to {rev}")
+        for i, (session, label, flags) in enumerate(runs):
+            out_here = os.path.join(tmp, "here", str(i))
+            out_rev = os.path.join(tmp, "rev-out", str(i))
+            code_here = _run(ROOT, session, flags, out_here)
+            code_rev = _run(other, session, flags, out_rev)
+            diffs = _differences(out_here, out_rev)
+            if code_here != code_rev:
+                diffs.append(f"exit code {code_here} vs {code_rev}")
+            n_diff += bool(diffs)
+            print(f"{'DIFF' if diffs else 'same'}  {label} {' '.join(flags)}"
+                  + (f": {', '.join(diffs)}" if diffs else ""))
+        print(f"{len(runs) - n_diff} of {len(runs)} runs identical to {rev}")
     return 1 if n_diff else 0
 
 
