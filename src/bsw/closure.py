@@ -13,6 +13,11 @@ NP(M^e) = e * NP(M), so powers reuse M's facets with scaled right-hand
 sides; and every minimal generator of the closure of M^e is bounded
 componentwise by the coordinatewise max of M^e's generators, so minimal
 generators and containment counterexamples live in a finite box.
+
+NP(M) and monomial ideals are upward closed, so on each line of that box
+along the last coordinate only the first point of NP(M) can be a minimal
+generator or the first counterexample: one walk over those points (the
+staircase) serves both the closure and the containment check.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import Exponent, Polynomial, RingContext, exp_divides
+from .poly import Exponent, Polynomial, exp_divides
 
 FM_ROW_CAP = 20_000
 BOX_CAP = 2_000_000
@@ -38,6 +43,8 @@ class MonomialIdeal:
     exponents: tuple[Exponent, ...]
 
     def __post_init__(self):
+        if self.nvars < 1:
+            raise ValidationError("monomial ideal needs at least one variable")
         exps = []
         for e in self.exponents:
             e = tuple(e)
@@ -196,46 +203,38 @@ def np_member(v: Exponent, facets, scale: int = 1) -> bool:
     return True
 
 
-def _box(M: MonomialIdeal, scale: int = 1):
-    """Lattice points of [0, scale * max_g g_j] per coordinate j, which bound
-    the minimal generators of the closure of M^scale; at most BOX_CAP."""
+def _staircase(M: MonomialIdeal, scale: int = 1):
+    """The least point of scale * NP(M) on each line, along the last
+    coordinate, of the box [0, scale * max_g g_j] (at most BOX_CAP points),
+    prefixes in lexicographic order."""
     sides = [scale * max(g[j] for g in M.exponents) for j in range(M.nvars)]
     points = prod(b + 1 for b in sides)
     if points > BOX_CAP:
         raise ResourceCapError(f"Newton box scan needs {points} lattice points (cap {BOX_CAP})")
-    return itertools.product(*(range(b + 1) for b in sides))
+    facets = newton_facets(M)
+    for prefix in itertools.product(*(range(b + 1) for b in sides[:-1])):
+        for t in range(sides[-1] + 1):
+            v = prefix + (t,)
+            if np_member(v, facets, scale):
+                yield v
+                break
 
 
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: minimal generators of the lattice points of NP(M)."""
-    box = _box(M)
-    facets = newton_facets(M)
-    found: list[Exponent] = []
-    for v in box:
-        if np_member(v, facets):
-            found.append(v)
-    return MonomialIdeal(M.nvars, tuple(found))
+    return MonomialIdeal(M.nvars, tuple(_staircase(M)))
 
 
 def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
                                 ) -> Exponent | None:
     """First lattice point of NP(M^e) outside `target`, or None.
 
-    Scans the box bounding the minimal generators of the closure of M^e;
-    a containment failure is always witnessed by a minimal generator, so
-    the scan is complete.
+    A containment failure is always witnessed by a minimal generator of the
+    closure of M^e, and the staircase walk passes all of them in order.
     """
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
-    box = _box(M, e)
-    facets = newton_facets(M)
-    for v in box:
-        # the cheap divisibility test first; most box points are in target
-        if target.member(v):
-            continue
-        if np_member(v, facets, scale=e):
-            return v
-    return None
+    return next((v for v in _staircase(M, e) if not target.member(v)), None)
 
 
 def bs_verify_monomial(M: MonomialIdeal, ell: int, d: int | None = None

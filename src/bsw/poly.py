@@ -165,12 +165,9 @@ class Polynomial:
     def terms(self) -> dict[Exponent, Fraction]:
         return dict(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         key = self.ring.order_key
-        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         if not self._terms:

@@ -3,7 +3,9 @@
 Nothing here touches the division or basis machinery under test: the
 membership and Hilbert-function oracles are dense exact linear algebra on
 a truncated monomial basis, and the closure oracles are brute-force
-lattice searches.
+lattice searches.  The full-box scans share the facet test of
+`bsw.closure` but visit every point of the box, so they are the
+reference for its staircase walk.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from bsw.closure import np_member
 from bsw.poly import Polynomial, RingContext
 
 
@@ -125,3 +128,32 @@ def np_member_bruteforce(v, exponents, k_max: int = 8) -> bool:
             if all(s[j] <= target[j] for j in range(n)):
                 return True
     return False
+
+
+def _newton_box(exponents, scale: int):
+    sides = [scale * max(g[j] for g in exponents) for j in range(len(exponents[0]))]
+    return itertools.product(*(range(b + 1) for b in sides))
+
+
+def staircase_fullbox(exponents, facets, scale: int) -> list:
+    """Box points in scale * NP whose predecessor along the last
+    coordinate is not in it, in lexicographic order."""
+    return [v for v in _newton_box(exponents, scale) if np_member(v, facets, scale)
+            and not (v[-1] and np_member(v[:-1] + (v[-1] - 1,), facets, scale))]
+
+
+def newton_closure_fullbox(exponents, facets) -> tuple:
+    """Minimal generators of the closure, by testing every lattice point
+    of the box [0, max_g g_j] against the facets and keeping the minimal
+    ones."""
+    inside = [v for v in _newton_box(exponents, 1) if np_member(v, facets)]
+    return tuple(sorted(v for v in inside
+                        if not any(u != v and all(a <= b for a, b in zip(u, v))
+                                   for u in inside)))
+
+
+def containment_witness_fullbox(exponents, facets, scale: int, target_member):
+    """First point of the box [0, scale * max_g g_j], in lexicographic
+    order, that lies in scale * NP and outside the target, or None."""
+    return next((v for v in _newton_box(exponents, scale)
+                 if np_member(v, facets, scale) and not target_member(v)), None)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import np_member_bruteforce
-from bsw.closure import (MonomialIdeal, bs_verify_monomial,
+from _oracles import (containment_witness_fullbox, newton_closure_fullbox,
+                      np_member_bruteforce, staircase_fullbox)
+from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets, np_member)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
@@ -42,6 +43,11 @@ def test_construction_validation():
         M2((1, 2, 3))
     with pytest.raises(ValidationError):
         MonomialIdeal(2, ())
+
+
+def test_zero_variable_ideal_is_refused():
+    with pytest.raises(ValidationError, match="at least one variable"):
+        MonomialIdeal(0, ((),))
 
 
 def test_from_polynomials():
@@ -198,3 +204,29 @@ def test_witness_arity_mismatch():
 def test_closure_of_power_contained_in_itself(M, e):
     target = newton_closure(M.power(e))
     assert closure_containment_witness(M, e, target) is None
+
+
+@st.composite
+def walk_cases(draw):
+    """An ideal M in 1-3 variables, a scale e in 1-3 and a target whose
+    generators are those of M^e, each moved by -1, 0 or +1 per coordinate,
+    so the closure of M^e falls inside some targets and not others."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    M = MonomialIdeal(n, tuple(draw(st.lists(exps, min_size=1, max_size=4))))
+    e = draw(st.integers(1, 3))
+    moves = st.tuples(*[st.integers(-1, 1)] * n)
+    target = MonomialIdeal(n, tuple(
+        tuple(max(0, a + d) for a, d in zip(g, draw(moves)))
+        for g in M.power(e).exponents))
+    return M, e, target
+
+
+@given(walk_cases())
+def test_staircase_walk_matches_full_box_scan(case):
+    M, e, target = case
+    facets = newton_facets(M)
+    assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
+    assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
+    assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
+        M.exponents, facets, e, target.member)

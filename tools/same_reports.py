@@ -4,12 +4,13 @@
 
 `git archive`s REV into a temporary directory, then runs
 `bsw.cli.main(["run", SESSION, "--out", REPORT, "--seed", N])` with the
-code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw
-and a two-line loja session that writes CSVs, at seeds 0, 3 and 11, and
-on sessions/acceptance.bsw at seed 0 with `--budget` 1, 289 and 290, so
-budget verdicts are compared too (289/290 is where `strata TP` runs out):
-18 runs.  Both trees read the session files of this checkout, so only the
-code differs.
+code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw,
+a two-line loja session that writes CSVs and a monomial session whose
+containment check fails (so a real counterexample is compared), at seeds
+0, 3 and 11, and on sessions/acceptance.bsw at seed 0 with `--budget` 1,
+289 and 290, so budget verdicts are compared too (289/290 is where
+`strata TP` runs out): 21 runs.  Both trees read the session files of
+this checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -34,6 +35,12 @@ TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 CSV_SESSION = ("ring z, w weights 2, 5;\n"
                "loja --phi w --a z --curve 2,5 --csv curve.csv;\n"
                "loja --phi z^3 --a z, w --solve w=z^2 --csv solve.csv;\n")
+WITNESS_SESSION = ("ring x, y;\n"
+                   "ideal M = x^2, y^2;\n"
+                   "bs-verify-monomial M --ell 1 --d 1;\n"
+                   "ring t;\n"
+                   "ideal T = t^3;\n"
+                   "newton-closure T;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -72,14 +79,16 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", other], input=archive, check=True)
-        csv_session = os.path.join(tmp, "loja_csv.bsw")
-        with open(csv_session, "w", encoding="utf-8") as fh:
-            fh.write(CSV_SESSION)
+        inline = {"loja --csv session": (os.path.join(tmp, "loja_csv.bsw"), CSV_SESSION),
+                  "witness session": (os.path.join(tmp, "witness.bsw"), WITNESS_SESSION)}
+        for path, text in inline.values():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
         sessions = sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.bsw")))
         sessions.append(acceptance)
-        labels = [os.path.relpath(s, ROOT) for s in sessions] + ["loja --csv session"]
-        sessions.append(csv_session)
+        labels = [os.path.relpath(s, ROOT) for s in sessions] + list(inline)
+        sessions += [path for path, _ in inline.values()]
         runs = [(session, label, ["--seed", str(seed)])
                 for session, label in zip(sessions, labels) for seed in SEEDS]
         runs += [(acceptance, os.path.relpath(acceptance, ROOT),
