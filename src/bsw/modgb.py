@@ -8,9 +8,14 @@ ideal generators into O^1 under TopOrder).  Division works in place: it
 reduces one mutable term dict, adding each -c*x^a*g into it through
 poly.add_term, and builds a single VecPoly for the remainder; S-vectors are
 added into one dict the same way.  Pairs are picked by the
-normal strategy with ties broken by index pair; the chain criterion
-always prunes, while the product criterion is applied only when the
-module has one component, since it is unsound for modules.
+normal strategy: each pair is pushed once, when it is formed, onto a heap
+keyed by (lcm key, index pair), so ties go to the smaller index pair.  The
+chain criterion always prunes, while the product criterion is applied only
+when the module has one component, since it is unsound for modules.  A
+VecPoly is immutable and caches its leading term under the tag of the
+order that last led it (the ring for TopOrder, the order object for the
+graph order), so the reducers of every division, the basis of the pair
+loop and autoreduce are led once per order, not once per use.
 
 Syzygies of columns m_1..m_c of a matrix over O^r are read off a
 Groebner basis of the graph module generated by w_j = m_j + e_j inside
@@ -25,6 +30,7 @@ only elimination; resolutions and ideal intersections use it.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import BudgetExceededError, StructuralError, ValidationError
@@ -37,23 +43,33 @@ DEFAULT_BUDGET = 500_000
 
 
 class VecPoly:
-    """Element of a free module O^ncomp, sparse over module monomials."""
+    """Element of a free module O^ncomp, sparse over module monomials.
 
-    __slots__ = ("ring", "ncomp", "terms")
+    Immutable: do not mutate `terms` after construction, because the
+    leading term is cached (see TopOrder.leading).
+    """
+
+    __slots__ = ("ring", "ncomp", "terms", "_lead")
 
     def __init__(self, ring: RingContext, ncomp: int, terms):
         clean: dict[ModMono, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
+        n = ring.n
         for (pos, e), c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
+            e = tuple(e)
             if not 0 <= pos < ncomp:
                 raise StructuralError("component index out of range")
-            add_term(clean, (pos, tuple(e)), c)
+            if len(e) != n:
+                raise StructuralError("exponent arity does not match ring")
+            if min(e) < 0:
+                raise StructuralError("exponents must be nonnegative integers")
+            c = Fraction(c)
+            if c:
+                add_term(clean, (pos, e), c)
         self.ring = ring
         self.ncomp = ncomp
         self.terms = clean
+        self._lead = None  # (lead_tag, leading term) of the order that last led self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -82,20 +98,33 @@ class VecPoly:
 
 
 class TopOrder:
-    """Ring order on the monomial, ties to the smaller component; bigger key = bigger monomial."""
+    """Ring order on the monomial, ties to the smaller component; bigger key = bigger monomial.
+
+    `lead_tag` names the order in the VecPoly leading-term cache.  A
+    TopOrder's keys depend on its ring alone, so every TopOrder over one
+    RingContext object shares the ring as its tag; a subclass whose keys
+    depend on more tags itself.
+    """
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
+        self.lead_tag = ctx
 
     def key(self, m: ModMono):
         pos, e = m
         return (self.ctx.order_key(e), -pos)
 
     def leading(self, v: VecPoly) -> tuple[ModMono, Fraction]:
+        """Leading (monomial, coefficient) of v, cached on v under lead_tag."""
+        cached = v._lead
+        if cached is not None and cached[0] is self.lead_tag:
+            return cached[1]
         if v.is_zero():
             raise ValidationError("zero vector has no leading term")
         m = max(v.terms, key=self.key)
-        return m, v.terms[m]
+        lead = m, v.terms[m]
+        v._lead = (self.lead_tag, lead)
+        return lead
 
 
 class _GraphOrder(TopOrder):
@@ -108,6 +137,7 @@ class _GraphOrder(TopOrder):
 
     def __init__(self, ctx: RingContext, columns: list[VecPoly]):
         super().__init__(ctx)
+        self.lead_tag = self
         self.r = columns[0].ncomp
         self.lts = [TopOrder(ctx).leading(m)[0] for m in columns]
 
@@ -190,22 +220,31 @@ def run_buchberger(gens: list[VecPoly], order: TopOrder,
     containing the input.
 
     Normal selection: the pair with the smallest lcm in the order, ties
-    by index pair.  The chain criterion always prunes; the product
-    criterion prunes only when the module has one component, i.e. for
-    ideals, where it is sound.
+    by index pair.  Each pair is pushed once, when it is formed, onto a
+    heap keyed by (lcm key, index pair); the `pairs` set beside it holds
+    the pending pairs for the chain criterion.  The chain criterion
+    always prunes; the product criterion prunes only when the module has
+    one component, i.e. for ideals, where it is sound.
     """
     G = [g.scale(1 / order.leading(g)[1]) for g in gens if not g.is_zero()]
     G.sort(key=lambda g: order.key(order.leading(g)[0]))
     lts = [order.leading(g)[0] for g in G]
     product = bool(G) and G[0].ncomp == 1
-    pairs = {(i, j) for j in range(len(G)) for i in range(j) if lts[i][0] == lts[j][0]}
+    pairs: set[tuple[int, int]] = set()
+    heap: list = []
 
-    def lcm_key(ij):
-        (pos, ei), (_, ej) = lts[ij[0]], lts[ij[1]]
-        return (order.key((pos, exp_lcm(ei, ej))), ij)
+    def add_pairs(j):
+        pos, ej = lts[j]
+        for i in range(j):
+            ipos, ei = lts[i]
+            if ipos == pos:
+                pairs.add((i, j))
+                heapq.heappush(heap, (order.key((pos, exp_lcm(ei, ej))), (i, j)))
 
-    while pairs:
-        i, j = min(pairs, key=lcm_key)
+    for j in range(len(G)):
+        add_pairs(j)
+    while heap:
+        i, j = heapq.heappop(heap)[1]
         pairs.discard((i, j))
         budget.spend(1, G)
         (pos, ei), (_, ej) = lts[i], lts[j]
@@ -225,10 +264,9 @@ def run_buchberger(gens: list[VecPoly], order: TopOrder,
         r = divide(VecPoly(G[i].ring, G[i].ncomp, s), G, order, budget)
         if not r.is_zero():
             lt, c = order.leading(r)
-            t = len(G)
             G.append(r.scale(1 / c))
             lts.append(lt)
-            pairs.update((k, t) for k in range(t) if lts[k][0] == lt[0])
+            add_pairs(len(G) - 1)
     return G
 
 

@@ -1,11 +1,14 @@
 """Independent oracles used to freeze expected values in the tests.
 
-Nothing here touches the division or basis machinery under test: the
-membership and Hilbert-function oracles are dense exact linear algebra on
-a truncated monomial basis, and the closure oracles are brute-force
-lattice searches.  The full-box scans share the facet test of
+The membership and Hilbert-function oracles are dense exact linear
+algebra on a truncated monomial basis, and the closure oracles are
+brute-force lattice searches; none of them touches the division or basis
+machinery under test.  The full-box scans share the facet test of
 `bsw.closure` but visit every point of the box, so they are the
-reference for its staircase walk.
+reference for its staircase walk.  `buchberger_by_min` shares the
+division routine of `bsw.modgb` but picks each pair by a minimum over
+the pending set and leads vectors without the leading-term cache, so it
+is the reference for the engine's pair heap.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import itertools
 from fractions import Fraction
 
 from bsw.closure import np_member
-from bsw.poly import Polynomial, RingContext
+from bsw.modgb import VecPoly, divide
+from bsw.poly import Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
 
 
 def monomials_up_to(n: int, degree: int):
@@ -157,3 +161,50 @@ def containment_witness_fullbox(exponents, facets, scale: int, target_member):
     order, that lies in scale * NP and outside the target, or None."""
     return next((v for v in _newton_box(exponents, scale)
                  if np_member(v, facets, scale) and not target_member(v)), None)
+
+
+def buchberger_by_min(gens, order, budget) -> list:
+    """The Buchberger pair loop with the normal strategy done by a scan:
+    each step takes min over the pending pairs of (lcm key, index pair).
+    Same criteria, same budget charges and same divide as
+    `bsw.modgb.run_buchberger`, so it returns the same list and spends
+    the same units."""
+
+    def lead(v):
+        m = max(v.terms, key=order.key)
+        return m, v.terms[m]
+
+    G = [g.scale(1 / lead(g)[1]) for g in gens if not g.is_zero()]
+    G.sort(key=lambda g: order.key(lead(g)[0]))
+    lts = [lead(g)[0] for g in G]
+    product = bool(G) and G[0].ncomp == 1
+    pairs = {(i, j) for j in range(len(G)) for i in range(j) if lts[i][0] == lts[j][0]}
+
+    def lcm_key(ij):
+        (pos, ei), (_, ej) = lts[ij[0]], lts[ij[1]]
+        return (order.key((pos, exp_lcm(ei, ej))), ij)
+
+    while pairs:
+        i, j = min(pairs, key=lcm_key)
+        pairs.discard((i, j))
+        budget.spend(1, G)
+        (pos, ei), (_, ej) = lts[i], lts[j]
+        lcm = exp_lcm(ei, ej)
+        if product and lcm == exp_add(ei, ej):
+            continue
+        if any(k != i and k != j and kpos == pos and exp_divides(ke, lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (kpos, ke) in enumerate(lts)):
+            continue
+        s: dict = {}
+        G[i].add_shifted_into(s, exp_sub(lcm, ei), 1)
+        G[j].add_shifted_into(s, exp_sub(lcm, ej), -1)
+        r = divide(VecPoly(G[i].ring, G[i].ncomp, s), G, order, budget)
+        if not r.is_zero():
+            lt, c = lead(r)
+            t = len(G)
+            G.append(r.scale(1 / c))
+            lts.append(lt)
+            pairs.update((k, t) for k in range(t) if lts[k][0] == lt[0])
+    return G

@@ -12,10 +12,13 @@ from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
                           ideal_power, krull_dimension, normal_form)
 from bsw.groebner import _spoly  # exercised post-hoc on produced bases
 from bsw.modgb import DEFAULT_BUDGET, Budget
+from bsw.modgb import TopOrder, VecPoly, _GraphOrder, run_buchberger
 from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
                       parse_polynomials)
+from bsw.poly import RING_ORDERS
 
 from _oracles import macaulay_member
+from _oracles import buchberger_by_min
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -269,6 +272,72 @@ def test_gb_deterministic(I):
     a = [str(g) for g in groebner_basis(Ideal(R2, I.generators)).elements]
     b = [str(g) for g in groebner_basis(Ideal(R2, I.generators)).elements]
     assert a == b
+
+
+# ---------------------------------------------------------------- the engine's pair heap
+
+@st.composite
+def engine_input(draw):
+    """1-3 generators in 2-3 variables under any ring order: ideals in O^1
+    and small submodules of O^2."""
+    n = draw(st.integers(2, 3))
+    ring = RingContext(("x", "y", "z")[:n], (2, 1, 3)[:n], draw(st.sampled_from(RING_ORDERS)))
+    ncomp = draw(st.integers(1, 2))
+    mono = st.tuples(st.integers(0, ncomp - 1), st.tuples(*[st.integers(0, 2)] * n))
+    gens = draw(st.lists(st.lists(st.tuples(mono, rand_coeff), min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    return ring, [VecPoly(ring, ncomp, terms) for terms in gens]
+
+
+def _pair_loop_outcome(loop, gens, order, units):
+    b = Budget(units)
+    try:
+        G = loop(gens, order, b)
+    except BudgetExceededError as e:
+        return "exhausted", e.spent, len(e.partial)
+    return "done", b.total - b.left, [g.terms for g in G]
+
+
+@given(engine_input())
+def test_pair_heap_matches_min_scan(case):
+    """The heap treats the pairs in the order of the min-over-pending scan:
+    same basis in the same order, same units spent, same budget verdicts."""
+    ring, gens = case
+    order = TopOrder(ring)
+    done = _pair_loop_outcome(run_buchberger, gens, order, DEFAULT_BUDGET)
+    assert done == _pair_loop_outcome(buchberger_by_min, gens, order, DEFAULT_BUDGET)
+    spent = done[1]
+    for units in range(1, spent + 1, max(1, spent // 16)):
+        assert (_pair_loop_outcome(run_buchberger, gens, order, units)
+                == _pair_loop_outcome(buchberger_by_min, gens, order, units))
+
+
+def test_leading_term_cached_per_order():
+    lex = RingContext(("x", "y"), order="lex")
+    drl = RingContext(("x", "y"), order="degrevlex")
+    want = {lex: ((0, (2, 0)), 1), drl: ((0, (1, 3)), 2)}
+    for first, second in ((lex, drl), (drl, lex)):
+        v = VecPoly(lex, 1, {(0, (2, 0)): 1, (0, (1, 3)): 2})
+        assert TopOrder(first).leading(v) == want[first]
+        assert TopOrder(second).leading(v) == want[second]
+        assert TopOrder(first).leading(v) == want[first]
+    # y^2 e_0 + x e_1 in the graph module of the column x: TopOrder leads
+    # the bigger monomial x e_1, the graph order the image part y^2 e_0
+    graph = _GraphOrder(lex, [VecPoly(lex, 1, {(0, (1, 0)): 1})])
+    top, image, tail = TopOrder(lex), ((0, (0, 2)), 1), ((1, (1, 0)), 1)
+    for orders in ((top, graph), (graph, top)):
+        w = VecPoly(lex, 2, {(0, (0, 2)): 1, (1, (1, 0)): 1})
+        for order in orders + orders:
+            assert order.leading(w) == (image if order is graph else tail)
+
+
+def test_vecpoly_rejects_malformed_exponents():
+    with pytest.raises(StructuralError):
+        VecPoly(R2, 1, {(0, (1,)): 1, (0, (0, -2)): 3})
+    for bad in ({(0, (1,)): 1}, {(0, (1, 0, 0)): 1}, {(0, (0, -2)): 3}, {(0, (0, -1)): 0}):
+        with pytest.raises(StructuralError):
+            VecPoly(R2, 1, bad)
+    assert VecPoly(R2, 1, {(0, (0, 2)): 3}).terms == {(0, (0, 2)): 3}
 
 
 # ---------------------------------------------------------------- oracle spot check
