@@ -4,9 +4,10 @@ A monomial ideal is an antichain of exponent vectors.  Its closure is
 generated by the lattice points of NP(M) = conv(generators) + R>=0^n.
 Membership in NP is decided exactly: the convex-combination system
 {lambda >= 0, sum lambda = 1, sum lambda_i a_i <= v} is projected onto
-the v variables once per ideal by Fourier-Motzkin elimination over Q,
-yielding integer facet inequalities; lattice membership afterwards is
-integer dot products only.
+the v variables once per ideal by Fourier-Motzkin elimination over
+integer rows, each divided by the gcd of its entries, yielding integer
+facet inequalities with nonnegative coefficients; lattice membership
+afterwards is integer dot products only.
 
 Two facts keep everything finite and fast (see also the repo notes):
 NP(M^e) = e * NP(M), so powers reuse M's facets with scaled right-hand
@@ -17,14 +18,14 @@ generators and containment counterexamples live in a finite box.
 NP(M) and monomial ideals are upward closed, so on each line of that box
 along the last coordinate only the first point of NP(M) can be a minimal
 generator or the first counterexample: one walk over those points (the
-staircase) serves both the closure and the containment check.
+staircase), each read off the facets, serves both the closure and the
+containment check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
@@ -104,95 +105,49 @@ def minimalize_antichain(exps) -> tuple[Exponent, ...]:
 
 # -- Fourier-Motzkin projection of the Newton polyhedron ---------------
 
+def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
+    """row divided by the gcd of its entries (unchanged if all zero)."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else row
+
+
 def newton_facets(M: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Integer inequalities (c, r) with NP(M) = {v : c . v >= r for all}.
+    """Integer inequalities (c, r) with NP(M) = {v : c . v >= r for all},
+    every c >= 0.
 
     Derived by eliminating the convex-combination multipliers; the list
     may contain redundant facets but is exact and deterministic.
     """
-    gens = M.exponents
-    m = len(gens)
-    n = M.nvars
-    # rows: (lam_coeffs on lambda_1..lambda_{m-1}, c0, v_coeffs)
-    # meaning  sum lam_k coeff_k <= c0 + sum d_j v_j
-    rows: list[tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]] = []
-    zero_v = tuple(Fraction(0) for _ in range(n))
-    for i in range(m - 1):
-        lam = tuple(Fraction(-1) if k == i else Fraction(0) for k in range(m - 1))
-        rows.append((lam, Fraction(0), zero_v))
-    rows.append((tuple(Fraction(1) for _ in range(m - 1)), Fraction(1), zero_v))
-    last = gens[m - 1]
-    for j in range(n):
-        lam = tuple(Fraction(gens[i][j] - last[j]) for i in range(m - 1))
-        d = tuple(Fraction(1) if jj == j else Fraction(0) for jj in range(n))
-        rows.append((lam, Fraction(-last[j]), d))
-
+    gens, n = M.exponents, M.nvars
+    m, last = len(gens), gens[-1]
+    # rows (lam_1..lam_{m-1}, c0, d_1..d_n), meaning
+    # sum_k lam_k lambda_k <= c0 + sum_j d_j v_j, kept primitive so that
+    # rows equal up to a positive scale are equal tuples; at the start
+    # lambda_i >= 0, lambda_m = 1 - sum_i lambda_i >= 0 and sum_i lambda_i g_i <= v
+    rows =[tuple(-(k == i) for k in range(m - 1)) + (0,) * (n + 1) for i in range(m - 1)]
+    rows.append((1,) * m + (0,) * n)
+    rows += [tuple(g[j] - last[j] for g in gens[:-1]) + (-last[j],)
+             + tuple(int(jj == j) for jj in range(n)) for j in range(n)]
     for k in range(m - 1):
-        pos, neg, zero = [], [], []
-        for lam, c0, d in rows:
-            if lam[k] > 0:
-                pos.append((lam, c0, d))
-            elif lam[k] < 0:
-                neg.append((lam, c0, d))
-            else:
-                zero.append((lam, c0, d))
-        new_rows = list(zero)
-        for (lp, cp, dp) in pos:
-            for (ln, cn, dn) in neg:
-                a, b = -ln[k], lp[k]  # both positive
-                lam = tuple(a * x + b * y for x, y in zip(lp, ln))
-                c0 = a * cp + b * cn
-                d = tuple(a * x + b * y for x, y in zip(dp, dn))
-                new_rows.append((lam, c0, d))
+        new_rows = [p for p in rows if p[k] == 0]
+        new_rows += [_primitive(tuple(-q[k] * x + p[k] * y for x, y in zip(p, q)))
+                     for p in rows if p[k] > 0 for q in rows if q[k] < 0]
         if len(new_rows) > FM_ROW_CAP:
             raise ResourceCapError("Newton projection exceeded the row cap")
-        rows = _dedupe_rows(new_rows)
-
-    facets = []
-    seen = set()
-    for lam, c0, d in rows:
-        if any(x != 0 for x in lam):
+        rows = list(dict.fromkeys(r for r in new_rows if any(r)))
+    facets = set()
+    for row in rows:
+        c0, d = row[m - 1], row[m:]
+        if any(row[:m - 1]):
             raise StructuralError("Newton projection left a variable uneliminated")
-        # 0 <= c0 + d . v  ->  (-d) . v <= c0  ->  d . v >= -c0
-        if all(x == 0 for x in d):
-            if c0 < 0:
-                raise StructuralError("Newton system unexpectedly infeasible")
-            continue
-        denom_lcm = 1
-        for x in (*d, c0):
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        c = tuple(int(x * denom_lcm) for x in d)
-        r = int(-c0 * denom_lcm)
-        g = 0
-        for x in (*c, r):
-            g = gcd(g, abs(x))
-        if g > 1:
-            c = tuple(x // g for x in c)
-            r = r // g
-        if (c, r) not in seen:
-            seen.add((c, r))
-            facets.append((c, r))
-    facets.sort()
-    return tuple(facets)
-
-
-def _dedupe_rows(rows):
-    seen = set()
-    out = []
-    for lam, c0, d in rows:
-        scale = None
-        for x in (*lam, c0, *d):
-            if x != 0:
-                scale = abs(x)
-                break
-        if scale is None:
-            continue  # 0 <= 0
-        key = (tuple(x / scale for x in lam), c0 / scale, tuple(x / scale for x in d))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((lam, c0, d))
-    return out
+        if any(x < 0 for x in d):
+            raise StructuralError("Newton facet has a negative coefficient")
+        # 0 <= c0 + d . v  ->  d . v >= -c0; the row is primitive already
+        if any(d):
+            facets.add((d, -c0))
+        elif c0 < 0:
+            raise StructuralError("Newton system unexpectedly infeasible")
+    return tuple(sorted(facets))
 
 
 def np_member(v: Exponent, facets, scale: int = 1) -> bool:
@@ -206,18 +161,28 @@ def np_member(v: Exponent, facets, scale: int = 1) -> bool:
 def _staircase(M: MonomialIdeal, scale: int = 1):
     """The least point of scale * NP(M) on each line, along the last
     coordinate, of the box [0, scale * max_g g_j] (at most BOX_CAP points),
-    prefixes in lexicographic order."""
+    prefixes in lexicographic order.
+
+    Every facet has c >= 0, so on the line over `prefix` a facet with
+    gap = scale * r - c' . prefix > 0 asks for t >= ceil(gap / c_n), and
+    excludes the whole line if c_n = 0; the least t is the largest ask.
+    """
     sides = [scale * max(g[j] for g in M.exponents) for j in range(M.nvars)]
     points = prod(b + 1 for b in sides)
     if points > BOX_CAP:
         raise ResourceCapError(f"Newton box scan needs {points} lattice points (cap {BOX_CAP})")
     facets = newton_facets(M)
     for prefix in itertools.product(*(range(b + 1) for b in sides[:-1])):
-        for t in range(sides[-1] + 1):
-            v = prefix + (t,)
-            if np_member(v, facets, scale):
-                yield v
-                break
+        t = 0
+        for c, r in facets:
+            gap = scale * r - sum(ci * vi for ci, vi in zip(c, prefix))
+            if gap > 0:
+                if not c[-1]:
+                    break
+                t = max(t, -(-gap // c[-1]))
+        else:
+            if t <= sides[-1]:
+                yield prefix + (t,)
 
 
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:

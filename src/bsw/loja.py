@@ -53,6 +53,8 @@ class VarietySampler:
             raise ValidationError("need at least one sample per radius")
         if not self.radii:
             raise ValidationError("need at least one radius")
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         prev = None
         for r in self.radii:
             if not (0 < r <= 1):

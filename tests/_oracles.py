@@ -3,9 +3,11 @@
 The membership and Hilbert-function oracles are dense exact linear
 algebra on a truncated monomial basis, and the closure oracles are
 brute-force lattice searches; none of them touches the division or basis
-machinery under test.  The full-box scans share the facet test of
-`bsw.closure` but visit every point of the box, so they are the
-reference for its staircase walk.  `buchberger_by_min` shares the
+machinery under test.  `newton_facets_fraction` eliminates over
+`Fraction` rows and scales back to integers only at the end, so it is
+the reference for the integer elimination of `bsw.closure`.  The
+full-box scans share the facet test of `bsw.closure` but visit every
+point of the box, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
 is the reference for the engine's pair heap.
@@ -15,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
-from bsw.closure import np_member
+from bsw.closure import FM_ROW_CAP, np_member
+from bsw.errors import ResourceCapError
 from bsw.modgb import VecPoly, divide
 from bsw.poly import Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
 
@@ -132,6 +136,56 @@ def np_member_bruteforce(v, exponents, k_max: int = 8) -> bool:
             if all(s[j] <= target[j] for j in range(n)):
                 return True
     return False
+
+
+def newton_facets_fraction(exponents) -> tuple:
+    """Facets (c, r) of NP by Fourier-Motzkin elimination over Q.
+
+    Rows (lam, c0, d) mean lam . lambda <= c0 + d . v; after each step
+    rows equal up to a positive scale are merged by dividing through by
+    the first nonzero entry, and the surviving rows are scaled to
+    primitive integer (c, r) = (d, -c0) only at the end.  Raises
+    ResourceCapError where `bsw.closure.newton_facets` does.
+    """
+    m, n = len(exponents), len(exponents[0])
+    last = exponents[-1]
+    rows = [(tuple(Fraction(-(k == i)) for k in range(m - 1)), Fraction(0),
+             (Fraction(0),) * n) for i in range(m - 1)]
+    rows.append(((Fraction(1),) * (m - 1), Fraction(1), (Fraction(0),) * n))
+    rows += [(tuple(Fraction(g[j] - last[j]) for g in exponents[:-1]), Fraction(-last[j]),
+              tuple(Fraction(int(jj == j)) for jj in range(n))) for j in range(n)]
+    for k in range(m - 1):
+        new_rows = [row for row in rows if row[0][k] == 0]
+        for lp, cp, dp in (row for row in rows if row[0][k] > 0):
+            for ln, cn, dn in (row for row in rows if row[0][k] < 0):
+                a, b = -ln[k], lp[k]
+                new_rows.append((tuple(a * x + b * y for x, y in zip(lp, ln)), a * cp + b * cn,
+                                 tuple(a * x + b * y for x, y in zip(dp, dn))))
+        if len(new_rows) > FM_ROW_CAP:
+            raise ResourceCapError("Newton projection exceeded the row cap")
+        seen, rows = set(), []
+        for lam, c0, d in new_rows:
+            flat = (*lam, c0, *d)
+            scale = next((abs(x) for x in flat if x != 0), None)
+            if scale is None:
+                continue  # 0 <= 0
+            key = tuple(x / scale for x in flat)
+            if key not in seen:
+                seen.add(key)
+                rows.append((lam, c0, d))
+    facets = set()
+    for lam, c0, d in rows:
+        assert not any(lam), "variable left uneliminated"
+        if not any(d):
+            assert c0 >= 0, "Newton system infeasible"
+            continue
+        denom = 1
+        for x in (*d, c0):
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in (*d, -c0)]
+        g = gcd(*ints)
+        facets.add((tuple(x // g for x in ints[:-1]), ints[-1] // g))
+    return tuple(sorted(facets))
 
 
 def _newton_box(exponents, scale: int):

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (containment_witness_fullbox, newton_closure_fullbox,
-                      np_member_bruteforce, staircase_fullbox)
+                      newton_facets_fraction, np_member_bruteforce,
+                      staircase_fullbox)
 from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets, np_member)
@@ -152,6 +153,30 @@ def test_facets_are_valid_and_monotone(M):
     for c, r in newton_facets(M):
         assert all(ci >= 0 for ci in c)
         assert all(sum(ci * gi for ci, gi in zip(c, g)) >= r for g in M.exponents)
+
+
+@st.composite
+def mono_upto4(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=6)
+    return MonomialIdeal(n, tuple(draw(exps)))
+
+
+@given(mono_upto4())
+def test_integer_facets_match_fraction_elimination(M):
+    assert newton_facets(M) == newton_facets_fraction(M.exponents)
+
+
+def test_newton_projection_row_cap():
+    M = MonomialIdeal(4, ((1, 5, 9, 0), (2, 3, 5, 7), (2, 9, 0, 7), (4, 5, 8, 4), (5, 2, 7, 5),
+                          (5, 4, 5, 6), (5, 8, 2, 8), (7, 4, 4, 5), (8, 4, 5, 4)))
+    with pytest.raises(ResourceCapError, match="^Newton projection exceeded the row cap$"):
+        newton_facets(M)
+    # just under the cap: the largest step forms 19,891 rows, and would
+    # form 24,289 if equal rows were not merged after each step
+    M = MonomialIdeal(4, ((1, 3, 4, 0), (1, 6, 2, 6), (2, 0, 0, 6), (2, 0, 4, 3), (5, 0, 5, 1),
+                          (6, 1, 1, 2)))
+    assert len(newton_facets(M)) == 18_709
 
 
 @given(mono2, exps2)

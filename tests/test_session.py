@@ -237,6 +237,17 @@ def test_newton_box_scans_are_capped():
     assert report_exit_code(rep) == 3
 
 
+def test_newton_projection_row_cap_gives_resource_cap_block():
+    rep = run_session(parse(
+        "ring x, y, z, w;\n"
+        "ideal B = x*y^5*z^9, x^2*y^3*z^5*w^7, x^2*y^9*w^7, x^4*y^5*z^8*w^4, x^5*y^2*z^7*w^5,\n"
+        "  x^5*y^4*z^5*w^6, x^5*y^8*z^2*w^8, x^7*y^4*z^4*w^5, x^8*y^4*z^5*w^4;\n"
+        "newton-closure B;\n"))
+    assert rep["blocks"][0]["error"] == {"kind": "resource-cap",
+                                         "message": "Newton projection exceeded the row cap"}
+    assert report_exit_code(rep) == 3
+
+
 @pytest.mark.parametrize("text, message", [
     ("germ semigroup 2, 5;\ngerm ideal 2;\ngerm bs-exponent ell=998;",
      "exponent search bound 1001 exceeds the cap 1000"),
@@ -433,6 +444,16 @@ def test_cli_seed_changes_sampling(tmp_path, capsys):
     r2 = json.loads(open(o2).read())
     assert r1["seed"] == 1 and r2["seed"] == 2
     assert r1["blocks"][0]["result"] != r2["blocks"][0]["result"]
+    capsys.readouterr()
+
+
+def test_cli_negative_seed_gives_validation_block(tmp_path, capsys):
+    spath = write(tmp_path, "s.bsw",
+                  "ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5;\n")
+    out = str(tmp_path / "r.json")
+    assert cli.main(["run", spath, "--out", out, "--seed", "-1"]) == 2
+    assert json.loads(open(out).read())["blocks"][0]["error"] == {
+        "kind": "validation", "message": "seed must be a non-negative integer"}
     capsys.readouterr()
 
 

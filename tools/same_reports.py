@@ -7,10 +7,12 @@
 code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw,
 a two-line loja session that writes CSVs and a monomial session whose
 containment check fails (so a real counterexample is compared), at seeds
-0, 3 and 11, and on sessions/acceptance.bsw at seed 0 with `--budget` 1,
+0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
 289 and 290, so budget verdicts are compared too (289/290 is where
-`strata TP` runs out): 21 runs.  Both trees read the session files of
-this checkout, so only the code differs.
+`strata TP` runs out); and, at seed 0 only since it samples nothing, on a
+`newton-closure` session whose Newton projection exceeds the row cap, so
+a `resource-cap` verdict and its exit code are compared: 22 runs.  Both
+trees read the session files of this checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -41,6 +43,11 @@ WITNESS_SESSION = ("ring x, y;\n"
                    "ring t;\n"
                    "ideal T = t^3;\n"
                    "newton-closure T;\n")
+ROW_CAP_SESSION = ("ring x, y, z, w;\n"
+                   "ideal B = x*y^5*z^9, x^2*y^3*z^5*w^7, x^2*y^9*w^7, x^4*y^5*z^8*w^4,\n"
+                   "  x^5*y^2*z^7*w^5, x^5*y^4*z^5*w^6, x^5*y^8*z^2*w^8, x^7*y^4*z^4*w^5,\n"
+                   "  x^8*y^4*z^5*w^4;\n"
+                   "newton-closure B;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -81,7 +88,8 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", other], input=archive, check=True)
         inline = {"loja --csv session": (os.path.join(tmp, "loja_csv.bsw"), CSV_SESSION),
                   "witness session": (os.path.join(tmp, "witness.bsw"), WITNESS_SESSION)}
-        for path, text in inline.values():
+        row_cap = os.path.join(tmp, "row_cap.bsw")
+        for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -93,6 +101,7 @@ def main(argv=None) -> int:
                 for session, label in zip(sessions, labels) for seed in SEEDS]
         runs += [(acceptance, os.path.relpath(acceptance, ROOT),
                   ["--seed", "0", "--budget", str(budget)]) for budget in BUDGETS]
+        runs.append((row_cap, "row-cap session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
