@@ -19,7 +19,9 @@ NP(M) and monomial ideals are upward closed, so on each line of that box
 along the last coordinate only the first point of NP(M) can be a minimal
 generator or the first counterexample: one walk over those points (the
 staircase), each read off the facets, serves both the closure and the
-containment check.
+containment check.  The walk evaluates the facets with numpy on blocks
+of lines, in int64 where that is provably exact and in Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -28,12 +30,16 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd, prod
 
+import numpy as np
+
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .poly import Exponent, Polynomial, exp_divides
 
 FM_ROW_CAP = 20_000
 BOX_CAP = 2_000_000
 POWER_CAP = 200_000
+BLOCK_EVALS = 1 << 14
+EXACT_INT64 = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -158,31 +164,61 @@ def np_member(v: Exponent, facets, scale: int = 1) -> bool:
     return True
 
 
-def _staircase(M: MonomialIdeal, scale: int = 1):
-    """The least point of scale * NP(M) on each line, along the last
-    coordinate, of the box [0, scale * max_g g_j] (at most BOX_CAP points),
-    prefixes in lexicographic order.
-
-    Every facet has c >= 0, so on the line over `prefix` a facet with
-    gap = scale * r - c' . prefix > 0 asks for t >= ceil(gap / c_n), and
-    excludes the whole line if c_n = 0; the least t is the largest ask.
-    """
+def _box_sides(M: MonomialIdeal, scale: int) -> list[int]:
+    """The sides scale * max_g g_j of the box that bounds the closure's
+    minimal generators; at most BOX_CAP points."""
     sides = [scale * max(g[j] for g in M.exponents) for j in range(M.nvars)]
     points = prod(b + 1 for b in sides)
     if points > BOX_CAP:
         raise ResourceCapError(f"Newton box scan needs {points} lattice points (cap {BOX_CAP})")
+    return sides
+
+
+def _staircase_blocks(M: MonomialIdeal, scale: int, sides: list[int]):
+    """The least point of scale * NP(M) on each line, along the last
+    coordinate, of the box with these sides, in blocks of lines in
+    lexicographic order of their prefixes.
+
+    Yields (lines, points): the flat indices of the block's lines that meet
+    NP inside the box, and an int64 array with one row prefix + (t,) each.
+    Every facet has c >= 0, so on the line over `prefix` a facet with
+    gap = scale * r - c' . prefix > 0 asks for t >= ceil(gap / c_n), and
+    excludes the whole line if c_n = 0; the least t is the largest ask.
+    A block holds at most BLOCK_EVALS facet evaluations.  The arithmetic is
+    in int64 when no entry or partial sum can reach EXACT_INT64, and in
+    Python ints (dtype object) otherwise, so it is exact either way.
+    """
     facets = newton_facets(M)
-    for prefix in itertools.product(*(range(b + 1) for b in sides[:-1])):
-        t = 0
-        for c, r in facets:
-            gap = scale * r - sum(ci * vi for ci, vi in zip(c, prefix))
-            if gap > 0:
-                if not c[-1]:
-                    break
-                t = max(t, -(-gap // c[-1]))
-        else:
-            if t <= sides[-1]:
-                yield prefix + (t,)
+    bound = max(scale * abs(r) + sum(cj * max(b, 1) for cj, b in zip(c, sides))
+                for c, r in facets)
+    dtype = np.int64 if bound < EXACT_INT64 else object
+    C = np.array([c for c, _ in facets], dtype=dtype)
+    rhs = np.array([scale * r for _, r in facets], dtype=dtype)
+    asks = C[:, -1] > 0
+    divisor = np.where(asks, C[:, -1], 1)
+    # a trailing axis of length 1 stands for t, so a point row's last entry
+    # is 0 while the gaps are formed, and 1-variable ideals need no case
+    shape = tuple(b + 1 for b in sides[:-1]) + (1,)
+    size = prod(shape)
+    step = max(1, BLOCK_EVALS // len(facets))
+    for start in range(0, size, step):
+        lines = np.arange(start, min(start + step, size))
+        points = np.stack(np.unravel_index(lines, shape), axis=1)
+        gap = rhs - points.astype(dtype) @ C.T
+        short = gap > 0
+        t = np.where(short & asks, -(-gap // divisor), 0).max(axis=1, initial=0)
+        keep = ~(short & ~asks).any(axis=1) & (t <= sides[-1])
+        points = points[keep]
+        points[:, -1] = t[keep]
+        yield lines[keep], points
+
+
+def _staircase(M: MonomialIdeal, scale: int = 1):
+    """The least point of scale * NP(M) on each line, along the last
+    coordinate, of the box [0, scale * max_g g_j] (at most BOX_CAP points),
+    prefixes in lexicographic order, as int tuples."""
+    for _, points in _staircase_blocks(M, scale, _box_sides(M, scale)):
+        yield from map(tuple, points.tolist())
 
 
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:
@@ -195,11 +231,29 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     """First lattice point of NP(M^e) outside `target`, or None.
 
     A containment failure is always witnessed by a minimal generator of the
-    closure of M^e, and the staircase walk passes all of them in order.
+    closure of M^e, and the staircase walk passes all of them in order.  On
+    the line over `prefix` the target starts at the least g_n over its
+    generators g with g' <= prefix: each generator's g_n is put in its
+    prefix cell, and a running minimum along every prefix axis spreads it
+    upwards.  A staircase point below that start is outside the target.
     """
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
-    return next((v for v in _staircase(M, e) if not target.member(v)), None)
+    sides = _box_sides(M, e)
+    least = np.full(tuple(b + 1 for b in sides[:-1]) + (1,), sides[-1] + 1, dtype=np.int64)
+    cells = [(*g[:-1], 0, min(g[-1], sides[-1] + 1)) for g in target.exponents
+             if all(a <= b for a, b in zip(g[:-1], sides))]
+    if cells:
+        cells = np.array(cells, dtype=np.int64)
+        np.minimum.at(least, tuple(cells[:, :-1].T), cells[:, -1])
+    for axis in range(M.nvars - 1):
+        np.minimum.accumulate(least, axis=axis, out=least)
+    least = least.ravel()
+    for lines, points in _staircase_blocks(M, e, sides):
+        below = np.flatnonzero(points[:, -1] < least[lines])
+        if below.size:
+            return tuple(points[below[0]].tolist())
+    return None
 
 
 def bs_verify_monomial(M: MonomialIdeal, ell: int, d: int | None = None

@@ -107,51 +107,77 @@ def _lowest_order(p: Polynomial) -> int:
     return min(e[0] for e in p.terms())
 
 
-def _residual_ok(f: Polynomial, point) -> bool:
-    value = abs(f.eval_complex(point))
+class _ComplexPoly:
+    """A polynomial with its coefficients converted once to complex, for
+    evaluation at many points.  Same products in the same order as
+    `Polynomial.eval_complex`, so every value is bit-identical to it."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, p: Polynomial):
+        self.n = p.ring.n
+        self.terms = tuple((e, complex(c)) for e, c in p.terms().items())
+
+    def __call__(self, point) -> complex:
+        if len(point) != self.n:
+            raise StructuralError("point arity does not match ring")
+        total = 0j
+        for e, v in self.terms:
+            for z, k in zip(point, e):
+                if k:
+                    v *= z ** k
+            total += v
+        return total
+
+
+def _residual_ok(f: _ComplexPoly, point) -> bool:
+    value = abs(f(point))
     scale = 0.0
-    for e, c in f.terms().items():
+    for e, c in f.terms:
         mono = 1.0
         for z, k in zip(point, e):
             if k:
                 mono *= abs(z) ** k
-        scale += abs(float(c)) * mono
+        scale += abs(c) * mono  # abs(complex(x)) == abs(x) for a real float x
     return value <= RESIDUAL_TOLERANCE * max(scale, UNDERFLOW_FLOOR)
 
 
 def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
     """Points ordered by (radius index, sample index); residual-checked;
-    at most SAMPLE_CAP of them."""
+    at most SAMPLE_CAP of them.  The angles of one radius come from one
+    `uniform` call, the same PCG64 values in the same order as one call
+    per angle."""
     total = len(sampler.radii) * sampler.samples_per_radius
     if total > SAMPLE_CAP:
         raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
     rng = np.random.default_rng(sampler.seed)
-    ring = sampler.ring
+    ring, per = sampler.ring, sampler.samples_per_radius
     points: list[tuple[complex, ...]] = []
     if sampler.kind == "parametrized":
         w = min(_lowest_order(c) for c in sampler.components)
         if w < 1:
             raise ValidationError("components must vanish at the origin")
+        comps = [_ComplexPoly(c) for c in sampler.components]
         for rho in sampler.radii:
             r_t = rho ** (1.0 / w)
-            for _ in range(sampler.samples_per_radius):
-                theta = rng.uniform(0.0, 2.0 * math.pi)
+            for theta in rng.uniform(0.0, 2.0 * math.pi, size=per).tolist():
                 t = r_t * complex(math.cos(theta), math.sin(theta))
-                points.append(tuple(c.eval_complex((t,)) for c in sampler.components))
+                points.append(tuple(c((t,)) for c in comps))
     else:
         w_min = min(ring.weights)
         free = [j for j in range(ring.n) if j != sampler.solved_var]
+        solved = _ComplexPoly(sampler.solved_expr)
         for rho in sampler.radii:
-            for _ in range(sampler.samples_per_radius):
+            moduli = [rho ** (ring.weights[j] / w_min) for j in free]
+            for thetas in rng.uniform(0.0, 2.0 * math.pi, size=(per, len(free))).tolist():
                 coords = [0j] * ring.n
-                for j in free:
-                    theta = rng.uniform(0.0, 2.0 * math.pi)
-                    r_j = rho ** (ring.weights[j] / w_min)
+                for j, r_j, theta in zip(free, moduli, thetas):
                     coords[j] = r_j * complex(math.cos(theta), math.sin(theta))
-                coords[sampler.solved_var] = sampler.solved_expr.eval_complex(tuple(coords))
+                coords[sampler.solved_var] = solved(tuple(coords))
                 points.append(tuple(coords))
+    defining = [_ComplexPoly(f) for f in sampler.defining]
     for pt in points:
-        for f in sampler.defining:
+        for f in defining:
             if not _residual_ok(f, pt):
                 raise SamplingError("sampled point violates a defining equation")
     return points
@@ -172,16 +198,17 @@ class LojaEstimate:
 def loja_exponent_estimate(phi: Polynomial, a_polys, points,
                            residual_threshold: float = RESIDUAL_THRESHOLD) -> LojaEstimate:
     """OLS fit of log|phi| against log sum_j |a_j| over the sampled points."""
-    a_polys = list(a_polys)
+    a_polys = [_ComplexPoly(g) for g in a_polys]
     if not a_polys:
         raise ValidationError("need at least one ideal generator")
+    phi = _ComplexPoly(phi)
     xs: list[float] = []
     ys: list[float] = []
     lo, hi = math.inf, 0.0  # range of the kept points' norms
     dropped = 0
     for pt in points:
-        va = sum(abs(g.eval_complex(pt)) for g in a_polys)
-        vp = abs(phi.eval_complex(pt))
+        va = sum(abs(g(pt)) for g in a_polys)
+        vp = abs(phi(pt))
         if va <= UNDERFLOW_FLOOR or vp <= UNDERFLOW_FLOOR:
             dropped += 1
             continue

@@ -158,16 +158,18 @@ def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:
 
 
 def containment_holds(A: SemigroupIdeal, N: int, ell: int, S: NumericalSemigroup,
-                      mode: str = "power") -> tuple[bool, int | None]:
+                      mode: str = "power", Al: SemigroupIdeal | None = None
+                      ) -> tuple[bool, int | None]:
     """Is the N-th closure test set inside A^ell?  (holds, first_failure).
 
     mode "power": test set is the closure of A^N, i.e. {s in S : s >= N*v(A)};
     mode "closure-power": test set is (closure of A)^N.
+    Al is A^ell when the caller has built it already, as a search does.
     """
-    if mode not in ("power", "closure-power"):
-        raise ValidationError(f"unknown mode {mode!r}")
+    validate_mode(mode)
     v = A.valuation
-    Al = ideal_power(A, ell, S)
+    if Al is None:
+        Al = ideal_power(A, ell, S)
     bound = ell * v + S.conductor  # everything above is in A^ell
     in_target = lambda s: any(S.contains(s - g) for g in Al.shifts)
     if mode == "closure-power":
@@ -194,13 +196,21 @@ def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
     if ell < 1:
         raise ValidationError("ell must be at least 1")
     n_cap = _search_bound(ell, A.valuation, S, SEARCH_CAP)
+    validate_mode(mode)
+    Al = ideal_power(A, ell, S)
     last_failure: int | None = None
     for N in range(1, n_cap + 1):
-        holds, failure = containment_holds(A, N, ell, S, mode=mode)
+        holds, failure = containment_holds(A, N, ell, S, mode=mode, Al=Al)
         if holds:
             return (N, last_failure) if with_witness else N
         last_failure = failure
     raise StructuralError("exponent search exceeded its provable bound")
+
+
+def validate_mode(mode: str) -> None:
+    """A containment mode is "power" or "closure-power"."""
+    if mode not in ("power", "closure-power"):
+        raise ValidationError(f"unknown mode {mode!r}")
 
 
 def _search_bound(ell: int, v: int, S: NumericalSemigroup, cap: int) -> int:

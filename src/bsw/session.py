@@ -43,7 +43,7 @@ from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
                          free_resolution, minimalize, normality_witness, strata)
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
                         germ_closure_member, germ_ideal_member, huneke_mu,
-                        ideal_power, semigroup_build, semigroup_ideal)
+                        ideal_power, semigroup_build, semigroup_ideal, validate_mode)
 
 DEFAULT_RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 DEFAULT_PER_RADIUS = 10
@@ -360,8 +360,7 @@ def _parse_germ_bs_exponent(kind: str, tokens: list[str], st: _ParseState):
         raise ValidationError(f"{kind} wants ell=N")
     ell = _int(flags["ell"], "ell")
     mode = flags.get("mode", "power")
-    if mode not in ("power", "closure-power"):
-        raise ValidationError(f"unknown mode {mode!r}")
+    validate_mode(mode)
     return _germ(st, ell=ell, mode=mode)
 
 

@@ -1,19 +1,22 @@
 """Newton-polyhedron closure of monomial ideals and containment checks."""
 
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (containment_witness_fullbox, newton_closure_fullbox,
                       newton_facets_fraction, np_member_bruteforce,
                       staircase_fullbox)
+from bsw import closure
 from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets, np_member)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.poly import RingContext, parse_polynomials
+from bsw.session import parse_session, run_session
 
 R2 = RingContext(("x", "y"))
 
@@ -255,3 +258,54 @@ def test_staircase_walk_matches_full_box_scan(case):
     assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
     assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
         M.exponents, facets, e, target.member)
+
+
+@st.composite
+def walk_cases_4d(draw):
+    """As walk_cases, in 4 variables with exponents <= 2 and scale <= 2,
+    so the full-box oracles stay small."""
+    exps = st.tuples(*[st.integers(0, 2)] * 4)
+    M = MonomialIdeal(4, tuple(draw(st.lists(exps, min_size=1, max_size=4))))
+    e = draw(st.integers(1, 2))
+    moves = st.tuples(*[st.integers(-1, 1)] * 4)
+    target = MonomialIdeal(4, tuple(
+        tuple(max(0, a + d) for a, d in zip(g, draw(moves)))
+        for g in M.power(e).exponents))
+    return M, e, target
+
+
+@settings(max_examples=25)
+@given(walk_cases_4d())
+def test_staircase_walk_matches_full_box_scan_4d(case):
+    M, e, target = case
+    facets = newton_facets(M)
+    assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
+    assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
+    assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
+        M.exponents, facets, e, target.member)
+
+
+def _walk_outputs(M, e, target):
+    return list(_staircase(M, e)), newton_closure(M), closure_containment_witness(M, e, target)
+
+
+@given(walk_cases())
+def test_staircase_object_dtype_matches_int64(case):
+    # a limit of 0 sends every ideal down the Python-int path
+    int64 = _walk_outputs(*case)
+    with mock.patch.object(closure, "EXACT_INT64", 0):
+        exact = _walk_outputs(*case)
+    assert exact == int64
+    points = exact[0] + ([exact[2]] if exact[2] else [])
+    assert all(type(x) is int for v in points for x in v)
+
+
+def test_one_variable_closure_and_witness():
+    M = MonomialIdeal(1, ((3,),))
+    assert list(_staircase(M, 2)) == [(6,)]
+    assert newton_closure(M).exponents == ((3,),)
+    assert closure_containment_witness(M, 1, MonomialIdeal(1, ((4,),))) == (3,)
+    assert closure_containment_witness(M, 2, MonomialIdeal(1, ((6,),))) is None
+    rep = run_session(parse_session("ring t;\nideal T = t^3;\nnewton-closure T;\n"))
+    assert rep["blocks"][0]["status"] == "ok"
+    assert rep["blocks"][0]["result"]["closure"] == ["t^3"]

@@ -1,12 +1,15 @@
 """Variety samplers and the log-log containment-exponent estimator."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bsw.errors import (EstimationError, SamplingError, StructuralError,
                         ValidationError)
-from bsw.loja import (VarietySampler, hypersurface_sampler,
+from bsw.loja import (VarietySampler, _ComplexPoly, hypersurface_sampler,
                       loja_exponent_estimate, monomial_curve_sampler,
                       sample_variety)
 from bsw.poly import Polynomial, RingContext, parse_polynomial
@@ -159,3 +162,19 @@ def test_estimator_accepts_an_iterator():
     assert abs(from_list.slope - 2.5) <= 0.1
     with pytest.raises(EstimationError, match="more than half"):
         loja_exponent_estimate(P("w"), [P("z")], iter(curve_points() + [(0j, 0j)] * 71))
+
+
+R3 = RingContext(("x", "y", "z"))
+coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+polys3 = st.builds(lambda terms: Polynomial(R3, terms),
+                   st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 3), coeffs), max_size=6))
+coords = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+@given(polys3, st.tuples(coords, coords, coords))
+def test_converted_evaluation_is_eval_complex(p, point):
+    # the sampler and the estimator convert each polynomial once; every
+    # value must stay bit-identical to Polynomial.eval_complex
+    assert _ComplexPoly(p)(point) == p.eval_complex(point)
+    with pytest.raises(StructuralError):
+        _ComplexPoly(p)(point[:2])

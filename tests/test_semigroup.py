@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bsw import semigroup
 from bsw.errors import ResourceCapError, ValidationError
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            containment_holds, enumerate_ideals,
@@ -249,3 +250,20 @@ def test_mu_value_rechecks():
     for A in enumerate_ideals(S25, 8):
         for ell in (1, 2, 3):
             assert germ_bs_exponent(A, ell, S25) - ell + 1 <= mu
+
+
+def test_searches_build_each_power_once(monkeypatch):
+    built = []
+
+    def counting_power(A, ell, S, *args):
+        built.append((A, ell))
+        return ideal_power(A, ell, S, *args)
+
+    monkeypatch.setattr(semigroup, "ideal_power", counting_power)
+    # N = 4 is found in the fourth round, and A^2 is built once
+    assert germ_bs_exponent(ideal(2), 2, S25) == 4
+    assert built == [(ideal(2), 2)]
+    built.clear()
+    S = semigroup_build((5, 7, 9))
+    huneke_mu(S, 20, 4)
+    assert built == [(A, ell) for A in enumerate_ideals(S, 20) for ell in range(1, 5)]
