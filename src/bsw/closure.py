@@ -26,18 +26,17 @@ otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import Exponent, Polynomial, exp_divides
+from .poly import (POWER_CAP, Exponent, Polynomial, exp_divides, format_monomial,
+                   power_combinations)
 
 FM_ROW_CAP = 20_000
 BOX_CAP = 2_000_000
-POWER_CAP = 200_000
 BLOCK_EVALS = 1 << 14
 EXACT_INT64 = 1 << 62
 
@@ -76,27 +75,12 @@ class MonomialIdeal:
             exps.append(next(iter(t)))
         return cls(polys[0].ring.n, tuple(exps))
 
-    def member(self, v: Exponent) -> bool:
-        """x^v in M iff some generator divides it."""
-        return any(exp_divides(g, v) for g in self.exponents)
-
     def power(self, ell: int, cap: int = POWER_CAP) -> "MonomialIdeal":
-        if ell < 1:
-            raise ValidationError("power wants ell >= 1")
-        count = comb(len(self.exponents) + ell - 1, ell)
-        if count > cap:
-            raise ResourceCapError(f"monomial power needs {count} sums (cap {cap})")
-        sums = set()
-        for combo in itertools.combinations_with_replacement(self.exponents, ell):
-            sums.add(tuple(sum(xs) for xs in zip(*combo)))
-        return MonomialIdeal(self.nvars, tuple(sorted(sums)))
+        combos = power_combinations(self.exponents, ell, cap)
+        return MonomialIdeal(self.nvars, tuple(tuple(map(sum, zip(*c))) for c in combos))
 
     def strings(self, names: tuple[str, ...]) -> list[str]:
-        out = []
-        for e in self.exponents:
-            parts = [f"{nm}^{k}" if k > 1 else nm for nm, k in zip(names, e) if k > 0]
-            out.append("*".join(parts) if parts else "1")
-        return out
+        return [format_monomial(e, names) or "1" for e in self.exponents]
 
 
 def minimalize_antichain(exps) -> tuple[Exponent, ...]:

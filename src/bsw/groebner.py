@@ -18,12 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ResourceCapError, StructuralError, ValidationError
+from .errors import StructuralError, ValidationError
 from .modgb import (DEFAULT_BUDGET, Budget, TopOrder, VecPoly, autoreduce, divide,
                     run_buchberger, syzygy_columns)
-from .poly import Polynomial, RingContext, exp_lcm, exp_sub
-
-POWER_CAP = 200_000
+from .poly import POWER_CAP, Polynomial, RingContext, power_combinations
 
 
 class GroebnerBasis:
@@ -99,13 +97,6 @@ def _as_reducers(p: Polynomial, basis) -> list[Polynomial]:
     return reducers
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    lcm = exp_lcm(ef, eg)
-    return f.mul_term(exp_sub(lcm, ef), 1 / cf) - g.mul_term(exp_sub(lcm, eg), 1 / cg)
-
-
 def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> list[VecPoly]:
     """Pair loop on gens lifted into O^1; returns a non-reduced basis in O^1 containing them."""
     return run_buchberger([_lift(g) for g in gens], TopOrder(ring), budget)
@@ -174,20 +165,9 @@ def _intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_power(I: Ideal, ell: int, cap: int = POWER_CAP) -> Ideal:
     """I^ell from products of generators; guarded against blowup."""
-    if ell < 1:
-        raise ValidationError("power wants ell >= 1")
-    m = len(I.generators)
-    if m == 0:
-        return Ideal(I.ring, ())
-    count = math.comb(m + ell - 1, ell)
-    if count > cap:
-        raise ResourceCapError(f"ideal power would need {count} products (cap {cap})")
     one = Polynomial.constant(I.ring, 1)
-    gens = [
-        math.prod(combo, start=one)
-        for combo in itertools.combinations_with_replacement(I.generators, ell)
-    ]
-    return Ideal(I.ring, gens)
+    return Ideal(I.ring, [math.prod(combo, start=one)
+                          for combo in power_combinations(I.generators, ell, cap)])
 
 
 def krull_dimension(I: Ideal, budget: Budget | int | None = None) -> int:

@@ -109,8 +109,9 @@ def _lowest_order(p: Polynomial) -> int:
 
 class _ComplexPoly:
     """A polynomial with its coefficients converted once to complex, for
-    evaluation at many points.  Same products in the same order as
-    `Polynomial.eval_complex`, so every value is bit-identical to it."""
+    evaluation at many points: each term's coefficient times the powers
+    z_j ** k_j of its nonzero exponents, in variable order, summed in
+    term order from 0j."""
 
     __slots__ = ("n", "terms")
 

@@ -75,8 +75,16 @@ class VecPoly:
         return not self.terms
 
     def scale(self, c) -> "VecPoly":
+        """c * self.  A nonzero c keeps every term and the leading monomial,
+        so the terms skip validation and a cached leading term carries over."""
         c = Fraction(c)
-        return VecPoly(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
+        out = VecPoly(self.ring, self.ncomp, {})
+        if c:
+            out.terms = {k: c * v for k, v in self.terms.items()}
+            if self._lead is not None:
+                tag, (m, v) = self._lead
+                out._lead = (tag, (m, c * v))
+        return out
 
     def add_shifted_into(self, terms: dict, e: Exponent, c) -> None:
         """terms += c * x^e * self, in place, on a ModMono -> Fraction dict."""

@@ -12,19 +12,45 @@ truncated-series layer.
 Monomial orders are realized as sort keys: for two exponent vectors a, b
 we have a > b in the order iff order_key(a) > order_key(b) as Python
 tuples.  Keys are additive, so every order here is multiplicative, and
-1 has the smallest key.  There is no elimination order; modgb.py eliminates.
+1 has the smallest key.  RingContext picks its order_key once, when it is
+built, from the _ORDER_KEYS table.  There is no elimination order; modgb.py
+eliminates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import comb
 
-from .errors import StructuralError, ValidationError
+from .errors import ResourceCapError, StructuralError, ValidationError
 
 Exponent = tuple[int, ...]
 
-RING_ORDERS = ("weighted-degrevlex", "degrevlex", "lex")
+POWER_CAP = 200_000
+
+
+def _weighted_degrevlex_key(weights: tuple[int, ...], e: Exponent):
+    return (sum(w * k for w, k in zip(weights, e)), tuple(-x for x in reversed(e)))
+
+
+def _degrevlex_key(weights: tuple[int, ...], e: Exponent):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _lex_key(weights: tuple[int, ...], e: Exponent):
+    return tuple(e)
+
+
+# order tag -> sort key of (weights, exponent); larger key = larger monomial
+_ORDER_KEYS = {
+    "weighted-degrevlex": _weighted_degrevlex_key,
+    "degrevlex": _degrevlex_key,
+    "lex": _lex_key,
+}
+RING_ORDERS = tuple(_ORDER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -51,8 +77,11 @@ class RingContext:
         if any((not isinstance(x, int)) or x < 1 for x in w):
             raise ValidationError("weights must be positive integers")
         object.__setattr__(self, "weights", w)
-        if self.order not in RING_ORDERS:
+        if self.order not in _ORDER_KEYS:
             raise ValidationError(f"unknown order tag {self.order!r}")
+        # order_key(e) is the sort key of exponent e; not a field, so
+        # equality and hashing stay by the three fields above
+        object.__setattr__(self, "order_key", partial(_ORDER_KEYS[self.order], w))
 
     @property
     def n(self) -> int:
@@ -61,9 +90,6 @@ class RingContext:
     def weighted_degree(self, e: Exponent) -> int:
         return sum(w * k for w, k in zip(self.weights, e))
 
-    def order_key(self, e: Exponent):
-        return monomial_key(e, self)
-
     def var_index(self, name: str) -> int:
         try:
             return self.variable_names.index(name)
@@ -71,27 +97,17 @@ class RingContext:
             raise ValidationError(f"unknown variable {name!r}") from None
 
 
-def monomial_key(e: Exponent, ctx: RingContext):
-    """Sort key realizing ctx.order; larger key = larger monomial."""
-    if ctx.order == "lex":
-        return tuple(e)
-    if ctx.order == "degrevlex":
-        return (sum(e), tuple(-x for x in reversed(e)))
-    if ctx.order == "weighted-degrevlex":
-        return (ctx.weighted_degree(e), tuple(-x for x in reversed(e)))
-    raise StructuralError(f"order {ctx.order!r} not comparable here")
-
-
-def cmp_monomials(e1: Exponent, e2: Exponent, ctx: RingContext) -> int:
-    """-1, 0 or 1 as e1 <, =, > e2 under ctx.order."""
-    if len(e1) != ctx.n or len(e2) != ctx.n:
-        raise StructuralError("exponent arity does not match ring")
-    k1, k2 = monomial_key(e1, ctx), monomial_key(e2, ctx)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
+def power_combinations(gens: tuple, ell: int, cap: int = POWER_CAP):
+    """The multisets of ell generators whose products (or sums) generate
+    the ell-th power, as tuples; the one ideal-power enumeration of the
+    polynomial, monomial and semigroup regimes, refused with
+    ResourceCapError when there are more than cap of them."""
+    if ell < 1:
+        raise ValidationError("power wants ell >= 1")
+    count = comb(len(gens) + ell - 1, ell)
+    if count > cap:
+        raise ResourceCapError(f"ideal power would need {count} products (cap {cap})")
+    return itertools.combinations_with_replacement(gens, ell)
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
@@ -237,10 +253,6 @@ class Polynomial:
         c = Fraction(c)
         return Polynomial(self.ring, {e: c * v for e, v in self._terms.items()})
 
-    def mul_term(self, e: Exponent, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.ring, {exp_add(e0, e): c * v for e0, v in self._terms.items()})
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -273,19 +285,6 @@ class Polynomial:
             out[tuple(e2)] = c * e[i]
         return Polynomial(self.ring, out)
 
-    def eval_complex(self, point) -> complex:
-        """Evaluate at a tuple of complex numbers (float path, not exact)."""
-        if len(point) != self.ring.n:
-            raise StructuralError("point arity does not match ring")
-        total = 0j
-        for e, c in self._terms.items():
-            v = complex(c)
-            for z, k in zip(point, e):
-                if k:
-                    v *= z ** k
-            total += v
-        return total
-
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
@@ -311,7 +310,8 @@ def weighted_degree_info(p: Polynomial) -> WeightedDegreeInfo:
     return WeightedDegreeInfo(lo, hi, lo == hi)
 
 
-def _format_monomial(e: Exponent, names: tuple[str, ...]) -> str:
+def format_monomial(e: Exponent, names: tuple[str, ...]) -> str:
+    """x^2*y style; the empty string for the unit monomial."""
     parts = []
     for nm, k in zip(names, e):
         if k == 1:
@@ -327,7 +327,7 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     chunks: list[str] = []
     for i, (e, c) in enumerate(p.sorted_terms()):
-        mono = _format_monomial(e, p.ring.variable_names)
+        mono = format_monomial(e, p.ring.variable_names)
         mag = abs(c)
         if mono and mag == 1:
             body = mono

@@ -31,6 +31,10 @@ from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_co
 from .poly import Polynomial, RingContext, weighted_degree_info
 
 
+def _dot(us, vs, zero: Polynomial) -> Polynomial:
+    return sum((u * v for u, v in zip(us, vs)), zero)
+
+
 class PolyMatrix:
     """Immutable matrix of polynomials over one ring.
 
@@ -68,16 +72,9 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise StructuralError("composition shape mismatch")
         zero = Polynomial.zero(self.ring)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ring, out)
+        columns = [[row[j] for row in other.entries] for j in range(other.cols)]
+        return PolyMatrix(self.ring, [[_dot(row, col, zero) for col in columns]
+                                      for row in self.entries], cols_hint=other.cols)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -175,29 +172,6 @@ class FreeComplex:
     @property
     def length(self) -> int:
         return len(self.maps)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": list(self.ring.variable_names),
-            "weights": list(self.ring.weights),
-            "order": self.ring.order,
-            "ranks": list(self.ranks),
-            "maps": [M.to_strings() for M in self.maps],
-            "graded": self.graded,
-            "shifts": [list(s) for s in self.shifts] if self.shifts else None,
-        }
-
-
-def complex_from_json_dict(doc: dict) -> FreeComplex:
-    from .poly import parse_polynomial
-
-    ring = RingContext(tuple(doc["variables"]), tuple(doc["weights"]), doc["order"])
-    maps = []
-    for rows in doc["maps"]:
-        maps.append(PolyMatrix(ring, [[parse_polynomial(s, ring) for s in row] for row in rows]))
-    shifts = tuple(tuple(s) for s in doc["shifts"]) if doc.get("shifts") else None
-    return FreeComplex(ring, tuple(doc["ranks"]), tuple(maps), doc.get("graded", False), shifts)
-
 
 def expected_ranks(C: FreeComplex) -> tuple[int, ...]:
     """rho_k = sum_{i>=k} (-1)^(i-k) rank E_i for k = 1..N."""
@@ -304,10 +278,6 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
         if not ok:
             raise StructuralError(f"resolution failed exactness certification: {failures}")
     return C
-
-
-def _dot(us, vs, zero: Polynomial) -> Polynomial:
-    return sum((u * v for u, v in zip(us, vs)), zero)
 
 
 def minimalize(C: FreeComplex) -> FreeComplex:
@@ -499,9 +469,6 @@ class StrataReport:
     degenerate: tuple[str, ...]  # warnings from unit-minor conventions
     notes: tuple[str, ...]
 
-    def stratum(self, r: int) -> StratumInfo | None:
-        """None means the stratum is empty because the complex ends."""
-        return self.strata.get(r)
 
 
 def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:

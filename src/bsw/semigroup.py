@@ -18,14 +18,13 @@ every ell up to its gauge) whose largest bound exceeds MU_SEARCH_CAP.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, comb, gcd
+from math import ceil, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
+from .poly import POWER_CAP, power_combinations
 
-POWER_CAP = 200_000
 MU_CAP = 100_000
 SEARCH_CAP = 1_000
 MU_SEARCH_CAP = 100
@@ -48,13 +47,6 @@ class NumericalSemigroup:
     @cached_property
     def _gap_set(self):
         return frozenset(self.gaps)
-
-    @property
-    def genus(self) -> int:
-        return len(self.gaps)
-
-    def members_below(self, bound: int) -> list[int]:
-        return [s for s in range(bound) if self.contains(s)]
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
@@ -136,13 +128,7 @@ def germ_closure_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup) -> boo
 def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
                 cap: int = POWER_CAP) -> SemigroupIdeal:
     """A^ell: minimalized ell-fold sumset of the shifts."""
-    if ell < 1:
-        raise ValidationError("power wants ell >= 1")
-    count = comb(len(A.shifts) + ell - 1, ell)
-    if count > cap:
-        raise ResourceCapError(f"semigroup ideal power needs {count} sums (cap {cap})")
-    sums = {sum(c) for c in itertools.combinations_with_replacement(A.shifts, ell)}
-    return semigroup_ideal(S, sums)
+    return semigroup_ideal(S, {sum(c) for c in power_combinations(A.shifts, ell, cap)})
 
 
 def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:

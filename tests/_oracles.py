@@ -10,7 +10,15 @@ full-box scans share the facet test of `bsw.closure` but visit every
 point of the box, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
-is the reference for the engine's pair heap.
+is the reference for the engine's pair heap.  `monomial_key` is the
+order-tag if-chain that `RingContext.order_key` replaced, kept as the
+reference for the per-ring key table.
+
+The rest are helpers that only the tests need, written as functions of
+the package's objects: term multiples and S-polynomials, monomial
+comparison, the JSON round trip of a free complex, semigroup members and
+genus, monomial-ideal membership, strata lookup and float evaluation of a
+polynomial.
 """
 
 from __future__ import annotations
@@ -19,10 +27,13 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from bsw.closure import FM_ROW_CAP, np_member
-from bsw.errors import ResourceCapError
+from bsw.closure import FM_ROW_CAP, MonomialIdeal, np_member
+from bsw.errors import ResourceCapError, StructuralError
 from bsw.modgb import VecPoly, divide
-from bsw.poly import Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub
+from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
+                      parse_polynomial)
+from bsw.resolution import FreeComplex, PolyMatrix, StrataReport, StratumInfo
+from bsw.semigroup import NumericalSemigroup
 
 
 def monomials_up_to(n: int, degree: int):
@@ -95,7 +106,7 @@ def macaulay_member(p: Polynomial, gens, degree: int = 6) -> bool:
         if room < 0:
             continue
         for e in monomials_up_to(ring.n, room):
-            span.add(vector(g.mul_term(e, Fraction(1))))
+            span.add(vector(mul_term(g, e, Fraction(1))))
     if p.is_zero():
         return True
     if _total_degree(p) > degree:
@@ -119,7 +130,7 @@ def hilbert_function(gens, degree: int) -> int:
             if sum(e) != room:
                 continue
             row = [Fraction(0)] * len(basis)
-            for m, c in g.mul_term(e, Fraction(1)).terms().items():
+            for m, c in mul_term(g, e, Fraction(1)).terms().items():
                 row[index[m]] = c
             span.add(row)
     return len(basis) - len(span.pivots)
@@ -262,3 +273,95 @@ def buchberger_by_min(gens, order, budget) -> list:
             lts.append(lt)
             pairs.update((k, t) for k in range(t) if lts[k][0] == lt[0])
     return G
+
+
+# -- the old order-key if-chain, and helpers only the tests need --------
+
+def monomial_key(e, ctx: RingContext):
+    """Sort key realizing ctx.order; larger key = larger monomial."""
+    if ctx.order == "lex":
+        return tuple(e)
+    if ctx.order == "degrevlex":
+        return (sum(e), tuple(-x for x in reversed(e)))
+    if ctx.order == "weighted-degrevlex":
+        return (ctx.weighted_degree(e), tuple(-x for x in reversed(e)))
+    raise StructuralError(f"order {ctx.order!r} not comparable here")
+
+
+def cmp_monomials(e1, e2, ctx: RingContext) -> int:
+    """-1, 0 or 1 as e1 <, =, > e2 under ctx.order."""
+    if len(e1) != ctx.n or len(e2) != ctx.n:
+        raise StructuralError("exponent arity does not match ring")
+    k1, k2 = monomial_key(e1, ctx), monomial_key(e2, ctx)
+    if k1 < k2:
+        return -1
+    if k1 > k2:
+        return 1
+    return 0
+
+
+def mul_term(p: Polynomial, e, c) -> Polynomial:
+    """c * x^e * p."""
+    c = Fraction(c)
+    return Polynomial(p.ring, {exp_add(e0, e): c * v for e0, v in p.terms().items()})
+
+
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g, lcm that of the leading monomials."""
+    ef, cf = f.leading_term()
+    eg, cg = g.leading_term()
+    lcm = exp_lcm(ef, eg)
+    return mul_term(f, exp_sub(lcm, ef), 1 / cf) - mul_term(g, exp_sub(lcm, eg), 1 / cg)
+
+
+def to_json_dict(C: FreeComplex) -> dict:
+    return {
+        "variables": list(C.ring.variable_names),
+        "weights": list(C.ring.weights),
+        "order": C.ring.order,
+        "ranks": list(C.ranks),
+        "maps": [M.to_strings() for M in C.maps],
+        "graded": C.graded,
+        "shifts": [list(s) for s in C.shifts] if C.shifts else None,
+    }
+
+
+def complex_from_json_dict(doc: dict) -> FreeComplex:
+    ring = RingContext(tuple(doc["variables"]), tuple(doc["weights"]), doc["order"])
+    maps = []
+    for rows in doc["maps"]:
+        maps.append(PolyMatrix(ring, [[parse_polynomial(s, ring) for s in row] for row in rows]))
+    shifts = tuple(tuple(s) for s in doc["shifts"]) if doc.get("shifts") else None
+    return FreeComplex(ring, tuple(doc["ranks"]), tuple(maps), doc.get("graded", False), shifts)
+
+
+def genus(S: NumericalSemigroup) -> int:
+    return len(S.gaps)
+
+
+def members_below(S: NumericalSemigroup, bound: int) -> list[int]:
+    return [s for s in range(bound) if S.contains(s)]
+
+
+def member(M: MonomialIdeal, v) -> bool:
+    """x^v in M iff some generator divides it."""
+    return any(exp_divides(g, v) for g in M.exponents)
+
+
+def stratum(S: StrataReport, r: int) -> StratumInfo | None:
+    """None means the stratum is empty because the complex ends."""
+    return S.strata.get(r)
+
+
+def eval_complex(p: Polynomial, point) -> complex:
+    """Evaluate p at a tuple of complex numbers (float path, not exact)."""
+    if len(point) != p.ring.n:
+        raise StructuralError("point arity does not match ring")
+    total = 0j
+    for e, c in p.terms().items():
+        v = complex(c)
+        for z, k in zip(point, e):
+            if k:
+                v *= z ** k
+        total += v
+    return total

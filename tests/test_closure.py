@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (containment_witness_fullbox, newton_closure_fullbox,
+from _oracles import (containment_witness_fullbox, member, newton_closure_fullbox,
                       newton_facets_fraction, np_member_bruteforce,
                       staircase_fullbox)
 from bsw import closure
@@ -63,9 +63,9 @@ def test_from_polynomials():
 
 def test_member_divisibility():
     M = M2((2, 0), (0, 2))
-    assert M.member((2, 5)) and M.member((0, 2))
-    assert not M.member((1, 1))
-    assert M2((0, 0)).member((0, 0))  # unit ideal contains everything
+    assert member(M, (2, 5)) and member(M, (0, 2))
+    assert not member(M, (1, 1))
+    assert member(M2((0, 0)), (0, 0))  # unit ideal contains everything
 
 
 def test_power():
@@ -102,7 +102,7 @@ def test_closure_example_3d():
 @given(mono2)
 def test_closure_contains_ideal(M):
     C = newton_closure(M)
-    assert all(C.member(e) for e in M.exponents)
+    assert all(member(C, e) for e in M.exponents)
 
 
 @given(mono2)
@@ -115,7 +115,7 @@ def test_closure_idempotent(M):
 def test_closure_monotone(M, extra):
     N = MonomialIdeal(2, M.exponents + tuple(extra))
     CN = newton_closure(N)
-    assert all(CN.member(e) for e in newton_closure(M).exponents)
+    assert all(member(CN, e) for e in newton_closure(M).exponents)
 
 
 @given(st.builds(lambda g: MonomialIdeal(2, tuple(g)),
@@ -129,7 +129,7 @@ def test_closure_submultiplicative(M, N):
     CP = newton_closure(prod)
     for u in newton_closure(M).exponents:
         for v in newton_closure(N).exponents:
-            assert CP.member(tuple(a + b for a, b in zip(u, v)))
+            assert member(CP, tuple(a + b for a, b in zip(u, v)))
 
 
 @given(mono2)
@@ -257,7 +257,7 @@ def test_staircase_walk_matches_full_box_scan(case):
     assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
     assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
     assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
-        M.exponents, facets, e, target.member)
+        M.exponents, facets, e, lambda v: member(target, v))
 
 
 @st.composite
@@ -282,7 +282,7 @@ def test_staircase_walk_matches_full_box_scan_4d(case):
     assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
     assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
     assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
-        M.exponents, facets, e, target.member)
+        M.exponents, facets, e, lambda v: member(target, v))
 
 
 def _walk_outputs(M, e, target):

@@ -1,6 +1,7 @@
 """Buchberger, normal forms, ideal operations, dimension."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,6 @@ from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
                         ValidationError)
 from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
                           ideal_power, krull_dimension, normal_form)
-from bsw.groebner import _spoly  # exercised post-hoc on produced bases
 from bsw.modgb import DEFAULT_BUDGET, Budget
 from bsw.modgb import TopOrder, VecPoly, _GraphOrder, run_buchberger
 from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
@@ -19,6 +19,7 @@ from bsw.poly import RING_ORDERS
 
 from _oracles import macaulay_member
 from _oracles import buchberger_by_min
+from _oracles import spoly  # exercised post-hoc on produced bases
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -229,7 +230,7 @@ def test_buchberger_criterion_post_hoc(I):
     els = G.elements
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            s = _spoly(els[i], els[j])
+            s = spoly(els[i], els[j])
             assert normal_form(s, G).is_zero()
 
 
@@ -329,6 +330,23 @@ def test_leading_term_cached_per_order():
         w = VecPoly(lex, 2, {(0, (0, 2)): 1, (1, (1, 0)): 1})
         for order in orders + orders:
             assert order.leading(w) == (image if order is graph else tail)
+
+
+@given(engine_input(), st.sampled_from((0, 1, -3, Fraction(2, 7))))
+def test_scale_carries_the_cached_lead(case, c):
+    """A nonzero scale keeps the leading monomial, so the cached lead of
+    the order that led the vector carries over, times c; 0 gives zero."""
+    ring, gens = case
+    order = TopOrder(ring)
+    for v in gens:
+        order.leading(v)
+        w = v.scale(c)
+        assert w.terms == {k: c * x for k, x in v.terms.items() if c}
+        if c:
+            m = max(w.terms, key=order.key)
+            assert w._lead == (order.lead_tag, (m, w.terms[m]))
+        else:
+            assert w.is_zero() and w._lead is None
 
 
 def test_vecpoly_rejects_malformed_exponents():

@@ -1,15 +1,19 @@
 """Polynomial arithmetic, monomial orders, parsing and printing."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsw.errors import StructuralError, ValidationError
-from bsw.poly import (RING_ORDERS, Polynomial, RingContext, cmp_monomials,
-                      format_polynomial, monomial_key, parse_polynomial,
-                      parse_polynomials, split_top_commas, weighted_degree_info)
+from bsw import closure, groebner, semigroup
+from bsw.errors import ResourceCapError, StructuralError, ValidationError
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, format_polynomial,
+                      parse_polynomial, parse_polynomials, split_top_commas,
+                      weighted_degree_info)
+
+from _oracles import cmp_monomials, eval_complex, monomial_key
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -91,6 +95,20 @@ def test_lex_order():
     assert cmp_monomials((1, 0), (0, 9), ctx) == 1
 
 
+@given(st.sampled_from(RING_ORDERS),
+       st.lists(st.integers(1, 7), min_size=1, max_size=4),
+       st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_order_key_table_matches_if_chain(order, weights, exps):
+    # the per-ring key picked once at construction is the old if-chain's
+    # key, and survives pickling, which compares and hashes by fields
+    ctx = RingContext(tuple("abcd"[:len(weights)]), tuple(weights), order)
+    back = pickle.loads(pickle.dumps(ctx))
+    assert back == ctx and hash(back) == hash(ctx)
+    for e in exps:
+        e = tuple(e[:ctx.n])
+        assert ctx.order_key(e) == monomial_key(e, ctx) == back.order_key(e)
+
+
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)),
        st.tuples(st.integers(0, 4), st.integers(0, 4)),
        st.tuples(st.integers(0, 4), st.integers(0, 4)))
@@ -150,8 +168,28 @@ def test_derivative():
 
 
 def test_eval_complex():
-    v = P("x^2 + y").eval_complex((2 + 0j, 1j))
+    v = eval_complex(P("x^2 + y"), (2 + 0j, 1j))
     assert v == 4 + 1j
+
+
+# ---------------------------------------------------------------- ideal powers
+
+S345 = semigroup.semigroup_build((3, 4, 5))
+
+
+@pytest.mark.parametrize("power", [
+    lambda cap: groebner.ideal_power(groebner.Ideal(R3, parse_polynomials("x, y, z", R3)),
+                                     12, cap=cap),
+    lambda cap: closure.MonomialIdeal(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))).power(12, cap=cap),
+    lambda cap: semigroup.ideal_power(semigroup.semigroup_ideal(S345, (3, 4, 5)), 12, S345,
+                                      cap=cap),
+], ids=["polynomial", "monomial", "semigroup"])
+def test_every_ideal_power_shares_one_cap(power):
+    # C(3 + 12 - 1, 12) = 91 products of 3 generators, in every regime
+    power(91)
+    with pytest.raises(ResourceCapError) as err:
+        power(90)
+    assert str(err.value) == "ideal power would need 91 products (cap 90)"
 
 
 # ---------------------------------------------------------------- parse/print

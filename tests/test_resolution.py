@@ -9,12 +9,12 @@ from bsw.groebner import Ideal, ideal_member, krull_dimension
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
 from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             check_bs_condition, check_cm_depth,
-                            check_normality_condition, complex_from_json_dict,
-                            expected_ranks, free_resolution, koszul_complex,
+                            check_normality_condition, expected_ranks,
+                            free_resolution, koszul_complex,
                             minimalize, minors, normality_witness,
                             rank_locus_ideal, strata, syzygies)
 
-from _oracles import hilbert_function
+from _oracles import complex_from_json_dict, hilbert_function, stratum, to_json_dict
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -49,6 +49,19 @@ def test_syzygy_of_regular_pair():
     # proportional to (-y, x)
     assert col[0] * P("x") + col[1] * P("y") == Polynomial.zero(R2)
     assert not col[0].is_zero()
+
+
+def test_compose_shapes_with_empty_factors():
+    # a zero-row or zero-column factor still gives rows x cols of the product
+    A, B = PM(R2, [["x", "y"], ["1", "0"]]), PM(R2, [["y", "0", "1"], ["-x", "x", "0"]])
+    AB = A.compose(B)
+    assert AB.to_strings() == [["0", "x*y", "x"], ["y", "0", "1"]]
+    empty_rows = PolyMatrix(R2, [], cols_hint=2).compose(B)
+    assert (empty_rows.rows, empty_rows.cols) == (0, 3)
+    inner = PolyMatrix(R2, [[], []]).compose(PolyMatrix(R2, [], cols_hint=3))
+    assert (inner.rows, inner.cols) == (2, 3) and inner.is_zero()
+    empty_cols = A.compose(PolyMatrix(R2, [[], []]))
+    assert (empty_cols.rows, empty_cols.cols) == (2, 0)
 
 
 def test_syzygy_with_unit_cofactor():
@@ -278,7 +291,7 @@ def test_complex_property_enforced():
 
 def test_json_round_trip():
     C = resolve("x*z, x*w, y*z, y*w", R4)
-    D = complex_from_json_dict(C.to_json_dict())
+    D = complex_from_json_dict(to_json_dict(C))
     assert D.ranks == C.ranks
     assert [m.to_strings() for m in D.maps] == [m.to_strings() for m in C.maps]
     assert D.shifts == C.shifts
@@ -352,7 +365,7 @@ def test_strata_two_planes():
     S = strata(free_resolution(I), I)
     assert (S.d, S.p) == (2, 2)
     assert S.strata[1].dim == 0 and S.strata[1].codim_in_z == 2
-    assert S.stratum(2) is None  # beyond complex length: empty
+    assert stratum(S, 2) is None  # beyond complex length: empty
     assert S.purity_ok
 
 

@@ -12,6 +12,8 @@ from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            germ_ideal_member, huneke_mu, ideal_power,
                            semigroup_build, semigroup_ideal)
 
+from _oracles import genus, members_below
+
 S25 = semigroup_build((2, 5))
 S23 = semigroup_build((2, 3))
 DVR = semigroup_build((1,))
@@ -24,11 +26,11 @@ def ideal(*shifts, S=S25):
 # ---------------------------------------------------------------- build
 
 def test_build_examples():
-    assert (S25.gaps, S25.conductor, S25.genus) == ((1, 3), 4, 2)
+    assert (S25.gaps, S25.conductor, genus(S25)) == ((1, 3), 4, 2)
     assert (S23.gaps, S23.conductor) == ((1,), 2)
     assert (DVR.gaps, DVR.conductor) == ((), 0)
     S = semigroup_build((3, 5, 7))
-    assert (S.gaps, S.conductor, S.genus) == ((1, 2, 4), 5, 3)
+    assert (S.gaps, S.conductor, genus(S)) == ((1, 2, 4), 5, 3)
     S2 = semigroup_build((4, 6, 9))
     assert (S2.gaps, S2.conductor) == ((1, 2, 3, 5, 7, 11), 12)
 
@@ -49,7 +51,7 @@ def test_build_validation():
 def test_membership_table():
     assert [s for s in range(8) if S25.contains(s)] == [0, 2, 4, 5, 6, 7]
     assert not S25.contains(-2)
-    assert S25.members_below(6) == [0, 2, 4, 5]
+    assert members_below(S25, 6) == [0, 2, 4, 5]
 
 
 gen_lists = st.lists(st.integers(2, 12), min_size=1, max_size=3).map(
@@ -63,7 +65,7 @@ def test_build_properties(gens):
         assert not S.contains(S.conductor - 1)
     assert all(S.contains(s) for s in range(S.conductor, S.conductor + max(gens)))
     assert all(g < S.conductor and not S.contains(g) for g in S.gaps)
-    members = S.members_below(S.conductor + max(gens))
+    members = members_below(S, S.conductor + max(gens))
     for a in members[:6]:
         for b in members[:6]:
             assert S.contains(a + b)
@@ -162,7 +164,7 @@ semigroups = st.sampled_from([S25, S23, semigroup_build((3, 5)),
 @st.composite
 def germ_cases(draw):
     S = draw(semigroups)
-    pool = [s for s in S.members_below(S.conductor + 8) if s >= 1]
+    pool = [s for s in members_below(S, S.conductor + 8) if s >= 1]
     shifts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     return S, semigroup_ideal(S, shifts)
 
