@@ -140,14 +140,6 @@ def newton_facets(M: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted(facets))
 
 
-def np_member(v: Exponent, facets, scale: int = 1) -> bool:
-    """v in scale * NP(M), given M's facets."""
-    for c, r in facets:
-        if sum(ci * vi for ci, vi in zip(c, v)) < scale * r:
-            return False
-    return True
-
-
 def _box_sides(M: MonomialIdeal, scale: int) -> list[int]:
     """The sides scale * max_g g_j of the box that bounds the closure's
     minimal generators; at most BOX_CAP points."""

@@ -181,7 +181,7 @@ def krull_dimension(I: Ideal, budget: Budget | int | None = None) -> int:
         return ring.n
     supports = []
     for g in gb.elements:
-        e = g.leading_monomial()
+        e = g.leading_term()[0]
         supports.append(frozenset(i for i, k in enumerate(e) if k > 0))
     if frozenset() in supports:
         return -1  # a unit leading term

@@ -7,7 +7,8 @@ routine and one budget meter serve both modules and ideals (groebner.py lifts
 ideal generators into O^1 under TopOrder).  Division works in place: it
 reduces one mutable term dict, adding each -c*x^a*g into it through
 poly.add_term, and builds a single VecPoly for the remainder; S-vectors are
-added into one dict the same way.  Pairs are picked by the
+added into one dict the same way.  Terms are checked once, where they enter
+(poly.check_exponent); vectors the engine builds take VecPoly._of.  Pairs are picked by the
 normal strategy: each pair is pushed once, when it is formed, onto a heap
 keyed by (lcm key, index pair), so ties go to the smaller index pair.  The
 chain criterion always prunes, while the product criterion is applied only
@@ -34,8 +35,8 @@ import heapq
 from fractions import Fraction
 
 from .errors import BudgetExceededError, StructuralError, ValidationError
-from .poly import (Exponent, Polynomial, RingContext, add_term, exp_add, exp_divides, exp_lcm,
-                   exp_sub)
+from .poly import (Exponent, Polynomial, RingContext, add_term, check_exponent, exp_add,
+                   exp_divides, exp_lcm, exp_sub)
 
 ModMono = tuple[int, Exponent]  # (component, exponent)
 
@@ -53,37 +54,35 @@ class VecPoly:
 
     def __init__(self, ring: RingContext, ncomp: int, terms):
         clean: dict[ModMono, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        n = ring.n
-        for (pos, e), c in items:
-            e = tuple(e)
+        for (pos, e), c in (terms.items() if isinstance(terms, dict) else terms):
             if not 0 <= pos < ncomp:
                 raise StructuralError("component index out of range")
-            if len(e) != n:
-                raise StructuralError("exponent arity does not match ring")
-            if min(e) < 0:
-                raise StructuralError("exponents must be nonnegative integers")
-            c = Fraction(c)
-            if c:
-                add_term(clean, (pos, e), c)
+            add_term(clean, (pos, check_exponent(e, ring.n)), Fraction(c))
         self.ring = ring
         self.ncomp = ncomp
         self.terms = clean
         self._lead = None  # (lead_tag, leading term) of the order that last led self
+
+    @classmethod
+    def _of(cls, ring: RingContext, ncomp: int, clean: dict) -> "VecPoly":
+        """Unchecked: `clean` maps (component < ncomp, ring exponent) to nonzero Fractions."""
+        v = cls(ring, ncomp, {})
+        v.terms = clean
+        return v
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def scale(self, c) -> "VecPoly":
         """c * self.  A nonzero c keeps every term and the leading monomial,
-        so the terms skip validation and a cached leading term carries over."""
+        so a cached leading term carries over."""
         c = Fraction(c)
-        out = VecPoly(self.ring, self.ncomp, {})
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-            if self._lead is not None:
-                tag, (m, v) = self._lead
-                out._lead = (tag, (m, c * v))
+        if not c:
+            return VecPoly._of(self.ring, self.ncomp, {})
+        out = VecPoly._of(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
+        if self._lead is not None:
+            tag, (m, v) = self._lead
+            out._lead = (tag, (m, c * v))
         return out
 
     def add_shifted_into(self, terms: dict, e: Exponent, c) -> None:
@@ -92,17 +91,12 @@ class VecPoly:
             add_term(terms, (pos, exp_add(e0, e)), c * v)
 
     def component(self, pos: int) -> Polynomial:
-        return Polynomial(
-            self.ring, {e: c for (p, e), c in self.terms.items() if p == pos}
-        )
+        return Polynomial._of(self.ring, {e: c for (p, e), c in self.terms.items() if p == pos})
 
     @classmethod
     def from_column(cls, ring: RingContext, column: list[Polynomial]) -> "VecPoly":
-        terms = {}
-        for pos, poly in enumerate(column):
-            for e, c in poly.terms().items():
-                terms[(pos, e)] = c
-        return cls(ring, len(column), terms)
+        return cls._of(ring, len(column),
+                       {(pos, e): c for pos, p in enumerate(column) for e, c in p._terms.items()})
 
 
 class TopOrder:
@@ -219,7 +213,7 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
             if quotients is not None:
                 quotients.setdefault(hit, {})[shift] = factor
             reducers[hit].add_shifted_into(h, shift, -factor)
-    return VecPoly(v.ring, v.ncomp, rem)
+    return VecPoly._of(v.ring, v.ncomp, rem)
 
 
 def run_buchberger(gens: list[VecPoly], order: TopOrder,
@@ -269,7 +263,7 @@ def run_buchberger(gens: list[VecPoly], order: TopOrder,
         s: dict[ModMono, Fraction] = {}
         G[i].add_shifted_into(s, exp_sub(lcm, ei), 1)
         G[j].add_shifted_into(s, exp_sub(lcm, ej), -1)
-        r = divide(VecPoly(G[i].ring, G[i].ncomp, s), G, order, budget)
+        r = divide(VecPoly._of(G[i].ring, G[i].ncomp, s), G, order, budget)
         if not r.is_zero():
             lt, c = order.leading(r)
             G.append(r.scale(1 / c))
@@ -330,5 +324,5 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext,
     # basis elements with no image part generate the syzygies; reduce them
     # in graph coordinates, then move tail slot r + s to column live[s]
     tails = autoreduce([g for g in G if all(pos >= r for pos, _e in g.terms)], order, budget)
-    return out + [VecPoly(ctx, c, {(live[pos - r], e): v for (pos, e), v in t.terms.items()})
+    return out + [VecPoly._of(ctx, c, {(live[pos - r], e): v for (pos, e), v in t.terms.items()})
                   for t in tails]

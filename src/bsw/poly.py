@@ -6,6 +6,8 @@ variable names, positive integer weights and one of the monomial orders
 in RING_ORDERS.  Coefficients stay exact rationals end to end.
 Every sparse term dict, here and in modgb.py, is filled through
 add_term, which adds a coefficient in place and drops the key at 0.
+Terms are checked once, where they enter: check_exponent, in the Polynomial and
+modgb.VecPoly constructors; results the package builds take the unchecked `_of`.
 Representatives of germs are polynomials only; there is no
 truncated-series layer.
 
@@ -132,6 +134,16 @@ def add_term(terms: dict, key, c) -> None:
         terms.pop(key, None)
 
 
+def check_exponent(e, n: int) -> Exponent:
+    """tuple(e), or StructuralError unless it is n nonnegative ints."""
+    e = tuple(e)
+    if len(e) != n:
+        raise StructuralError("exponent arity does not match ring")
+    if any((not isinstance(x, int)) or x < 0 for x in e):
+        raise StructuralError("exponents must be nonnegative integers")
+    return e
+
+
 class Polynomial:
     """Immutable sparse polynomial; do not mutate `_terms` after construction."""
 
@@ -140,15 +152,17 @@ class Polynomial:
     def __init__(self, ring: RingContext, terms):
         clean: dict[Exponent, Fraction] = {}
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            e = tuple(e)
-            if len(e) != ring.n:
-                raise StructuralError("exponent arity does not match ring")
-            if any((not isinstance(x, int)) or x < 0 for x in e):
-                raise StructuralError("exponents must be nonnegative integers")
-            add_term(clean, e, Fraction(c))
+            add_term(clean, check_exponent(e, ring.n), Fraction(c))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, ring: RingContext, clean: dict) -> "Polynomial":
+        """Unchecked: `clean` maps exponent tuples of ring's arity to nonzero Fractions."""
+        p = cls(ring, {})
+        object.__setattr__(p, "_terms", clean)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -192,12 +206,6 @@ class Polynomial:
         e = max(self._terms, key=key)
         return e, self._terms[e]
 
-    def leading_monomial(self) -> Exponent:
-        return self.leading_term()[0]
-
-    def leading_coeff(self) -> Fraction:
-        return self.leading_term()[1]
-
     def constant_value(self) -> Fraction | None:
         """The coefficient if the polynomial is a constant, else None (0 -> 0)."""
         if not self._terms:
@@ -221,10 +229,10 @@ class Polynomial:
         out = dict(self._terms)
         for e, c in other._terms.items():
             add_term(out, e, c)
-        return Polynomial(self.ring, out)
+        return Polynomial._of(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._of(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -235,7 +243,7 @@ class Polynomial:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 add_term(out, exp_add(e1, e2), c1 * c2)
-        return Polynomial(self.ring, out)
+        return Polynomial._of(self.ring, out)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -251,12 +259,12 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.ring, {e: c * v for e, v in self._terms.items()})
+        return Polynomial._of(self.ring, {e: c * v for e, v in self._terms.items()} if c else {})
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_coeff())
+        return self.scale(1 / self.leading_term()[1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -283,7 +291,7 @@ class Polynomial:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
-        return Polynomial(self.ring, out)
+        return Polynomial._of(self.ring, out)
 
     # -- printing -----------------------------------------------------
 

@@ -457,7 +457,6 @@ class StratumInfo:
 @dataclass(frozen=True)
 class StrataReport:
     ring: RingContext
-    variety_ideal: Ideal
     ambient_dim: int
     d: int                       # dim Z
     p: int                       # codim of Z in C^n
@@ -521,7 +520,7 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
         "strata beyond the complex length are empty and omitted",
     )
     return StrataReport(
-        ring=ring, variety_ideal=I, ambient_dim=n, d=d, p=p, expected=rho,
+        ring=ring, ambient_dim=n, d=d, p=p, expected=rho,
         zk_ideals=zk, zsing_ideal=z0_ideal, strata=strata_map,
         purity_ok=purity_ok, degenerate=tuple(degenerate), notes=notes,
     )

@@ -138,8 +138,6 @@ def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:
     """
     v = A.valuation
     window = [s for s in range(v, v + max(S.conductor, 1)) if S.contains(s)]
-    if not window:
-        window = [v]
     return semigroup_ideal(S, window)
 
 

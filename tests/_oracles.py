@@ -6,8 +6,8 @@ brute-force lattice searches; none of them touches the division or basis
 machinery under test.  `newton_facets_fraction` eliminates over
 `Fraction` rows and scales back to integers only at the end, so it is
 the reference for the integer elimination of `bsw.closure`.  The
-full-box scans share the facet test of `bsw.closure` but visit every
-point of the box, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
+full-box scans test every point of the box against the facets with
+`np_member`, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
 is the reference for the engine's pair heap.  `monomial_key` is the
@@ -27,7 +27,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from bsw.closure import FM_ROW_CAP, MonomialIdeal, np_member
+from bsw.closure import FM_ROW_CAP, MonomialIdeal
 from bsw.errors import ResourceCapError, StructuralError
 from bsw.modgb import VecPoly, divide
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
@@ -134,6 +134,14 @@ def hilbert_function(gens, degree: int) -> int:
                 row[index[m]] = c
             span.add(row)
     return len(basis) - len(span.pivots)
+
+
+def np_member(v, facets, scale: int = 1) -> bool:
+    """v in scale * NP(M), given M's facets."""
+    for c, r in facets:
+        if sum(ci * vi for ci, vi in zip(c, v)) < scale * r:
+            return False
+    return True
 
 
 def np_member_bruteforce(v, exponents, k_max: int = 8) -> bool:

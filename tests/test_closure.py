@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (containment_witness_fullbox, member, newton_closure_fullbox,
-                      newton_facets_fraction, np_member_bruteforce,
+                      newton_facets_fraction, np_member, np_member_bruteforce,
                       staircase_fullbox)
 from bsw import closure
 from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
-                         newton_closure, newton_facets, np_member)
+                         newton_closure, newton_facets)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.poly import RingContext, parse_polynomials
 from bsw.session import parse_session, run_session

@@ -352,7 +352,8 @@ def test_scale_carries_the_cached_lead(case, c):
 def test_vecpoly_rejects_malformed_exponents():
     with pytest.raises(StructuralError):
         VecPoly(R2, 1, {(0, (1,)): 1, (0, (0, -2)): 3})
-    for bad in ({(0, (1,)): 1}, {(0, (1, 0, 0)): 1}, {(0, (0, -2)): 3}, {(0, (0, -1)): 0}):
+    for bad in ({(0, (1,)): 1}, {(0, (1, 0, 0)): 1}, {(0, (0, -2)): 3}, {(0, (0, -1)): 0},
+                {(0, (1.0, 0)): 1}):
         with pytest.raises(StructuralError):
             VecPoly(R2, 1, bad)
     assert VecPoly(R2, 1, {(0, (0, 2)): 3}).terms == {(0, (0, 2)): 3}

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from bsw import closure, groebner, semigroup
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
-from bsw.poly import (RING_ORDERS, Polynomial, RingContext, format_polynomial,
-                      parse_polynomial, parse_polynomials, split_top_commas,
-                      weighted_degree_info)
+from bsw.modgb import VecPoly
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent,
+                      format_polynomial, parse_polynomial, parse_polynomials,
+                      split_top_commas, weighted_degree_info)
 
 from _oracles import cmp_monomials, eval_complex, monomial_key
 
@@ -71,6 +72,46 @@ def test_no_zero_terms_stored():
     p = P("x + y") - P("y")
     assert p == P("x")
     assert len(p.terms()) == 1
+
+
+def test_polynomial_rejects_malformed_exponents():
+    for bad in ({(1,): 1}, {(1, 0, 0): 1}, {(0, -2): 3}, {(0, -1): 0}, {(1.0, 0): 1}):
+        with pytest.raises(StructuralError):
+            Polynomial(R2, bad)
+    assert check_exponent([0, 2], 2) == (0, 2)
+    assert Polynomial(R2, [([0, 2], 3)]).terms() == {(0, 2): 3}
+
+
+# ---------------------------------------------------------------- unchecked results
+
+exps3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+checked3 = st.dictionaries(exps3, coeffs, max_size=5).map(lambda t: Polynomial(R3, t))
+
+
+def _assert_clean_terms(items, n):
+    for e, c in items:
+        assert type(e) is tuple and len(e) == n
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is Fraction and c != 0
+
+
+@given(checked3, checked3, coeffs, st.integers(0, 3), st.integers(0, 2))
+def test_unchecked_results_are_clean(p, q, c, k, i):
+    # results built through _of hold only what the checked constructor
+    # would store, and equal their re-checked copies
+    for r in (p + q, p - q, -p, p * q, p ** k, p.scale(c), p.scale(0), p.derivative(i)):
+        _assert_clean_terms(r.terms().items(), 3)
+        assert Polynomial(r.ring, r.terms()) == r
+    v = VecPoly.from_column(R3, [p, q])
+    for w in (v, v.scale(c), v.scale(0)):
+        assert all(0 <= pos < 2 for pos, _e in w.terms)
+        _assert_clean_terms(((e, x) for (_pos, e), x in w.terms.items()), 3)
+        assert VecPoly(R3, 2, w.terms).terms == w.terms
+        for pos in range(2):
+            r = w.component(pos)
+            _assert_clean_terms(r.terms().items(), 3)
+            assert Polynomial(R3, r.terms()) == r
+    assert [v.component(0), v.component(1)] == [p, q]
 
 
 # ---------------------------------------------------------------- orders
