@@ -12,12 +12,33 @@ The estimate regresses log|phi| against log sum|a_j| by ordinary least
 squares.  Values at or below the underflow floor (1e-300) are excluded,
 never clamped; too few usable points, or a flat regressor, abort with
 an estimation error instead of returning junk.
+
+The sampler and the estimator evaluate polynomials on blocks of at most
+BLOCK_POINTS points, held as float64 arrays of real and imaginary parts,
+and every float they produce is the one CPython's complex arithmetic
+gives on one point at a time (numpy's own complex128 product, modulus
+and power round differently):
+- a complex product is written out on the parts,
+  (ar*br - ai*bi, ar*bi + ai*br), and a float times a complex is that
+  product with the float promoted to (x, 0.0);
+- z ** k for 1 <= k <= 100 follows CPython's binary ladder (`c_powu`)
+  from (1, 0); above 100 CPython switches to a polar formula, so those
+  powers call `**` per element;
+- moduli come from np.hypot, the libm hypot that abs(complex) calls;
+- cos, sin, log, the residual scale's abs(z) ** k and the sums over
+  generators and coordinates stay CPython's (libm and the builtin `sum`),
+  mapped over lists.
+CPython's OverflowErrors are raised where it raises them, and a block
+that raises anything is evaluated again one point at a time, so the
+error is the one a point-by-point loop meets first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -29,6 +50,7 @@ UNDERFLOW_FLOOR = 1e-300
 RESIDUAL_THRESHOLD = 0.25
 RESIDUAL_TOLERANCE = 1e-9
 SAMPLE_CAP = 100_000
+BLOCK_POINTS = 4096  # bounds the arrays one evaluation holds
 
 
 @dataclass(frozen=True)
@@ -83,8 +105,11 @@ class VarietySampler:
 def monomial_curve_sampler(ring: RingContext, exponents, radii, samples_per_radius: int,
                            seed: int, defining=()) -> VarietySampler:
     """t -> (t^c_1, ..., t^c_n) sampler."""
+    exponents = [int(c) for c in exponents]
+    if any(c < 0 for c in exponents):
+        raise ValidationError("curve exponents must be nonnegative")
     tring = RingContext(("t",))
-    comps = tuple(Polynomial.monomial(tring, (int(c),)) for c in exponents)
+    comps = tuple(Polynomial.monomial(tring, (c,)) for c in exponents)
     return VarietySampler(
         kind="parametrized", ring=ring, radii=tuple(radii),
         samples_per_radius=samples_per_radius, seed=seed,
@@ -107,11 +132,105 @@ def _lowest_order(p: Polynomial) -> int:
     return min(e[0] for e in p.terms())
 
 
+def _modulus(re, im):
+    """abs(complex(re, im)) per element: libm hypot, and CPython's
+    OverflowError where it overflows on finite parts."""
+    m = np.hypot(re, im)
+    inf = np.isinf(m)
+    if inf.any() and (inf & np.isfinite(re) & np.isfinite(im)).any():
+        raise OverflowError("absolute value too large")
+    return m
+
+
+def _row_sums(columns):
+    """The builtin sum(row) of each row across the columns, arrays of
+    floats >= +0 or NaN.  Up to two terms that is plain left-to-right
+    addition from 0 on every CPython; longer sums go through the builtin,
+    whose rounding changed in 3.12."""
+    if len(columns) <= 2:
+        return sum(columns[1:], columns[0])
+    return np.array(list(map(sum, zip(*(c.tolist() for c in columns)))))
+
+
+def _replayed(fn, points: list):
+    """fn(points); if that raises, fn([point]) for each point in turn, so
+    the error raised is the one a point-by-point loop meets first.  Every
+    step is per point, so some single point raises."""
+    try:
+        return fn(points)
+    except Exception:  # any error: only its order is at stake, and it is re-raised
+        for pt in points:
+            fn([pt])
+        raise
+
+
+class _Block:
+    """At most BLOCK_POINTS points as float64 arrays `re` and `im` of shape
+    (n, m), row j holding coordinate j.  Each power z_j ** k and
+    abs(z_j) ** k is computed once per block."""
+
+    __slots__ = ("re", "im", "_memo")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+        self._memo = {}
+
+    @classmethod
+    def of(cls, points) -> "_Block":
+        """The points, sequences of complex coordinates, as exact arrays."""
+        arity = set(map(len, points))
+        if len(arity) != 1:
+            raise StructuralError("point arity does not match ring")
+        n = arity.pop()
+        z = np.fromiter(chain.from_iterable(points), dtype=complex, count=len(points) * n)
+        z = z.reshape(len(points), n).T
+        return cls(z.real.copy(), z.imag.copy())
+
+    def points(self) -> list[tuple[complex, ...]]:
+        z = np.empty(self.re.shape, dtype=complex)
+        z.real = self.re
+        z.imag = self.im
+        return list(zip(*z.tolist()))
+
+    def power(self, j: int, k: int):
+        """z_j ** k as (re, im), k >= 1, as CPython computes it."""
+        key = ("z", j, k)
+        if key not in self._memo:
+            if k <= 100:
+                # c_powu: from r = (1, 0), r *= p for each set bit of k, lowest
+                # first, as p runs through z, p*p, ... (squares kept per block)
+                squares = self._memo.setdefault(("squares", j), [(self.re[j], self.im[j])])
+                rr, ri = 1.0, 0.0
+                for b in range(k.bit_length()):
+                    if b == len(squares):
+                        pr, pi = squares[-1]
+                        squares.append((pr * pr - pi * pi, pr * pi + pi * pr))
+                    if k >> b & 1:
+                        pr, pi = squares[b]
+                        rr, ri = rr * pr - ri * pi, rr * pi + ri * pr
+                if np.isinf(rr).any() or np.isinf(ri).any():
+                    raise OverflowError("complex exponentiation")
+            else:
+                z = np.array([complex(x, y) ** k for x, y in
+                              zip(self.re[j].tolist(), self.im[j].tolist())], dtype=complex)
+                rr, ri = z.real, z.imag
+            self._memo[key] = (rr, ri)
+        return self._memo[key]
+
+    def modulus_power(self, j: int, k: int):
+        """abs(z_j) ** k, k >= 1, by CPython's float power (libm pow)."""
+        key = ("abs", j, k)
+        if key not in self._memo:
+            moduli = _modulus(self.re[j], self.im[j]).tolist()
+            self._memo[key] = np.array(list(map(pow, moduli, repeat(k))))
+        return self._memo[key]
+
+
 class _ComplexPoly:
     """A polynomial with its coefficients converted once to complex, for
-    evaluation at many points: each term's coefficient times the powers
-    z_j ** k_j of its nonzero exponents, in variable order, summed in
-    term order from 0j."""
+    evaluation on blocks of points: each term's coefficient times the
+    powers z_j ** k_j of its nonzero exponents, in variable order, summed
+    in term order from 0j."""
 
     __slots__ = ("n", "terms")
 
@@ -119,28 +238,43 @@ class _ComplexPoly:
         self.n = p.ring.n
         self.terms = tuple((e, complex(c)) for e, c in p.terms().items())
 
-    def __call__(self, point) -> complex:
-        if len(point) != self.n:
+    def evaluate(self, block: _Block):
+        """The values at the block's points as (re, im) arrays."""
+        n, m = block.re.shape
+        if n != self.n:
             raise StructuralError("point arity does not match ring")
-        total = 0j
-        for e, v in self.terms:
-            for z, k in zip(point, e):
+        tr, ti = np.zeros(m), np.zeros(m)
+        for e, c in self.terms:
+            vr, vi = c.real, c.imag
+            for j, k in enumerate(e):
                 if k:
-                    v *= z ** k
-            total += v
-        return total
+                    pr, pi = block.power(j, k)
+                    vr, vi = vr * pr - vi * pi, vr * pi + vi * pr
+            tr, ti = tr + vr, ti + vi
+        return tr, ti
+
+    def __call__(self, point) -> complex:
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = self.evaluate(_Block.of([point]))
+        return complex(re[0], im[0])
 
 
-def _residual_ok(f: _ComplexPoly, point) -> bool:
-    value = abs(f(point))
-    scale = 0.0
-    for e, c in f.terms:
-        mono = 1.0
-        for z, k in zip(point, e):
-            if k:
-                mono *= abs(z) ** k
-        scale += abs(c) * mono  # abs(complex(x)) == abs(x) for a real float x
-    return value <= RESIDUAL_TOLERANCE * max(scale, UNDERFLOW_FLOOR)
+def _check_residuals(defining: list[_ComplexPoly], points: list) -> None:
+    """SamplingError unless |f| <= RESIDUAL_TOLERANCE times its scale
+    sum_terms |c| * prod_j |z_j| ** k_j at every point, for every f."""
+    block = _Block.of(points)
+    m = len(points)
+    for f in defining:
+        value = _modulus(*f.evaluate(block))
+        scale = np.zeros(m)
+        for e, c in f.terms:
+            mono = 1.0
+            for j, k in enumerate(e):
+                if k:
+                    mono = mono * block.modulus_power(j, k)
+            scale = scale + abs(c) * mono  # abs(complex(x)) == abs(x) for a real float x
+        if not (value <= RESIDUAL_TOLERANCE * np.maximum(scale, UNDERFLOW_FLOOR)).all():
+            raise SamplingError("sampled point violates a defining equation")
 
 
 def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
@@ -153,34 +287,45 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
         raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
     rng = np.random.default_rng(sampler.seed)
     ring, per = sampler.ring, sampler.samples_per_radius
-    points: list[tuple[complex, ...]] = []
     if sampler.kind == "parametrized":
         w = min(_lowest_order(c) for c in sampler.components)
         if w < 1:
             raise ValidationError("components must vanish at the origin")
         comps = [_ComplexPoly(c) for c in sampler.components]
-        for rho in sampler.radii:
-            r_t = rho ** (1.0 / w)
-            for theta in rng.uniform(0.0, 2.0 * math.pi, size=per).tolist():
-                t = r_t * complex(math.cos(theta), math.sin(theta))
-                points.append(tuple(c((t,)) for c in comps))
+        moduli = [[rho ** (1.0 / w)] for rho in sampler.radii]
     else:
         w_min = min(ring.weights)
         free = [j for j in range(ring.n) if j != sampler.solved_var]
         solved = _ComplexPoly(sampler.solved_expr)
-        for rho in sampler.radii:
-            moduli = [rho ** (ring.weights[j] / w_min) for j in free]
-            for thetas in rng.uniform(0.0, 2.0 * math.pi, size=(per, len(free))).tolist():
-                coords = [0j] * ring.n
-                for j, r_j, theta in zip(free, moduli, thetas):
-                    coords[j] = r_j * complex(math.cos(theta), math.sin(theta))
-                coords[sampler.solved_var] = solved(tuple(coords))
-                points.append(tuple(coords))
-    defining = [_ComplexPoly(f) for f in sampler.defining]
-    for pt in points:
-        for f in defining:
-            if not _residual_ok(f, pt):
-                raise SamplingError("sampled point violates a defining equation")
+        moduli = [[rho ** (ring.weights[j] / w_min) for j in free] for rho in sampler.radii]
+    # one row per point, one column per sampled coordinate (t, or the free ones)
+    thetas = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, size=(per, len(row)))
+                             for row in moduli])
+    radii = np.repeat(np.array(moduli), per, axis=0)
+    points: list[tuple[complex, ...]] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, BLOCK_POINTS):
+            theta = thetas[start:start + BLOCK_POINTS].T
+            r = radii[start:start + BLOCK_POINTS].T
+            cos = np.array(list(map(math.cos, theta.ravel().tolist()))).reshape(theta.shape)
+            sin = np.array(list(map(math.sin, theta.ravel().tolist()))).reshape(theta.shape)
+            # r * complex(cos, sin), r promoted to (r, 0.0)
+            fre, fim = r * cos - 0.0 * sin, r * sin + 0.0 * cos
+            if sampler.kind == "parametrized":
+                t = _Block(fre, fim)
+                values = [c.evaluate(t) for c in comps]
+                re = np.array([v[0] for v in values])
+                im = np.array([v[1] for v in values])
+            else:
+                re, im = np.zeros((ring.n, fre.shape[1])), np.zeros((ring.n, fre.shape[1]))
+                re[free], im[free] = fre, fim
+                re[sampler.solved_var], im[sampler.solved_var] = solved.evaluate(_Block(re, im))
+            points += _Block(re, im).points()
+        # every point is formed before any is checked, as one at a time would
+        defining = [_ComplexPoly(f) for f in sampler.defining]
+        if defining:
+            for start in range(0, total, BLOCK_POINTS):
+                _replayed(partial(_check_residuals, defining), points[start:start + BLOCK_POINTS])
     return points
 
 
@@ -198,25 +343,38 @@ class LojaEstimate:
 
 def loja_exponent_estimate(phi: Polynomial, a_polys, points,
                            residual_threshold: float = RESIDUAL_THRESHOLD) -> LojaEstimate:
-    """OLS fit of log|phi| against log sum_j |a_j| over the sampled points."""
+    """OLS fit of log|phi| against log sum_j |a_j| over the points, any
+    iterable of sequences of complex coordinates, read BLOCK_POINTS at a
+    time."""
     a_polys = [_ComplexPoly(g) for g in a_polys]
     if not a_polys:
         raise ValidationError("need at least one ideal generator")
     phi = _ComplexPoly(phi)
+
+    def fit_block(pts):
+        """log sum|a_j| and log|phi| of the kept points, the dropped count
+        and the kept points' norms."""
+        block = _Block.of(pts)
+        va = _row_sums([_modulus(*g.evaluate(block)) for g in a_polys])
+        vp = _modulus(*phi.evaluate(block))
+        kept = ~((va <= UNDERFLOW_FLOOR) | (vp <= UNDERFLOW_FLOOR))
+        squares = [np.array(list(map(pow, _modulus(re[kept], im[kept]).tolist(), repeat(2))))
+                   for re, im in zip(block.re, block.im)]
+        return (list(map(math.log, va[kept].tolist())), list(map(math.log, vp[kept].tolist())),
+                len(pts) - int(kept.sum()), np.sqrt(_row_sums(squares)).tolist())
+
     xs: list[float] = []
     ys: list[float] = []
     lo, hi = math.inf, 0.0  # range of the kept points' norms
     dropped = 0
-    for pt in points:
-        va = sum(abs(g(pt)) for g in a_polys)
-        vp = abs(phi(pt))
-        if va <= UNDERFLOW_FLOOR or vp <= UNDERFLOW_FLOOR:
-            dropped += 1
-            continue
-        xs.append(math.log(va))
-        ys.append(math.log(vp))
-        norm = math.sqrt(sum(abs(z) ** 2 for z in pt))
-        lo, hi = min(lo, norm), max(hi, norm)
+    points = iter(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while chunk := list(islice(points, BLOCK_POINTS)):
+            bx, by, bd, norms = _replayed(fit_block, chunk)
+            xs += bx
+            ys += by
+            dropped += bd
+            lo, hi = min((lo, *norms)), max((hi, *norms))
     total = len(xs) + dropped
     if len(xs) < 20:
         raise EstimationError(f"only {len(xs)} usable points (need 20)")

@@ -12,7 +12,10 @@ division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
 is the reference for the engine's pair heap.  `monomial_key` is the
 order-tag if-chain that `RingContext.order_key` replaced, kept as the
-reference for the per-ring key table.
+reference for the per-ring key table.  `sample_variety_scalar` and
+`loja_exponent_estimate_scalar` are the loja sampler and estimator one
+point at a time with CPython's complex arithmetic, the reference for the
+block evaluation of `bsw.loja`.
 
 The rest are helpers that only the tests need, written as functions of
 the package's objects: term multiples and S-polynomials, monomial
@@ -24,11 +27,17 @@ polynomial.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from bsw.closure import FM_ROW_CAP, MonomialIdeal
-from bsw.errors import ResourceCapError, StructuralError
+from bsw.errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
+                        ValidationError)
+from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
+                      LojaEstimate, VarietySampler)
 from bsw.modgb import VecPoly, divide
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
                       parse_polynomial)
@@ -373,3 +382,94 @@ def eval_complex(p: Polynomial, point) -> complex:
                 v *= z ** k
         total += v
     return total
+
+
+def _residual_ok_scalar(f: Polynomial, point) -> bool:
+    value = abs(eval_complex(f, point))
+    scale = 0.0
+    for e, c in f.terms().items():
+        mono = 1.0
+        for z, k in zip(point, e):
+            if k:
+                mono *= abs(z) ** k
+        scale += abs(complex(c)) * mono
+    return value <= RESIDUAL_TOLERANCE * max(scale, UNDERFLOW_FLOOR)
+
+
+def sample_variety_scalar(sampler: VarietySampler) -> list[tuple[complex, ...]]:
+    """`bsw.loja.sample_variety` one point at a time."""
+    total = len(sampler.radii) * sampler.samples_per_radius
+    if total > SAMPLE_CAP:
+        raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
+    rng = np.random.default_rng(sampler.seed)
+    ring, per = sampler.ring, sampler.samples_per_radius
+    points: list[tuple[complex, ...]] = []
+    if sampler.kind == "parametrized":
+        w = min(min(e[0] for e in c.terms()) for c in sampler.components)
+        if w < 1:
+            raise ValidationError("components must vanish at the origin")
+        for rho in sampler.radii:
+            r_t = rho ** (1.0 / w)
+            for theta in rng.uniform(0.0, 2.0 * math.pi, size=per).tolist():
+                t = r_t * complex(math.cos(theta), math.sin(theta))
+                points.append(tuple(eval_complex(c, (t,)) for c in sampler.components))
+    else:
+        w_min = min(ring.weights)
+        free = [j for j in range(ring.n) if j != sampler.solved_var]
+        for rho in sampler.radii:
+            moduli = [rho ** (ring.weights[j] / w_min) for j in free]
+            for thetas in rng.uniform(0.0, 2.0 * math.pi, size=(per, len(free))).tolist():
+                coords = [0j] * ring.n
+                for j, r_j, theta in zip(free, moduli, thetas):
+                    coords[j] = r_j * complex(math.cos(theta), math.sin(theta))
+                coords[sampler.solved_var] = eval_complex(sampler.solved_expr, tuple(coords))
+                points.append(tuple(coords))
+    for pt in points:
+        for f in sampler.defining:
+            if not _residual_ok_scalar(f, pt):
+                raise SamplingError("sampled point violates a defining equation")
+    return points
+
+
+def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points,
+                                  residual_threshold: float = RESIDUAL_THRESHOLD) -> LojaEstimate:
+    """`bsw.loja.loja_exponent_estimate` one point at a time."""
+    a_polys = list(a_polys)
+    if not a_polys:
+        raise ValidationError("need at least one ideal generator")
+    xs: list[float] = []
+    ys: list[float] = []
+    lo, hi = math.inf, 0.0
+    dropped = 0
+    for pt in points:
+        va = sum(abs(eval_complex(g, pt)) for g in a_polys)
+        vp = abs(eval_complex(phi, pt))
+        if va <= UNDERFLOW_FLOOR or vp <= UNDERFLOW_FLOOR:
+            dropped += 1
+            continue
+        xs.append(math.log(va))
+        ys.append(math.log(vp))
+        norm = math.sqrt(sum(abs(z) ** 2 for z in pt))
+        lo, hi = min(lo, norm), max(hi, norm)
+    total = len(xs) + dropped
+    if len(xs) < 20:
+        raise EstimationError(f"only {len(xs)} usable points (need 20)")
+    if dropped > total / 2:
+        raise EstimationError("phi or the ideal vanishes on more than half the sample")
+    x = np.asarray(xs)
+    y = np.asarray(ys)
+    if float(x.max() - x.min()) < 1e-9:
+        raise EstimationError("regressor is flat; radii ladder too degenerate")
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
+    return LojaEstimate(
+        slope=float(slope),
+        intercept=float(intercept),
+        residual=residual,
+        n_points=len(xs),
+        radii_range=(lo, hi),
+        reliable=residual <= residual_threshold,
+        log_a=tuple(xs),
+        log_phi=tuple(ys),
+    )

@@ -2,19 +2,21 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsw.errors import (EstimationError, SamplingError, StructuralError,
                         ValidationError)
+from bsw import loja
 from bsw.loja import (VarietySampler, _ComplexPoly, hypersurface_sampler,
                       loja_exponent_estimate, monomial_curve_sampler,
                       sample_variety)
 from bsw.poly import Polynomial, RingContext, parse_polynomial
 
-from _oracles import eval_complex
+from _oracles import eval_complex, loja_exponent_estimate_scalar, sample_variety_scalar
 
 RW = RingContext(("z", "w"), (2, 5))
 RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
@@ -48,6 +50,11 @@ def test_sampler_validation():
         monomial_curve_sampler(RW, (2,), RADII, 5, 0)  # one component missing
     with pytest.raises(ValidationError):
         sample_variety(monomial_curve_sampler(RW, (0, 5), RADII, 5, 0))
+
+
+def test_negative_curve_exponent_is_a_validation_error():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        monomial_curve_sampler(RW, (-2, 5), RADII, 5, 0)
 
 
 def test_sampler_component_ring_checks():
@@ -180,3 +187,135 @@ def test_converted_evaluation_is_eval_complex(p, point):
     assert _ComplexPoly(p)(point) == eval_complex(p, point)
     with pytest.raises(StructuralError):
         _ComplexPoly(p)(point[:2])
+
+
+# ------------------------------------------------- blocks against the scalar loop
+
+def _outcome(fn, *args):
+    """What fn returns, with every float as float.hex, or its error."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # the error kind and message are compared
+        return type(exc).__name__, str(exc)
+    if isinstance(got, list):
+        return [tuple((z.real.hex(), z.imag.hex()) for z in pt) for pt in got]
+    return (got.slope.hex(), got.intercept.hex(), got.residual.hex(), got.n_points,
+            tuple(x.hex() for x in got.radii_range), got.reliable,
+            tuple(x.hex() for x in got.log_a), tuple(x.hex() for x in got.log_phi))
+
+
+RINGS = (RW, RingContext(("x", "y", "z"), (1, 2, 3)))
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+def _polys(ring, exponent, min_size=0):
+    terms = st.lists(st.tuples(st.tuples(*[exponent] * ring.n), small),
+                     min_size=min_size, max_size=4)
+    return st.builds(lambda t: Polynomial(ring, t), terms)
+
+
+@st.composite
+def samplers(draw):
+    ring = draw(st.sampled_from(RINGS))
+    radii = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()) and draw(st.booleans()):
+        radii.append(5e-324)  # some r*cos(theta) round to a signed zero
+    radii.sort(reverse=True)
+    per, seed = draw(st.integers(5, 40)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        # a curve, one exponent possibly past CPython's integer-power ladder
+        exps = draw(st.lists(st.integers(1, 6), min_size=ring.n, max_size=ring.n))
+        if draw(st.booleans()):
+            exps[draw(st.integers(0, ring.n - 1))] = draw(st.integers(101, 150))
+        # x_0^c_1 - x_1^c_0 vanishes on the curve; a random equation does not
+        binomial = Polynomial(ring, [((exps[1],) + (0,) * (ring.n - 1), 1),
+                                     ((0, exps[0]) + (0,) * (ring.n - 2), -1)])
+        defining = [(), (binomial,), None][draw(st.integers(0, 2))]
+        if defining is None:
+            defining = (draw(_polys(ring, st.integers(0, 4), 1)),)
+        return monomial_curve_sampler(ring, exps, radii, per, seed, defining)
+    var = draw(st.integers(0, ring.n - 1))
+    free = st.integers(0, 4)
+    expr = draw(st.builds(
+        lambda t: Polynomial(ring, [(e[:var] + (0,) + e[var + 1:], c) for e, c in t]),
+        st.lists(st.tuples(st.tuples(*[free] * ring.n), small), max_size=4)))
+    return hypersurface_sampler(ring, var, expr, radii, per, seed)
+
+
+@st.composite
+def extra_points(draw, n):
+    """Points near 0 (phi or the ideal underflows: dropped) and, each in
+    about one example of four, a huge one (a power or a modulus
+    overflows) and one of the wrong arity, each with its insertion index."""
+    tiny = st.builds(complex, st.floats(-1e-150, 1e-150), st.floats(-1e-150, 1e-150))
+    big = st.sampled_from([0.0, 1e100, -1e160, 1.7e308])
+    huge = st.builds(complex, big, big)
+    points = draw(st.lists(st.tuples(*[tiny] * n), max_size=3))
+    for odd in (st.tuples(*[huge] * n), st.tuples(*[tiny] * (n - 1))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            points.append(draw(odd))
+    return [(draw(st.integers(0, 10**6)), pt) for pt in points]
+
+
+@settings(max_examples=80)
+@given(samplers(), st.sampled_from([1, 3, 64, loja.BLOCK_POINTS]), st.data())
+def test_block_evaluation_is_the_scalar_loop_bit_for_bit(sampler, block, data):
+    ring = sampler.ring
+    with mock.patch.object(loja, "BLOCK_POINTS", block):
+        points = _outcome(sample_variety, sampler)
+        assert points == _outcome(sample_variety_scalar, sampler)
+        if not isinstance(points, list):
+            return
+        pts = sample_variety(sampler)
+        for i, pt in data.draw(extra_points(ring.n)):
+            pts.insert(i % (len(pts) + 1), pt)
+        phi = data.draw(_polys(ring, st.integers(0, 5), 1))
+        a_polys = data.draw(st.lists(_polys(ring, st.integers(0, 5), 1), min_size=1, max_size=4))
+        as_iterator = data.draw(st.booleans())
+        got = _outcome(loja_exponent_estimate, phi, a_polys, iter(pts) if as_iterator else pts)
+        assert got == _outcome(loja_exponent_estimate_scalar, phi, a_polys, pts)
+        if any(len(pt) != ring.n for pt in pts) and got[0] != "OverflowError":
+            assert got[0] == "StructuralError"
+
+
+def test_block_evaluation_beyond_one_block_is_the_scalar_loop():
+    # the real block size, 5,200 points: a full block and a partial one
+    R3 = RINGS[1]
+    x, y, z = (Polynomial.variable(R3, j) for j in range(3))
+    curve = monomial_curve_sampler(R3, (2, 3, 120), (1e-1, 1e-3), 2600, 5)
+    solve = hypersurface_sampler(R3, 2, P("x^2 - 2*y^3 + x*y", R3), (1e-1, 1e-3), 2600, 5)
+    for sampler, phi in ((curve, z), (solve, P("z^2 + x^101*y", R3))):
+        pts = sample_variety(sampler)
+        assert len(pts) > loja.BLOCK_POINTS
+        assert _outcome(sample_variety, sampler) == _outcome(sample_variety_scalar, sampler)
+        got = _outcome(loja_exponent_estimate, phi, [x, y, z], iter(pts))
+        assert got[3] == len(pts)
+        assert got == _outcome(loja_exponent_estimate_scalar, phi, [x, y, z], pts)
+
+
+def test_norms_square_by_cpython_float_power():
+    # libm pow(m, 2) is not always m*m; with glibc this pair's norm tells them apart
+    a, b = float.fromhex("0x1.9f179da532e1dp-1"), float.fromhex("0x1.8a2172d80164cp-3")
+    pts = curve_points() + [(complex(a, 0.0), complex(b, 0.0))]
+    got = loja_exponent_estimate(P("w"), [P("z")], pts)
+    assert got.radii_range[1] == math.sqrt(a ** 2 + b ** 2)
+    assert _outcome(loja_exponent_estimate, P("w"), [P("z")], pts) == \
+        _outcome(loja_exponent_estimate_scalar, P("w"), [P("z")], pts)
+
+
+POW, ABS, SHORT = (1e200 + 0j, 1e200 + 0j), (1.7e308 + 1.7e308j, 0.5 + 0j), (0.5 + 0j,)
+
+
+@pytest.mark.parametrize("odd, error", [
+    ((POW, SHORT), ("OverflowError", "complex exponentiation")),
+    ((SHORT, POW), ("StructuralError", "point arity does not match ring")),
+    ((POW, ABS), ("OverflowError", "complex exponentiation")),
+    ((ABS, POW), ("OverflowError", "absolute value too large")),
+])
+def test_first_error_in_point_order(odd, error):
+    # phi = w^2 overflows at POW, |z| overflows at ABS, SHORT has the wrong
+    # arity: the error is the first point's, whichever step it comes from
+    pts = curve_points()[:30] + list(odd) + curve_points()[:30]
+    got = _outcome(loja_exponent_estimate, P("w^2"), [P("z")], pts)
+    assert got == error
+    assert got == _outcome(loja_exponent_estimate_scalar, P("w^2"), [P("z")], pts)

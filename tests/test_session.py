@@ -292,6 +292,12 @@ def test_germ_mu_below_smallest_element_gives_validation_block():
         "message": "v_max must be at least 2, the smallest element of <2, 5>"}
 
 
+def test_negative_curve_exponent_gives_validation_block():
+    block = run_one("ring z, w weights 2, 5;\nloja --phi w --a z --curve -2,5;")
+    assert block["error"] == {"kind": "validation",
+                              "message": "curve exponents must be nonnegative"}
+
+
 def test_zero_ideal_gives_one_validation_block_per_command():
     sess = parse("ring x, y;\nideal Z = 0;\nnewton-closure Z;\n"
                  "bs-verify-monomial Z --ell 1;\n")

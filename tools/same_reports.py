@@ -5,13 +5,15 @@
 `git archive`s REV into a temporary directory, then runs
 `bsw.cli.main(["run", SESSION, "--out", REPORT, "--seed", N])` with the
 code of each tree on perfbench/workloads/*.bsw, sessions/acceptance.bsw,
-a two-line loja session that writes CSVs and a monomial session whose
-containment check fails (so a real counterexample is compared), at seeds
-0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
+a two-line loja session that writes CSVs, a loja session whose CSVs
+cover several evaluation blocks (a curve with an exponent above 100 and a
+`--solve` over three variables, 9,100 points each) and a monomial session
+whose containment check fails (so a real counterexample is compared), at
+seeds 0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
 289 and 290, so budget verdicts are compared too (289/290 is where
 `strata TP` runs out); and, at seed 0 only since it samples nothing, on a
 `newton-closure` session whose Newton projection exceeds the row cap, so
-a `resource-cap` verdict and its exit code are compared: 22 runs.  Both
+a `resource-cap` verdict and its exit code are compared: 25 runs.  Both
 trees read the session files of this checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
@@ -37,6 +39,10 @@ TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 CSV_SESSION = ("ring z, w weights 2, 5;\n"
                "loja --phi w --a z --curve 2,5 --csv curve.csv;\n"
                "loja --phi z^3 --a z, w --solve w=z^2 --csv solve.csv;\n")
+BLOCKS_SESSION = ("ring x, y, z weights 1, 2, 3;\n"
+                  "loja --phi z --a x, y --curve 2,3,101 --per-radius 1300 --csv curve.csv;\n"
+                  "loja --phi z^2 --a x, y, z --solve z=x^3-2*y^2+x*y --per-radius 1300"
+                  " --csv solve.csv;\n")
 WITNESS_SESSION = ("ring x, y;\n"
                    "ideal M = x^2, y^2;\n"
                    "bs-verify-monomial M --ell 1 --d 1;\n"
@@ -87,6 +93,7 @@ def main(argv=None) -> int:
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", other], input=archive, check=True)
         inline = {"loja --csv session": (os.path.join(tmp, "loja_csv.bsw"), CSV_SESSION),
+                  "loja blocks session": (os.path.join(tmp, "loja_blocks.bsw"), BLOCKS_SESSION),
                   "witness session": (os.path.join(tmp, "witness.bsw"), WITNESS_SESSION)}
         row_cap = os.path.join(tmp, "row_cap.bsw")
         for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION)]:
