@@ -21,15 +21,14 @@ generator or the first counterexample: one walk over those points (the
 staircase), each read off the facets, serves both the closure and the
 containment check.  The walk evaluates the facets with numpy on blocks
 of lines, in int64 where that is provably exact and in Python ints
-otherwise.
+otherwise.  numpy is imported by the two functions that use it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-
-import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .poly import (POWER_CAP, Exponent, Polynomial, exp_divides, format_monomial,
@@ -164,6 +163,7 @@ def _staircase_blocks(M: MonomialIdeal, scale: int, sides: list[int]):
     in int64 when no entry or partial sum can reach EXACT_INT64, and in
     Python ints (dtype object) otherwise, so it is exact either way.
     """
+    import numpy as np
     facets = newton_facets(M)
     bound = max(scale * abs(r) + sum(cj * max(b, 1) for cj, b in zip(c, sides))
                 for c, r in facets)
@@ -213,6 +213,7 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     prefix cell, and a running minimum along every prefix axis spreads it
     upwards.  A staircase point below that start is outside the target.
     """
+    import numpy as np
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
     sides = _box_sides(M, e)

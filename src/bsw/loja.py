@@ -30,7 +30,8 @@ and power round differently):
   mapped over lists.
 CPython's OverflowErrors are raised where it raises them, and a block
 that raises anything is evaluated again one point at a time, so the
-error is the one a point-by-point loop meets first.
+error is the one a point-by-point loop meets first.  numpy is imported
+by each function that uses it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
-
-import numpy as np
 
 from .errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
                      ValidationError)
@@ -135,6 +134,7 @@ def _lowest_order(p: Polynomial) -> int:
 def _modulus(re, im):
     """abs(complex(re, im)) per element: libm hypot, and CPython's
     OverflowError where it overflows on finite parts."""
+    import numpy as np
     m = np.hypot(re, im)
     inf = np.isinf(m)
     if inf.any() and (inf & np.isfinite(re) & np.isfinite(im)).any():
@@ -147,6 +147,7 @@ def _row_sums(columns):
     floats >= +0 or NaN.  Up to two terms that is plain left-to-right
     addition from 0 on every CPython; longer sums go through the builtin,
     whose rounding changed in 3.12."""
+    import numpy as np
     if len(columns) <= 2:
         return sum(columns[1:], columns[0])
     return np.array(list(map(sum, zip(*(c.tolist() for c in columns)))))
@@ -178,6 +179,7 @@ class _Block:
     @classmethod
     def of(cls, points) -> "_Block":
         """The points, sequences of complex coordinates, as exact arrays."""
+        import numpy as np
         arity = set(map(len, points))
         if len(arity) != 1:
             raise StructuralError("point arity does not match ring")
@@ -187,6 +189,7 @@ class _Block:
         return cls(z.real.copy(), z.imag.copy())
 
     def points(self) -> list[tuple[complex, ...]]:
+        import numpy as np
         z = np.empty(self.re.shape, dtype=complex)
         z.real = self.re
         z.imag = self.im
@@ -194,6 +197,7 @@ class _Block:
 
     def power(self, j: int, k: int):
         """z_j ** k as (re, im), k >= 1, as CPython computes it."""
+        import numpy as np
         key = ("z", j, k)
         if key not in self._memo:
             if k <= 100:
@@ -219,6 +223,7 @@ class _Block:
 
     def modulus_power(self, j: int, k: int):
         """abs(z_j) ** k, k >= 1, by CPython's float power (libm pow)."""
+        import numpy as np
         key = ("abs", j, k)
         if key not in self._memo:
             moduli = _modulus(self.re[j], self.im[j]).tolist()
@@ -240,6 +245,7 @@ class _ComplexPoly:
 
     def evaluate(self, block: _Block):
         """The values at the block's points as (re, im) arrays."""
+        import numpy as np
         n, m = block.re.shape
         if n != self.n:
             raise StructuralError("point arity does not match ring")
@@ -254,6 +260,7 @@ class _ComplexPoly:
         return tr, ti
 
     def __call__(self, point) -> complex:
+        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             re, im = self.evaluate(_Block.of([point]))
         return complex(re[0], im[0])
@@ -262,6 +269,7 @@ class _ComplexPoly:
 def _check_residuals(defining: list[_ComplexPoly], points: list) -> None:
     """SamplingError unless |f| <= RESIDUAL_TOLERANCE times its scale
     sum_terms |c| * prod_j |z_j| ** k_j at every point, for every f."""
+    import numpy as np
     block = _Block.of(points)
     m = len(points)
     for f in defining:
@@ -282,6 +290,7 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
     at most SAMPLE_CAP of them.  The angles of one radius come from one
     `uniform` call, the same PCG64 values in the same order as one call
     per angle."""
+    import numpy as np
     total = len(sampler.radii) * sampler.samples_per_radius
     if total > SAMPLE_CAP:
         raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
@@ -346,6 +355,7 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
     """OLS fit of log|phi| against log sum_j |a_j| over the points, any
     iterable of sequences of complex coordinates, read BLOCK_POINTS at a
     time."""
+    import numpy as np
     a_polys = [_ComplexPoly(g) for g in a_polys]
     if not a_polys:
         raise ValidationError("need at least one ideal generator")

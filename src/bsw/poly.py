@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import add, le, mul, neg, sub
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 
@@ -35,11 +36,11 @@ POWER_CAP = 200_000
 
 
 def _weighted_degrevlex_key(weights: tuple[int, ...], e: Exponent):
-    return (sum(w * k for w, k in zip(weights, e)), tuple(-x for x in reversed(e)))
+    return (sum(map(mul, weights, e)), tuple(map(neg, e[::-1])))
 
 
 def _degrevlex_key(weights: tuple[int, ...], e: Exponent):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, e[::-1])))
 
 
 def _lex_key(weights: tuple[int, ...], e: Exponent):
@@ -90,7 +91,7 @@ class RingContext:
         return len(self.variable_names)
 
     def weighted_degree(self, e: Exponent) -> int:
-        return sum(w * k for w, k in zip(self.weights, e))
+        return sum(map(mul, self.weights, e))
 
     def var_index(self, name: str) -> int:
         try:
@@ -112,17 +113,20 @@ def power_combinations(gens: tuple, ell: int, cap: int = POWER_CAP):
     return itertools.combinations_with_replacement(gens, ell)
 
 
+# The exponent kernels and the order keys run as `map` over operator
+# functions and builtins, C loops with no Python frame per entry.
+
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def add_term(terms: dict, key, c) -> None:

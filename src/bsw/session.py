@@ -20,6 +20,13 @@ Each command kind is one `_COMMANDS` entry: a parse function
 payload -> (result, summary) whose summary is built from the result
 alone.  Parse helpers raise `ValidationError`; `parse_session` attaches
 the statement position once.
+
+In a session, numpy loads at parse time or not at all.  Importing bsw
+does not load it: `closure` and `loja` import it inside the functions
+that use it.  `parse_session` imports it when it meets a command of a kind in
+`_NUMPY_KINDS`, the kinds whose run functions use it, so a session that
+needs numpy pays for it before its first command runs, and one that does
+not (resolutions, strata, `check-*`, germ commands) never loads it.
 """
 
 from __future__ import annotations
@@ -588,6 +595,9 @@ _COMMANDS = {
     "germ mu": (_parse_germ_mu, _run_germ_mu),
 }
 
+# the command kinds whose run functions use numpy (closure, loja)
+_NUMPY_KINDS = frozenset({"bs-verify-monomial", "newton-closure", "loja"})
+
 
 def parse_session(text: str) -> Session:
     """Parse and resolve a session; commands are not executed."""
@@ -624,6 +634,8 @@ def parse_session(text: str) -> Session:
             inputs, payload = _COMMANDS[kind][0](kind, tokens, st)
         except (ValidationError, StructuralError) as exc:
             raise SessionSyntaxError(str(exc), line, col) from None
+        if kind in _NUMPY_KINDS:
+            import numpy  # noqa: F401  (loaded here, not inside the command's run)
         sess.commands.append(Command(kind, line, col, inputs, payload))
     return sess
 

@@ -12,7 +12,11 @@ division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
 is the reference for the engine's pair heap.  `monomial_key` is the
 order-tag if-chain that `RingContext.order_key` replaced, kept as the
-reference for the per-ring key table.  `sample_variety_scalar` and
+reference for the per-ring key table.  The `*_genexpr` functions are the
+generator-expression exponent kernels and weighted degree that
+`bsw.poly` replaced with `map` over builtins, kept as the reference for
+those; with `monomial_key` they are the reference for the order keys.
+`sample_variety_scalar` and
 `loja_exponent_estimate_scalar` are the loja sampler and estimator one
 point at a time with CPython's complex arithmetic, the reference for the
 block evaluation of `bsw.loja`.
@@ -292,7 +296,7 @@ def buchberger_by_min(gens, order, budget) -> list:
     return G
 
 
-# -- the old order-key if-chain, and helpers only the tests need --------
+# -- the old order-key if-chain and exponent kernels; test-only helpers ---
 
 def monomial_key(e, ctx: RingContext):
     """Sort key realizing ctx.order; larger key = larger monomial."""
@@ -303,6 +307,26 @@ def monomial_key(e, ctx: RingContext):
     if ctx.order == "weighted-degrevlex":
         return (ctx.weighted_degree(e), tuple(-x for x in reversed(e)))
     raise StructuralError(f"order {ctx.order!r} not comparable here")
+
+
+def exp_add_genexpr(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def exp_sub_genexpr(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_divides_genexpr(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def exp_lcm_genexpr(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def weighted_degree_genexpr(weights, e):
+    return sum(w * k for w, k in zip(weights, e))
 
 
 def cmp_monomials(e1, e2, ctx: RingContext) -> int:

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, parsing and printing."""
 
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from bsw import closure, groebner, semigroup
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.modgb import VecPoly
-from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent,
-                      format_polynomial, parse_polynomial, parse_polynomials,
-                      split_top_commas, weighted_degree_info)
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent, exp_add,
+                      exp_divides, exp_lcm, exp_sub, format_polynomial, parse_polynomial,
+                      parse_polynomials, split_top_commas, weighted_degree_info)
 
-from _oracles import cmp_monomials, eval_complex, monomial_key
+from _oracles import (cmp_monomials, eval_complex, exp_add_genexpr, exp_divides_genexpr,
+                      exp_lcm_genexpr, exp_sub_genexpr, monomial_key, weighted_degree_genexpr)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -148,6 +150,28 @@ def test_order_key_table_matches_if_chain(order, weights, exps):
     for e in exps:
         e = tuple(e[:ctx.n])
         assert ctx.order_key(e) == monomial_key(e, ctx) == back.order_key(e)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 7), min_size=n, max_size=n),
+    st.lists(st.tuples(*[st.integers(0, 40)] * n), min_size=1, max_size=5))))
+def test_kernels_match_generator_expressions(case):
+    # the map-over-builtins kernels give the generator expressions' values,
+    # so division and Buchberger pick the same terms and pairs; monomial_key
+    # keeps the old reversed-tuple form and takes the weighted degree checked here
+    weights, exps = case
+    for a, b in itertools.product(exps, repeat=2):
+        assert exp_add(a, b) == exp_add_genexpr(a, b)
+        assert exp_sub(a, b) == exp_sub_genexpr(a, b)
+        assert exp_divides(a, b) == exp_divides_genexpr(a, b)
+        assert exp_lcm(a, b) == exp_lcm_genexpr(a, b)
+    names = tuple(f"x{i}" for i in range(len(weights)))
+    for order in RING_ORDERS:
+        ctx = RingContext(names, tuple(weights), order)
+        for ring in (ctx, pickle.loads(pickle.dumps(ctx))):
+            for e in exps:
+                assert ring.weighted_degree(e) == weighted_degree_genexpr(ring.weights, e)
+                assert ring.order_key(e) == monomial_key(e, ring)
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)),

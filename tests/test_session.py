@@ -1,6 +1,9 @@
 """Session parsing, execution blocks, report assembly, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from bsw import cli
-from bsw.session import (SessionSyntaxError, parse_session, report_exit_code,
-                         run_command, run_session)
+from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, parse_session,
+                         report_exit_code, run_command, run_session)
 
 CUSP = "ring z, w weights 2, 5;\nideal C = z^5 - w^2;\n"
 
@@ -461,6 +464,73 @@ def test_cli_negative_seed_gives_validation_block(tmp_path, capsys):
     assert json.loads(open(out).read())["blocks"][0]["error"] == {
         "kind": "validation", "message": "seed must be a non-negative integer"}
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- numpy load points
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a fresh interpreter parses the session on stdin, then runs it, and says
+# whether numpy was loaded after each step
+NUMPY_PROBE = """
+import json, sys
+import bsw, bsw.cli
+imported = "numpy" in sys.modules
+from bsw.session import parse_session, run_session
+sess = parse_session(sys.stdin.read())
+parsed = "numpy" in sys.modules
+report = run_session(sess, csv_dir=sys.argv[1])
+print(json.dumps({"imported": imported, "parsed": parsed, "ran": "numpy" in sys.modules,
+                  "status": [b["status"] for b in report["blocks"]]}))
+"""
+
+GERM = "germ semigroup 2, 5;\ngerm ideal 2;\n"
+ONE_COMMAND = {
+    "resolve": CUSP + "resolve C;",
+    "strata": CUSP + "strata C;",
+    "check-cm": CUSP + "check-cm C;",
+    "check-normal": CUSP + "check-normal C;",
+    "check-bs": CUSP + "ideal A = z, w;\ncheck-bs C --ideal A;",
+    "bs-verify-monomial": "ring x, y;\nideal M = x^2, y^3;\nbs-verify-monomial M --ell 2;",
+    "newton-closure": "ring x, y;\nideal M = x^2, y^3;\nnewton-closure M;",
+    "loja": "ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5;",
+    "germ member": GERM + "germ member 4;",
+    "germ closure-member": GERM + "germ closure-member 5 power=2;",
+    "germ bs-exponent": GERM + "germ bs-exponent ell=2;",
+    "germ mu": "germ semigroup 2, 5;\ngerm mu vmax=12 lmax=4;",
+}
+
+
+def _numpy_probe(text, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(tmp_path)], input=text,
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_resolve_workload_never_loads_numpy(tmp_path):
+    # importing bsw and its CLI, parsing and running the exact side load no numpy
+    with open(os.path.join(ROOT, "perfbench", "workloads", "resolve.bsw"),
+              encoding="utf-8") as fh:
+        probe = _numpy_probe(fh.read(), tmp_path)
+    assert probe["status"] and set(probe["status"]) == {"ok"}
+    assert not (probe["imported"] or probe["parsed"] or probe["ran"])
+
+
+def test_one_command_sessions_cover_every_kind():
+    assert set(ONE_COMMAND) == set(_COMMANDS) and _NUMPY_KINDS <= set(_COMMANDS)
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_COMMAND))
+def test_numpy_is_never_first_loaded_inside_a_command(kind, tmp_path):
+    # a run that needs numpy finds it loaded by the parser, so _NUMPY_KINDS
+    # cannot miss a kind whose run imports it
+    probe = _numpy_probe(ONE_COMMAND[kind] + "\n", tmp_path)
+    assert probe["status"] == ["ok"]
+    assert not probe["imported"]
+    assert probe["parsed"] == (kind in _NUMPY_KINDS)
+    assert probe["ran"] == probe["parsed"]
 
 
 # ---------------------------------------------------------------- fuzz
