@@ -259,12 +259,6 @@ class _ComplexPoly:
             tr, ti = tr + vr, ti + vi
         return tr, ti
 
-    def __call__(self, point) -> complex:
-        import numpy as np
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = self.evaluate(_Block.of([point]))
-        return complex(re[0], im[0])
-
 
 def _check_residuals(defining: list[_ComplexPoly], points: list) -> None:
     """SamplingError unless |f| <= RESIDUAL_TOLERANCE times its scale

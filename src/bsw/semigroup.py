@@ -1,25 +1,25 @@
 """Numerical semigroups and fractional-ideal containments on curve germs.
 
-For a monomial curve germ the value semigroup S determines everything:
-an ideal is a finite antichain of shifts, membership is subtraction, and
-the integral closure of A is {s in S : s >= v(A)} where v(A) is the
-minimal shift (order of vanishing).
+For a monomial curve germ the value semigroup S determines everything: an
+ideal is a finite antichain of shifts, membership is subtraction, and the
+integral closure of A is {s in S : s >= v(A)} where v(A) is the minimal shift
+(order of vanishing).  Sets of values are int bit masks over windows of at
+most max(conductor, 1) values, never from 0, which would cost v(A) bits.
 
-Truncation sufficiency (used by every loop below): every s in S with
-s >= ell * v(A) + conductor(S) lies in A^ell, because subtracting ell
-copies of the minimal shift leaves s - ell*v(A) >= conductor, which is
-in S.  So containment checks only scan the finite window below
-ell*v(A) + conductor, and the containment exponent search terminates by
-N <= ell + ceil(conductor / v(A)): once N*v(A) reaches the bound the
-window is empty and containment holds.  A search whose bound exceeds
-SEARCH_CAP is refused, and so is a mu search (which repeats the search for
-every ell up to its gauge) whose largest bound exceeds MU_SEARCH_CAP.
+Truncation sufficiency, and why windows start at ell*v(A): nothing below
+ell*v(A) lies in A^ell, so for N < ell the least test element N*v(A) fails;
+every s in S with s >= ell*v(A) + conductor lies in A^ell, because
+subtracting ell copies of v(A) leaves s - ell*v(A) >= conductor, in S.  So a
+check needs only [ell*v(A), ell*v(A) + conductor), and the exponent search
+ends by N <= ell + ceil(conductor / v(A)), where that window is empty.  A
+search whose bound exceeds SEARCH_CAP is refused, and so is a mu search
+(which repeats the search for every ell up to its gauge) whose largest bound
+exceeds MU_SEARCH_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import ceil, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
@@ -36,49 +36,45 @@ class NumericalSemigroup:
     generators: tuple[int, ...]
     conductor: int
     gaps: tuple[int, ...]
+    gap_mask: int  # bit s set iff s is a gap
 
     def contains(self, s: int) -> bool:
-        if s < 0:
-            return False
-        if s >= self.conductor:
-            return True
-        return s not in self._gap_set
+        return s >= 0 and not self.gap_mask >> s & 1
 
-    @cached_property
-    def _gap_set(self):
-        return frozenset(self.gaps)
+    def window(self, lo: int, width: int) -> int:
+        """The members of S in [lo, lo + width) as bits, bit i for lo + i; lo >= 0."""
+        return ~(self.gap_mask >> lo) & ((1 << width) - 1)
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
 
 def semigroup_build(generators) -> NumericalSemigroup:
-    """Membership table, conductor and gaps for <g_1, ..., g_k>, gcd 1.
+    """Membership bits, conductor and gaps for <g_1, ..., g_k>, gcd 1.
 
-    By Schur's bound the conductor is at most (g_min - 1)(g_max - 1), so
-    a table of g_min * g_max + 2 entries holds every gap; tables above
-    TABLE_CAP entries are refused.
+    By Schur's bound the conductor is at most (g_min - 1)(g_max - 1), so a table
+    of g_min * g_max + 2 entries holds every gap; tables above TABLE_CAP are refused.
     """
     gens = tuple(sorted(set(int(g) for g in generators)))
     if not gens or any(g < 1 for g in gens):
         raise ValidationError("semigroup generators must be positive integers")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*gens) != 1:
         raise ValidationError("semigroup generators must have gcd 1")
     size = gens[0] * gens[-1] + 2
     if size > TABLE_CAP:
         raise ValidationError(f"semigroup table of {size} entries exceeds the cap {TABLE_CAP}")
-    member = [False] * size
-    member[0] = True
-    for i in range(1, size):
-        for x in gens:
-            if i >= x and member[i - x]:
-                member[i] = True
-                break
-    gaps = tuple(i for i in range(size) if not member[i])
-    return NumericalSemigroup(gens, gaps[-1] + 1 if gaps else 0, gaps)
+    member, full = 1, (1 << size) - 1
+    for x in gens:
+        for k in range((size // x).bit_length()):
+            # doubling: after round k, member is closed under adding j * x, j < 2^(k+1)
+            member = (member | member << (x << k)) & full
+    gap_mask = full & ~member
+    return NumericalSemigroup(gens, gap_mask.bit_length(), _bits(gap_mask), gap_mask)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask >= 0, ascending."""
+    return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
 
 
 @dataclass(frozen=True)
@@ -96,19 +92,30 @@ class SemigroupIdeal:
 
 
 def semigroup_ideal(S: NumericalSemigroup, shifts) -> SemigroupIdeal:
+    """The minimal shifts: s is kept iff s is in no t + (S minus 0), t a shift."""
     shifts = sorted(set(int(s) for s in shifts))
     if not shifts:
         raise ValidationError("ideal needs at least one shift")
-    for s in shifts:
-        if s < 1:
-            raise ValidationError("shifts must be positive")
-        if not S.contains(s):
-            raise ValidationError(f"shift {s} is not in the semigroup")
-    kept: list[int] = []
-    for s in shifts:
-        if not any(S.contains(s - k) for k in kept):
-            kept.append(s)
-    return SemigroupIdeal(tuple(kept))
+    if shifts[0] < 1:
+        raise ValidationError("shifts must be positive")
+    # a shift at or past v + conductor lies in S and in v + (S minus 0)
+    v, width = shifts[0], max(S.conductor, 1)
+    outside = _union(1, shifts, v, width) & ~S.window(v, width)
+    if outside:
+        raise ValidationError(
+            f"shift {v + (outside & -outside).bit_length() - 1} is not in the semigroup")
+    covered = _union(S.window(0, width) & ~1, shifts, v, width)
+    return SemigroupIdeal(tuple(s for s in shifts if s - v < width and not covered >> (s - v) & 1))
+
+
+def _union(mask: int, shifts, lo: int, width: int) -> int:
+    """The union of t + mask over the ascending shifts t >= lo, as bits over [lo, lo + width)."""
+    bits = 0
+    for t in shifts:
+        if t - lo >= width:
+            break
+        bits |= mask << (t - lo)
+    return bits & ((1 << width) - 1)
 
 
 def germ_ideal_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup) -> bool:
@@ -132,13 +139,9 @@ def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
 
 
 def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:
-    """Integral closure: the ideal {s in S : s >= v(A)}.
-
-    Its minimal shifts all lie below v(A) + conductor.
-    """
+    """Integral closure {s in S : s >= v(A)}; its minimal shifts lie below v(A) + conductor."""
     v = A.valuation
-    window = [s for s in range(v, v + max(S.conductor, 1)) if S.contains(s)]
-    return semigroup_ideal(S, window)
+    return semigroup_ideal(S, [v + i for i in _bits(S.window(v, max(S.conductor, 1)))])
 
 
 def containment_holds(A: SemigroupIdeal, N: int, ell: int, S: NumericalSemigroup,
@@ -154,19 +157,16 @@ def containment_holds(A: SemigroupIdeal, N: int, ell: int, S: NumericalSemigroup
     v = A.valuation
     if Al is None:
         Al = ideal_power(A, ell, S)
-    bound = ell * v + S.conductor  # everything above is in A^ell
-    in_target = lambda s: any(S.contains(s - g) for g in Al.shifts)
     if mode == "closure-power":
         CN = ideal_power(closure_ideal(A, S), N, S)
-        candidates = (
-            s for s in range(N * v, bound)
-            if S.contains(s) and any(S.contains(s - g) for g in CN.shifts)
-        )
-    else:
-        candidates = (s for s in range(N * v, bound) if S.contains(s))
-    for s in candidates:
-        if not in_target(s):
-            return False, s
+    if N < ell:
+        return False, max(N, 0) * v  # the least test element; A^ell starts at ell*v
+    lo, width = ell * v, max(S.conductor, 1)  # S from lo + conductor on is in A^ell
+    test = (_union(S.window(0, width), CN.shifts, lo, width) if mode == "closure-power"
+            else S.window(lo, width) >> (N - ell) * v << (N - ell) * v)
+    missing = test & ~_union(S.window(0, width), Al.shifts, lo, width)
+    if missing:
+        return False, lo + (missing & -missing).bit_length() - 1
     return True, None
 
 

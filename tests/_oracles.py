@@ -19,13 +19,17 @@ those; with `monomial_key` they are the reference for the order keys.
 `sample_variety_scalar` and
 `loja_exponent_estimate_scalar` are the loja sampler and estimator one
 point at a time with CPython's complex arithmetic, the reference for the
-block evaluation of `bsw.loja`.
+block evaluation of `bsw.loja`.  `TableSemigroup` is the list-loop
+membership table, `minimal_shifts_greedy` the greedy antichain
+minimalization and `containment_holds_scan` the element-by-element
+containment scan that the bit masks of `bsw.semigroup` replaced; with
+`germ_bs_exponent_scan` they are the reference for its windows.
 
 The rest are helpers that only the tests need, written as functions of
 the package's objects: term multiples and S-polynomials, monomial
 comparison, the JSON round trip of a free complex, semigroup members and
-genus, monomial-ideal membership, strata lookup and float evaluation of a
-polynomial.
+genus, monomial-ideal membership, strata lookup, float evaluation of a
+polynomial and the one-point evaluation of a converted `_ComplexPoly`.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from bsw.closure import FM_ROW_CAP, MonomialIdeal
 from bsw.errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
                         ValidationError)
 from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
-                      LojaEstimate, VarietySampler)
+                      LojaEstimate, VarietySampler, _Block, _ComplexPoly)
 from bsw.modgb import VecPoly, divide
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
-                      parse_polynomial)
+                      parse_polynomial, power_combinations)
 from bsw.resolution import FreeComplex, PolyMatrix, StrataReport, StratumInfo
 from bsw.semigroup import NumericalSemigroup
 
@@ -408,6 +412,13 @@ def eval_complex(p: Polynomial, point) -> complex:
     return total
 
 
+def complex_poly_at(cp: _ComplexPoly, point) -> complex:
+    """The value of a converted polynomial at one point, by its block evaluator."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = cp.evaluate(_Block.of([point]))
+    return complex(re[0], im[0])
+
+
 def _residual_ok_scalar(f: Polynomial, point) -> bool:
     value = abs(eval_complex(f, point))
     scale = 0.0
@@ -497,3 +508,86 @@ def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points,
         log_a=tuple(xs),
         log_phi=tuple(ys),
     )
+
+
+class TableSemigroup:
+    """A numerical semigroup as a list of booleans filled entry by entry:
+    entry i is True iff i is a sum of generators, for i < g_min * g_max + 2,
+    which holds every gap by Schur's bound."""
+
+    def __init__(self, generators):
+        gens = sorted(set(generators))
+        size = gens[0] * gens[-1] + 2
+        member = [False] * size
+        member[0] = True
+        for i in range(1, size):
+            for x in gens:
+                if i >= x and member[i - x]:
+                    member[i] = True
+                    break
+        self.table = member
+        self.gaps = tuple(i for i in range(size) if not member[i])
+        self.conductor = self.gaps[-1] + 1 if self.gaps else 0
+
+    def contains(self, s: int) -> bool:
+        return s >= 0 and (s >= len(self.table) or self.table[s])
+
+
+def minimal_shifts_greedy(T: TableSemigroup, shifts) -> tuple[int, ...]:
+    """Checked shifts, then kept in ascending order unless s - k is in S
+    for an already kept k."""
+    shifts = sorted(set(int(s) for s in shifts))
+    if not shifts:
+        raise ValidationError("ideal needs at least one shift")
+    for s in shifts:
+        if s < 1:
+            raise ValidationError("shifts must be positive")
+        if not T.contains(s):
+            raise ValidationError(f"shift {s} is not in the semigroup")
+    kept: list[int] = []
+    for s in shifts:
+        if not any(T.contains(s - k) for k in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def _power_greedy(shifts, ell: int, T: TableSemigroup) -> tuple[int, ...]:
+    return minimal_shifts_greedy(T, {sum(c) for c in power_combinations(tuple(shifts), ell)})
+
+
+def containment_holds_scan(shifts, N: int, ell: int, T: TableSemigroup,
+                           mode: str = "power") -> tuple[bool, int | None]:
+    """The N-th test set against A^ell, A the ideal of the minimal shifts:
+    every member of S in [N*v, ell*v + conductor), and with mode
+    "closure-power" only those in (closure of A)^N, is tested against A^ell
+    one by one; the first one outside is the failure."""
+    if mode not in ("power", "closure-power"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    v = shifts[0]
+    Al = _power_greedy(shifts, ell, T)
+    bound = ell * v + T.conductor
+    in_target = lambda s: any(T.contains(s - g) for g in Al)
+    if mode == "closure-power":
+        closure = minimal_shifts_greedy(
+            T, [s for s in range(v, v + max(T.conductor, 1)) if T.contains(s)])
+        CN = _power_greedy(closure, N, T)
+        candidates = (s for s in range(N * v, bound)
+                      if T.contains(s) and any(T.contains(s - g) for g in CN))
+    else:
+        candidates = (s for s in range(N * v, bound) if T.contains(s))
+    for s in candidates:
+        if not in_target(s):
+            return False, s
+    return True, None
+
+
+def germ_bs_exponent_scan(shifts, ell: int, T: TableSemigroup, mode: str = "power"):
+    """(least N whose test set lies in A^ell, the failure at N - 1 or None)."""
+    if ell < 1:
+        raise ValidationError("ell must be at least 1")
+    last = None
+    for N in itertools.count(1):
+        holds, failure = containment_holds_scan(shifts, N, ell, T, mode)
+        if holds:
+            return N, last
+        last = failure

@@ -1,18 +1,22 @@
 """Numerical semigroups, germ ideals, containment exponents, mu search."""
 
+from math import ceil, gcd
+
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsw import semigroup
-from bsw.errors import ResourceCapError, ValidationError
+from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            containment_holds, enumerate_ideals,
                            germ_bs_exponent, germ_closure_member,
                            germ_ideal_member, huneke_mu, ideal_power,
                            semigroup_build, semigroup_ideal)
+from bsw.session import parse_session, run_session
 
-from _oracles import genus, members_below
+from _oracles import (TableSemigroup, containment_holds_scan, genus, germ_bs_exponent_scan,
+                      members_below, minimal_shifts_greedy)
 
 S25 = semigroup_build((2, 5))
 S23 = semigroup_build((2, 3))
@@ -269,3 +273,81 @@ def test_searches_build_each_power_once(monkeypatch):
     S = semigroup_build((5, 7, 9))
     huneke_mu(S, 20, 4)
     assert built == [(A, ell) for A in enumerate_ideals(S, 20) for ell in range(1, 5)]
+
+
+# ------------------------------------------------- bit masks against the scans
+
+def outcome(fn, *args, **kw):
+    """What fn returns, or the type of the package error it raises."""
+    try:
+        return fn(*args, **kw)
+    except (ValidationError, ResourceCapError, StructuralError) as exc:
+        return type(exc)
+
+
+@st.composite
+def scan_cases(draw):
+    gens = draw(st.lists(st.integers(1, 15), min_size=2, max_size=4, unique=True)
+                .filter(lambda g: gcd(*g) == 1))
+    T = TableSemigroup(gens)
+    hi = T.conductor + 2 * max(gens)
+    pool = [s for s in range(1, hi + 1) if T.contains(s)]
+    shifts = draw(st.lists(st.one_of(st.sampled_from(pool), st.integers(-1, hi)),
+                           min_size=1, max_size=5))
+    ell = draw(st.integers(1, 4))
+    v = min(shifts)
+    n_cap = ell + ceil(T.conductor / v) + 1 if v >= 1 else 1
+    N = draw(st.integers(-1, n_cap + 1))
+    return gens, T, shifts, ell, N, draw(st.sampled_from(["power", "closure-power"]))
+
+
+@settings(max_examples=400)  # both modes, N < ell and N >= ell, gap shifts: ~2 s
+@given(scan_cases())
+def test_masks_match_the_scans(case):
+    gens, T, shifts, ell, N, mode = case
+    S = semigroup_build(gens)
+    assert (S.gaps, S.conductor) == (T.gaps, T.conductor)
+    minimal = outcome(minimal_shifts_greedy, T, shifts)
+    assert outcome(lambda: semigroup_ideal(S, shifts).shifts) == minimal
+    assume(isinstance(minimal, tuple))
+    A = semigroup_ideal(S, shifts)
+    assert (outcome(containment_holds, A, N, ell, S, mode=mode)
+            == outcome(containment_holds_scan, minimal, N, ell, T, mode))
+    assert (outcome(germ_bs_exponent, A, ell, S, mode=mode, with_witness=True)
+            == outcome(germ_bs_exponent_scan, minimal, ell, T, mode))
+
+
+BIG = (10**9, 10**9 + 3, 10**9 + 5000)
+
+
+def test_shifts_far_past_the_conductor():
+    # windows start at the valuation, so shifts near 10^9 cost a conductor's bits
+    T = TableSemigroup((5, 7, 9))
+    S = semigroup_build((5, 7, 9))
+    minimal = minimal_shifts_greedy(T, BIG)
+    A = semigroup_ideal(S, BIG)
+    assert A.shifts == minimal == BIG[:2]
+    for ell in (1, 2, 3):
+        for mode in ("power", "closure-power"):
+            for N in range(0, ell + 3):
+                assert (outcome(containment_holds, A, N, ell, S, mode=mode)
+                        == outcome(containment_holds_scan, minimal, N, ell, T, mode))
+        # the scan gives (False, 0) at N = -1 too, after a walk up from -10^9
+        assert containment_holds(A, -1, ell, S) == (False, 0)
+    report = run_session(parse_session(
+        "germ semigroup 5, 7, 9;\n"
+        f"germ ideal {', '.join(map(str, BIG))};\n"
+        "germ member 1000000004;\n"
+        "germ member 2000000001;\n"
+        "germ closure-member 2000000001 power=2;\n"
+        "germ closure-member 1999999999 power=2;\n"
+        "germ bs-exponent ell=3;\n"
+        "germ bs-exponent ell=2 mode=closure-power;\n"))
+    results = [block["result"] for block in report["blocks"]]
+    members = [any(T.contains(s - g) for g in minimal) for s in (10**9 + 4, 2 * 10**9 + 1)]
+    assert [r["member"] for r in results[:2]] == members == [False, True]
+    v2 = minimal_shifts_greedy(T, {a + b for a in minimal for b in minimal})[0]
+    assert [r["member"] for r in results[2:4]] == [2 * 10**9 + 1 >= v2, 2 * 10**9 - 1 >= v2]
+    for r, (ell, mode) in zip(results[4:], [(3, "power"), (2, "closure-power")]):
+        assert (r["exponent"], r["minimality_witness"]) == germ_bs_exponent_scan(
+            minimal, ell, T, mode)

@@ -11,10 +11,13 @@ cover several evaluation blocks (a curve with an exponent above 100 and a
 whose containment check fails (so a real counterexample is compared), at
 seeds 0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
 289 and 290, so budget verdicts are compared too (289/290 is where
-`strata TP` runs out); and, at seed 0 only since it samples nothing, on a
+`strata TP` runs out); and, at seed 0 only since they sample nothing, on a
 `newton-closure` session whose Newton projection exceeds the row cap, so
-a `resource-cap` verdict and its exit code are compared: 25 runs.  Both
-trees read the session files of this checkout, so only the code differs.
+a `resource-cap` verdict and its exit code are compared, and on a germ
+session that runs `bs-exponent` at ell 2 and 3 in both modes and
+`closure-member power=2`, also on an ideal whose shifts lie near 10^9:
+26 runs.  Both trees read the session files of this checkout, so only the
+code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -54,6 +57,21 @@ ROW_CAP_SESSION = ("ring x, y, z, w;\n"
                    "  x^5*y^2*z^7*w^5, x^5*y^4*z^5*w^6, x^5*y^8*z^2*w^8, x^7*y^4*z^4*w^5,\n"
                    "  x^8*y^4*z^5*w^4;\n"
                    "newton-closure B;\n")
+GERM_SESSION = ("germ semigroup 5, 7, 9;\n"
+                "germ ideal 7, 9, 10;\n"
+                "germ bs-exponent ell=2;\n"
+                "germ bs-exponent ell=3;\n"
+                "germ bs-exponent ell=2 mode=closure-power;\n"
+                "germ bs-exponent ell=3 mode=closure-power;\n"
+                "germ closure-member 15 power=2;\n"
+                "germ closure-member 12 power=2;\n"
+                "germ ideal 1000000000, 1000000003, 1000005000;\n"
+                "germ member 1000000004;\n"
+                "germ closure-member 2000000001 power=2;\n"
+                "germ bs-exponent ell=2;\n"
+                "germ bs-exponent ell=3;\n"
+                "germ bs-exponent ell=2 mode=closure-power;\n"
+                "germ bs-exponent ell=3 mode=closure-power;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -96,7 +114,8 @@ def main(argv=None) -> int:
                   "loja blocks session": (os.path.join(tmp, "loja_blocks.bsw"), BLOCKS_SESSION),
                   "witness session": (os.path.join(tmp, "witness.bsw"), WITNESS_SESSION)}
         row_cap = os.path.join(tmp, "row_cap.bsw")
-        for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION)]:
+        germ = os.path.join(tmp, "germ.bsw")
+        for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -109,6 +128,7 @@ def main(argv=None) -> int:
         runs += [(acceptance, os.path.relpath(acceptance, ROOT),
                   ["--seed", "0", "--budget", str(budget)]) for budget in BUDGETS]
         runs.append((row_cap, "row-cap session", ["--seed", "0"]))
+        runs.append((germ, "germ session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
