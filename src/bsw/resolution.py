@@ -8,10 +8,11 @@ complexes carry per-basis-element weighted-degree shifts, and entry
 shifts[k-1][i].
 
 Resolutions are built by iterated syzygy computation and certified
-exact with the rank/codimension criterion: the complex is exact iff for
-every k some rho_k-minor of f_k is nonzero, all (rho_k+1)-minors vanish,
-and the rho_k-minor locus has codimension >= k in C^n, where rho_k is
-the alternating sum of ranks from level k up.
+exact by Buchsbaum and Eisenbud's criterion: the complex is exact iff
+every f_k has a nonzero rho_k-minor and its rho_k-minor locus has
+codimension >= k in C^n, where rho_k is the alternating sum of ranks
+from level k up.  All (rho_k+1)-minors then vanish, as maps compose to
+zero: rank f_k <= rank E_k - rank f_{k+1} <= rho_k by induction down k.
 
 Strata: given a resolving complex of O/I and the expected ranks, Z_k is
 the locus inside Z = V(I) where f_k drops below rank rho_k.  With
@@ -22,6 +23,7 @@ strata are measured inside Z.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -110,9 +112,9 @@ def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, rin
 
 
 def minors(M: PolyMatrix, size: int) -> list[Polynomial]:
-    """All size x size minors, deduplicated, zeros dropped, deterministic order."""
+    """All size x size minors, deduplicated, zeros dropped, fixed order; [1] if size <= 0."""
     if size <= 0:
-        raise ValidationError("minor size must be positive")
+        return [Polynomial.constant(M.ring, 1)]
     if size > min(M.rows, M.cols):
         return []
     memo: dict = {}
@@ -172,6 +174,12 @@ class FreeComplex:
     @property
     def length(self) -> int:
         return len(self.maps)
+
+    @functools.cached_property
+    def rank_minors(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The rho_k-minors of each f_k, computed once per complex."""
+        return tuple(tuple(minors(M, r)) for M, r in zip(self.maps, expected_ranks(self)))
+
 
 def expected_ranks(C: FreeComplex) -> tuple[int, ...]:
     """rho_k = sum_{i>=k} (-1)^(i-k) rank E_i for k = 1..N."""
@@ -395,43 +403,31 @@ def rank_locus_ideal(C: FreeComplex, k: int, ambient: Ideal) -> tuple[Ideal, boo
         raise ValidationError(f"no map f_{k} in a length-{C.length} complex")
     if ambient.ring != C.ring:
         raise StructuralError("ambient ideal ring mismatch")
-    rho = expected_ranks(C)[k - 1]
     M = C.maps[k - 1]
-    if rho > min(M.rows, M.cols):
-        return Ideal(C.ring, ambient.generators), True
-    mins = minors(M, rho)
-    return Ideal(C.ring, tuple(mins) + ambient.generators), False
+    degenerate = expected_ranks(C)[k - 1] > min(M.rows, M.cols)
+    return Ideal(C.ring, C.rank_minors[k - 1] + ambient.generators), degenerate
 
 
 def check_acyclicity(C: FreeComplex, budget: Budget | int | None = None):
-    """Exactness certificate via ranks and minor-locus codimensions.
+    """Exactness certificate from the rho_k-minors of each f_k.
 
     Returns (acyclic, failures); each failure is (k, reason).  The test
     is exact over a polynomial ring: codimension equals grade there.
     All codimensions draw on one Budget.of(budget)."""
     ring = C.ring
     budget = Budget.of(budget)
-    n = ring.n
-    rho = expected_ranks(C)
     failures = []
-    for k in range(1, C.length + 1):
-        M = C.maps[k - 1]
-        r = rho[k - 1]
+    levels = zip(C.maps, expected_ranks(C), C.rank_minors)
+    for k, (M, r, mins) in enumerate(levels, start=1):
         if r > min(M.rows, M.cols):
             failures.append((k, f"expected rank {r} exceeds matrix size"))
-            continue
-        mins = minors(M, r) if r > 0 else None
-        if r > 0 and not mins:
+        elif not mins:
             failures.append((k, f"all {r}-minors vanish"))
-            continue
-        if r + 1 <= min(M.rows, M.cols) and minors(M, r + 1):
-            failures.append((k, f"some {r + 1}-minor is nonzero"))
-            continue
-        if r > 0:
-            locus = Ideal(ring, mins)
-            codim = n - krull_dimension(locus, budget=budget)
-            if codim < k:
-                failures.append((k, f"rank-drop locus has codim {codim} < {k}"))
+        else:
+            dim = krull_dimension(Ideal(ring, mins), budget=budget)
+            # an empty locus (unit minor ideal) has infinite codimension
+            if dim >= 0 and ring.n - dim < k:
+                failures.append((k, f"rank-drop locus has codim {ring.n - dim} < {k}"))
     return (not failures, tuple(failures))
 
 
@@ -487,13 +483,9 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
     degenerate: list[str] = []
 
     jac = jacobian_matrix(I)
+    z0_ideal = Ideal(ring, tuple(minors(jac, p)) + I.generators)
     if p > min(jac.rows, jac.cols):
-        z0_ideal = Ideal(ring, I.generators)
         degenerate.append("jacobian smaller than expected codim; Z^0 = Z")
-    elif p == 0:
-        z0_ideal = Ideal(ring, (Polynomial.constant(ring, 1),))
-    else:
-        z0_ideal = Ideal(ring, tuple(minors(jac, p)) + I.generators)
 
     zk: dict[int, Ideal] = {}
     for k in range(1, C.length + 1):

@@ -24,6 +24,10 @@ membership table, `minimal_shifts_greedy` the greedy antichain
 minimalization and `containment_holds_scan` the element-by-element
 containment scan that the bit masks of `bsw.semigroup` replaced; with
 `germ_bs_exponent_scan` they are the reference for its windows.
+`check_acyclicity_full` is the exactness certificate that also builds
+every (rho_k+1)-minor, which `bsw.resolution` derives from the maps
+composing to zero instead; `rank_at` is the exact rank over Q of a
+matrix evaluated at a rational point, by row echelon form.
 
 The rest are helpers that only the tests need, written as functions of
 the package's objects: term multiples and S-polynomials, monomial
@@ -46,10 +50,12 @@ from bsw.errors import (EstimationError, ResourceCapError, SamplingError, Struct
                         ValidationError)
 from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
                       LojaEstimate, VarietySampler, _Block, _ComplexPoly)
-from bsw.modgb import VecPoly, divide
+from bsw.groebner import Ideal, krull_dimension
+from bsw.modgb import Budget, VecPoly, divide
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
                       parse_polynomial, power_combinations)
-from bsw.resolution import FreeComplex, PolyMatrix, StrataReport, StratumInfo
+from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
+                            minors)
 from bsw.semigroup import NumericalSemigroup
 
 
@@ -378,6 +384,44 @@ def complex_from_json_dict(doc: dict) -> FreeComplex:
         maps.append(PolyMatrix(ring, [[parse_polynomial(s, ring) for s in row] for row in rows]))
     shifts = tuple(tuple(s) for s in doc["shifts"]) if doc.get("shifts") else None
     return FreeComplex(ring, tuple(doc["ranks"]), tuple(maps), doc.get("graded", False), shifts)
+
+
+def check_acyclicity_full(C: FreeComplex, budget: Budget | int | None = None):
+    """(acyclic, failures) by the rank/codimension criterion with both rank
+    conditions checked: a nonzero rho_k-minor and no nonzero (rho_k+1)-minor."""
+    ring = C.ring
+    budget = Budget.of(budget)
+    n = ring.n
+    rho = expected_ranks(C)
+    failures = []
+    for k in range(1, C.length + 1):
+        M = C.maps[k - 1]
+        r = rho[k - 1]
+        if r > min(M.rows, M.cols):
+            failures.append((k, f"expected rank {r} exceeds matrix size"))
+            continue
+        mins = minors(M, r) if r > 0 else None
+        if r > 0 and not mins:
+            failures.append((k, f"all {r}-minors vanish"))
+            continue
+        if r + 1 <= min(M.rows, M.cols) and minors(M, r + 1):
+            failures.append((k, f"some {r + 1}-minor is nonzero"))
+            continue
+        if r > 0:
+            locus = Ideal(ring, mins)
+            codim = n - krull_dimension(locus, budget=budget)
+            if codim < k:
+                failures.append((k, f"rank-drop locus has codim {codim} < {k}"))
+    return (not failures, tuple(failures))
+
+
+def rank_at(M: PolyMatrix, point) -> int:
+    """Rank over Q of M with its variables set to the rational point."""
+    span = _RowSpan(M.cols)
+    for row in M.entries:
+        span.add([sum((Fraction(c) * math.prod(Fraction(v) ** k for v, k in zip(point, e))
+                       for e, c in p.terms().items()), Fraction(0)) for p in row])
+    return len(span.pivots)
 
 
 def genus(S: NumericalSemigroup) -> int:

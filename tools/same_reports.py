@@ -15,9 +15,11 @@ seeds 0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
 `newton-closure` session whose Newton projection exceeds the row cap, so
 a `resource-cap` verdict and its exit code are compared, and on a germ
 session that runs `bs-exponent` at ell 2 and 3 in both modes and
-`closure-member power=2`, also on an ideal whose shifts lie near 10^9:
-26 runs.  Both trees read the session files of this checkout, so only the
-code differs.
+`closure-member power=2`, also on an ideal whose shifts lie near 10^9,
+and on a certification session that runs a certified `resolve` of the
+rational normal quartic and `strata`/`check-cm` on the zero ideal (the
+codim-0 path): 27 runs.  Both trees read the session files of this
+checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -72,6 +74,13 @@ GERM_SESSION = ("germ semigroup 5, 7, 9;\n"
                 "germ bs-exponent ell=3;\n"
                 "germ bs-exponent ell=2 mode=closure-power;\n"
                 "germ bs-exponent ell=3 mode=closure-power;\n")
+CERTIFY_SESSION = ("ring a, b, c, d, e;\n"
+                   "ideal RNC4 = a*c - b^2, a*d - b*c, a*e - b*d,\n"
+                   "  b*d - c^2, b*e - c*d, c*e - d^2;\n"
+                   "resolve RNC4;\n"
+                   "ideal Z = 0;\n"
+                   "strata Z;\n"
+                   "check-cm Z;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -115,7 +124,9 @@ def main(argv=None) -> int:
                   "witness session": (os.path.join(tmp, "witness.bsw"), WITNESS_SESSION)}
         row_cap = os.path.join(tmp, "row_cap.bsw")
         germ = os.path.join(tmp, "germ.bsw")
-        for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION)]:
+        certify = os.path.join(tmp, "certify.bsw")
+        for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION),
+                           (certify, CERTIFY_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -129,6 +140,7 @@ def main(argv=None) -> int:
                   ["--seed", "0", "--budget", str(budget)]) for budget in BUDGETS]
         runs.append((row_cap, "row-cap session", ["--seed", "0"]))
         runs.append((germ, "germ session", ["--seed", "0"]))
+        runs.append((certify, "certification session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
