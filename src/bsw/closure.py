@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import (POWER_CAP, Exponent, Polynomial, exp_divides, format_monomial,
+from .poly import (POWER_CAP, Exponent, Polynomial, format_monomial, minimalize_antichain,
                    power_combinations)
 
 FM_ROW_CAP = 20_000
@@ -80,16 +80,6 @@ class MonomialIdeal:
 
     def strings(self, names: tuple[str, ...]) -> list[str]:
         return [format_monomial(e, names) or "1" for e in self.exponents]
-
-
-def minimalize_antichain(exps) -> tuple[Exponent, ...]:
-    """Drop exponents componentwise-dominated by another; sorted, deduped."""
-    uniq = sorted(set(tuple(e) for e in exps), key=lambda e: (sum(e), e))
-    kept: list[Exponent] = []
-    for v in uniq:
-        if not any(exp_divides(u, v) for u in kept):
-            kept.append(v)
-    return tuple(sorted(kept))
 
 
 # -- Fourier-Motzkin projection of the Newton polyhedron ---------------

@@ -6,7 +6,9 @@ same Buchberger pair loop, division and autoreduce routines.  With one
 component the engine applies the product criterion as well as the chain
 criterion; selection is the normal strategy; no F4/F5.  Bases, normal
 forms and membership tests draw on the modgb.Budget passed in (an int or
-None makes a fresh one), and running out raises BudgetExceededError.
+None makes a fresh one), and running out raises BudgetExceededError.  A
+monomial ideal skips the engine: its reduced basis is its minimalized
+generators, made monic, and costs no units.
 
 Krull dimension comes from the leading-term ideal of a reduced basis via
 maximal independent variable subsets; intersection is read off the
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import StructuralError, ValidationError
 from .modgb import (DEFAULT_BUDGET, Budget, TopOrder, VecPoly, autoreduce, divide,
                     run_buchberger, syzygy_columns)
-from .poly import POWER_CAP, Polynomial, RingContext, power_combinations
+from .poly import POWER_CAP, Polynomial, RingContext, minimalize_antichain, power_combinations
 
 
 class GroebnerBasis:
@@ -103,11 +106,22 @@ def buchberger(gens: list[Polynomial], ring: RingContext, budget: Budget) -> lis
 
 
 def groebner_basis(I: Ideal, budget: Budget | int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of I in its ring's order, charged to Budget.of(budget)."""
+    """Reduced Groebner basis of I in its ring's order, charged to Budget.of(budget).
+
+    Monomial generators are already a Groebner basis (the S-polynomial of
+    two monomials is zero), so a monomial ideal's reduced basis is read off
+    them, spending no units: the divisibility-minimal exponents, monic,
+    ascending in the ring order as autoreduce sorts (TopOrder's key on O^1).
+    """
     ring = I.ring
-    b = Budget.of(budget)
     if not I.generators:
         return GroebnerBasis((), ring)
+    if all(len(g._terms) == 1 for g in I.generators):
+        exps = minimalize_antichain(next(iter(g._terms)) for g in I.generators)
+        one = Fraction(1)
+        return GroebnerBasis((Polynomial._of(ring, {e: one})
+                              for e in sorted(exps, key=ring.order_key)), ring)
+    b = Budget.of(budget)
     reduced = autoreduce(buchberger(list(I.generators), ring, b), TopOrder(ring), b)
     return GroebnerBasis((_drop(v) for v in reduced), ring)
 

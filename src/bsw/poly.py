@@ -129,6 +129,16 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
+def minimalize_antichain(exps) -> tuple[Exponent, ...]:
+    """Drop exponents componentwise-dominated by another; sorted, deduped."""
+    uniq = sorted(set(tuple(e) for e in exps), key=lambda e: (sum(e), e))
+    kept: list[Exponent] = []
+    for v in uniq:
+        if not any(exp_divides(u, v) for u in kept):
+            kept.append(v)
+    return tuple(sorted(kept))
+
+
 def add_term(terms: dict, key, c) -> None:
     """terms[key] += c in place; the key is dropped when the sum is 0."""
     s = terms.get(key, 0) + c

@@ -226,11 +226,14 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
                     certify: bool = True, budget: Budget | int | None = None) -> FreeComplex:
     """Iterated-syzygy resolution of O/I with f_1 = the generator row.
 
-    Syzygy generating sets are pruned to minimal ones from level 2 on,
-    which keeps the chain within the global-dimension bound; the first
+    Syzygy generating sets are pruned greedily from level 2 on; the first
     map keeps the generators exactly as given, so redundant generators
-    surface as unit entries for minimalize to strip.  All steps draw on
-    one Budget.of(budget).
+    surface as unit entries for minimalize to strip.  For graded input the
+    pruning, in degree order, keeps minimal generators, so the chain stays
+    within the global-dimension bound n, the default max_len.  For other
+    input the pruned sets need not be minimal and an exact chain can need
+    more than n maps; a chain still going at max_len maps raises
+    ResourceCapError.  All steps draw on one Budget.of(budget).
     """
     ring = I.ring
     n = ring.n

@@ -10,7 +10,9 @@ full-box scans test every point of the box against the facets with
 `np_member`, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
-is the reference for the engine's pair heap.  `monomial_key` is the
+is the reference for the engine's pair heap.  `groebner_basis_buchberger`
+is `groebner_basis` with every ideal sent through the pair loop, the
+reference for its monomial shortcut.  `monomial_key` is the
 order-tag if-chain that `RingContext.order_key` replaced, kept as the
 reference for the per-ring key table.  The `*_genexpr` functions are the
 generator-expression exponent kernels and weighted degree that
@@ -50,8 +52,8 @@ from bsw.errors import (EstimationError, ResourceCapError, SamplingError, Struct
                         ValidationError)
 from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
                       LojaEstimate, VarietySampler, _Block, _ComplexPoly)
-from bsw.groebner import Ideal, krull_dimension
-from bsw.modgb import Budget, VecPoly, divide
+from bsw.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension
+from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
                       parse_polynomial, power_combinations)
 from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
@@ -304,6 +306,17 @@ def buchberger_by_min(gens, order, budget) -> list:
             lts.append(lt)
             pairs.update((k, t) for k in range(t) if lts[k][0] == lt[0])
     return G
+
+
+def groebner_basis_buchberger(I: Ideal, budget: Budget | int | None = None) -> GroebnerBasis:
+    """`bsw.groebner.groebner_basis` without its monomial shortcut: every
+    ideal, monomial or not, goes through the pair loop and autoreduce."""
+    ring = I.ring
+    b = Budget.of(budget)
+    if not I.generators:
+        return GroebnerBasis((), ring)
+    reduced = autoreduce(buchberger(list(I.generators), ring, b), TopOrder(ring), b)
+    return GroebnerBasis((v.component(0) for v in reduced), ring)
 
 
 # -- the old order-key if-chain and exponent kernels; test-only helpers ---

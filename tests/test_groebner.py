@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
@@ -18,7 +19,7 @@ from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
 from bsw.poly import RING_ORDERS
 
 from _oracles import macaulay_member
-from _oracles import buchberger_by_min
+from _oracles import buchberger_by_min, groebner_basis_buchberger
 from _oracles import spoly  # exercised post-hoc on produced bases
 
 R2 = RingContext(("x", "y"))
@@ -273,6 +274,64 @@ def test_gb_deterministic(I):
     a = [str(g) for g in groebner_basis(Ideal(R2, I.generators)).elements]
     b = [str(g) for g in groebner_basis(Ideal(R2, I.generators)).elements]
     assert a == b
+
+
+# ---------------------------------------------------------------- the monomial shortcut
+
+VARS4 = ("x", "y", "z", "w")
+
+
+@st.composite
+def monomial_ideal(draw):
+    """1-8 monomial generators in 1-4 variables, exponents 0-4, under any
+    ring order, with rational coefficients."""
+    n = draw(st.integers(1, 4))
+    ring = RingContext(VARS4[:n], (2, 1, 3, 1)[:n], draw(st.sampled_from(RING_ORDERS)))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    coeff = st.sampled_from((1, -1, 2, Fraction(-3, 2), Fraction(5, 7)))
+    gens = draw(st.lists(st.tuples(exps, coeff), min_size=1, max_size=8))
+    return Ideal(ring, tuple(Polynomial.monomial(ring, e, c) for e, c in gens))
+
+
+def _sympy_monomials(I):
+    """The reduced basis by sympy.groebner as {(exponent, coefficient)}.  A
+    monomial ideal's reduced basis is its minimal generators in every
+    order, so sympy's grevlex serves the weighted and lex rings too."""
+    syms = sympy.symbols(I.ring.variable_names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                 for e, c in g.terms().items()) for g in I.generators]
+    G = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    return {(e, Fraction(int(c.p), int(c.q))) for p in G.polys for e, c in p.as_dict().items()}
+
+
+def _ring_ideal(names, order, text):
+    ring = RingContext(names, order=order)
+    return Ideal(ring, tuple(parse_polynomials(text, ring)))
+
+
+@example(_ring_ideal(("x", "y"), "degrevlex", "-3/2*x^2*y, x^2*y, x*y^3, x^2*y^2, y^4"))
+@example(_ring_ideal(("x", "y", "z"), "weighted-degrevlex", "x*z^2, 5/7*y^3, x*z^2*y, -3/2"))
+@example(_ring_ideal(("x", "y", "z"), "lex", "z^4, y*z, x^2, x^2*z, y*z"))
+@given(monomial_ideal())
+def test_monomial_ideal_basis_matches_buchberger(I):
+    """The basis read off monomial generators equals the pair loop's basis
+    element by element, gives the same dimension and agrees with sympy."""
+    G, H = groebner_basis(I), groebner_basis_buchberger(I)
+    assert [g.terms() for g in G] == [h.terms() for h in H]
+    assert [str(g) for g in G] == [str(h) for h in H]
+    by_loop = Ideal(I.ring, I.generators)
+    by_loop._gb = H
+    assert krull_dimension(I) == krull_dimension(by_loop)
+    assert {(e, c) for g in G for e, c in g.terms().items()} == _sympy_monomials(I)
+
+
+def test_monomial_basis_spends_no_units_and_a_binomial_still_runs_buchberger():
+    b = Budget(0)
+    assert [str(g) for g in groebner_basis(ideal("x*y, x^2, x*y^2"), budget=b)] == ["x*y", "x^2"]
+    assert b.left == 0
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(ideal("x*y, x^2, y^3 - x"), budget=Budget(1))
 
 
 # ---------------------------------------------------------------- the engine's pair heap

@@ -209,9 +209,9 @@ def test_budget_error_block():
 
 
 def test_one_budget_meter_per_command():
-    # strata T needs about 290 units over all its steps, no single step 200
-    block = run_one("ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nstrata T;\n",
-                    budget=200)
+    # strata TC needs 268 units over all its steps, no single step more than 203
+    block = run_one("ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
+                    "strata TC;\n", budget=250)
     assert block["error"]["kind"] == "budget"
     # syzygies and generator pruning draw on the meter without certification too
     block = run_one("ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
@@ -220,12 +220,12 @@ def test_one_budget_meter_per_command():
 
 
 def test_budget_verdict_does_not_depend_on_command_order():
-    # check-cm T computes T's basis first; strata T must still pay for its own
-    head = "ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\n"
+    # check-cm TC computes TC's basis first; strata TC must still pay for its own
+    head = "ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
     verdicts = set()
-    for budget in range(279, 291):
-        a = run_session(parse(head + "strata T;\n"), budget=budget)["blocks"][-1]
-        b = run_session(parse(head + "check-cm T;\nstrata T;\n"), budget=budget)["blocks"][-1]
+    for budget in range(257, 269):
+        a = run_session(parse(head + "strata TC;\n"), budget=budget)["blocks"][-1]
+        b = run_session(parse(head + "check-cm TC;\nstrata TC;\n"), budget=budget)["blocks"][-1]
         del a["line"], b["line"]
         assert a == b
         verdicts.add(a["status"])
@@ -237,6 +237,20 @@ def test_newton_box_scans_are_capped():
                             "newton-closure B;\nbs-verify-monomial B --ell 1;\n"))
     assert [b["error"]["kind"] for b in rep["blocks"]] == ["resource-cap"] * 2
     assert "10000200001 lattice points" in rep["blocks"][0]["error"]["message"]
+    assert report_exit_code(rep) == 3
+
+
+def test_non_graded_resolution_longer_than_the_ring_needs_max_len():
+    # (2x, ..., -x*y^2 - x) is the principal ideal (x), but the greedy
+    # pruning of a non-graded resolution is not minimal: three maps in Q[x, y]
+    text = ("ring x, y;\nideal I = 2*x, -2*x^2*y + 2*x*y^2, -x*y^2 - x;\n"
+            "resolve I;\nresolve I --max-len 3;\n")
+    rep = run_session(parse(text))
+    capped, longer = rep["blocks"]
+    assert capped["error"] == {"kind": "resource-cap",
+                               "message": "resolution did not terminate within max_len=2"}
+    assert longer["status"] == "ok"
+    assert longer["result"]["ranks"] == [1, 3, 3, 1] and longer["result"]["certified"]
     assert report_exit_code(rep) == 3
 
 

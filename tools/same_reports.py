@@ -10,15 +10,16 @@ cover several evaluation blocks (a curve with an exponent above 100 and a
 `--solve` over three variables, 9,100 points each) and a monomial session
 whose containment check fails (so a real counterexample is compared), at
 seeds 0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
-289 and 290, so budget verdicts are compared too (289/290 is where
-`strata TP` runs out); and, at seed 0 only since they sample nothing, on a
+48, 49, 289 and 290, so budget verdicts are compared too (48/49 is where
+the TP commands run out; 289/290 is where they run out in trees that send
+monomial ideals through Buchberger); and, at seed 0 only since they sample nothing, on a
 `newton-closure` session whose Newton projection exceeds the row cap, so
 a `resource-cap` verdict and its exit code are compared, and on a germ
 session that runs `bs-exponent` at ell 2 and 3 in both modes and
 `closure-member power=2`, also on an ideal whose shifts lie near 10^9,
 and on a certification session that runs a certified `resolve` of the
 rational normal quartic and `strata`/`check-cm` on the zero ideal (the
-codim-0 path): 27 runs.  Both trees read the session files of this
+codim-0 path): 29 runs.  Both trees read the session files of this
 checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
@@ -38,7 +39,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 3, 11)
-BUDGETS = (1, 289, 290)
+BUDGETS = (1, 48, 49, 289, 290)
 RUN = "import sys; from bsw.cli import main; sys.exit(main(sys.argv[1:]))"
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 CSV_SESSION = ("ring z, w weights 2, 5;\n"
