@@ -10,16 +10,20 @@ Truncation sufficiency, and why windows start at ell*v(A): nothing below
 ell*v(A) lies in A^ell, so for N < ell the least test element N*v(A) fails;
 every s in S with s >= ell*v(A) + conductor lies in A^ell, because
 subtracting ell copies of v(A) leaves s - ell*v(A) >= conductor, in S.  So a
-check needs only [ell*v(A), ell*v(A) + conductor), and the exponent search
-ends by N <= ell + ceil(conductor / v(A)), where that window is empty.  A
-search whose bound exceeds SEARCH_CAP is refused, and so is a mu search
-(which repeats the search for every ell up to its gauge) whose largest bound
-exceeds MU_SEARCH_CAP.
+check needs only [ell*v(A), ell*v(A) + conductor), and N <= ell +
+ceil(conductor / v(A)), where that window is empty.  Mode "power" reads N off
+the window: {s in S : s >= N*v(A)} lies in A^ell iff N*v(A) > f, f the largest
+member of S outside A^ell, so N = f // v(A) + 1 (f >= (ell-1)*v(A), so when the
+window misses nothing ell*v(A) - 1 gives the same N); mode "closure-power"
+tries N = 1, 2, ... in turn.  A search whose bound exceeds SEARCH_CAP is
+refused, and so is a mu search (which repeats the search for every ell up to
+its gauge) whose largest bound exceeds MU_SEARCH_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import ceil, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
@@ -134,8 +138,23 @@ def germ_closure_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup) -> boo
 
 def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
                 cap: int = POWER_CAP) -> SemigroupIdeal:
-    """A^ell: minimalized ell-fold sumset of the shifts."""
-    return semigroup_ideal(S, {sum(c) for c in power_combinations(A.shifts, ell, cap)})
+    """A^ell: the minimal shifts among the members of its window."""
+    bits = next(_powers(A.shifts, S, ell, cap))
+    return semigroup_ideal(S, [ell * A.valuation + i for i in _bits(bits)])
+
+
+def _powers(shifts, S: NumericalSemigroup, ell: int = 1, cap: int = POWER_CAP):
+    """A^ell, A^(ell+1), ... for A the ideal of the ascending shifts, A^k as bits over
+    [k*v, k*v + max(conductor, 1)) built from A^(k-1); each capped as by power_combinations,
+    A^ell first, so a search builds each power once and a refusal names the power asked for."""
+    power_combinations(shifts, ell, cap)
+    v, width = shifts[0], max(S.conductor, 1)
+    mask = S.window(0, width)  # A^0 = S
+    for k in count(1):
+        power_combinations(shifts, k, cap)
+        mask = _union(mask, shifts, v, width)
+        if k >= ell:
+            yield mask
 
 
 def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:
@@ -145,46 +164,51 @@ def closure_ideal(A: SemigroupIdeal, S: NumericalSemigroup) -> SemigroupIdeal:
 
 
 def containment_holds(A: SemigroupIdeal, N: int, ell: int, S: NumericalSemigroup,
-                      mode: str = "power", Al: SemigroupIdeal | None = None
+                      mode: str = "power", Al: int | None = None, CN: int | None = None
                       ) -> tuple[bool, int | None]:
     """Is the N-th closure test set inside A^ell?  (holds, first_failure).
 
     mode "power": test set is the closure of A^N, i.e. {s in S : s >= N*v(A)};
     mode "closure-power": test set is (closure of A)^N.
-    Al is A^ell when the caller has built it already, as a search does.
+    Al is A^ell and CN is (closure of A)^N, as _powers bits, if a search built them.
     """
     validate_mode(mode)
     v = A.valuation
-    if Al is None:
-        Al = ideal_power(A, ell, S)
-    if mode == "closure-power":
-        CN = ideal_power(closure_ideal(A, S), N, S)
+    Al = next(_powers(A.shifts, S, ell)) if Al is None else Al
+    if mode == "closure-power" and CN is None:
+        CN = next(_powers(closure_ideal(A, S).shifts, S, N))
     if N < ell:
         return False, max(N, 0) * v  # the least test element; A^ell starts at ell*v
     lo, width = ell * v, max(S.conductor, 1)  # S from lo + conductor on is in A^ell
-    test = (_union(S.window(0, width), CN.shifts, lo, width) if mode == "closure-power"
-            else S.window(lo, width) >> (N - ell) * v << (N - ell) * v)
-    missing = test & ~_union(S.window(0, width), Al.shifts, lo, width)
+    above = (N - ell) * v  # the test set starts at N*v = lo + above, as CN's window does
+    missing = (S.window(lo, width) & ~Al) >> above & (CN if mode == "closure-power" else -1)
     if missing:
-        return False, lo + (missing & -missing).bit_length() - 1
+        return False, lo + above + (missing & -missing).bit_length() - 1
     return True, None
 
 
 def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
-                     mode: str = "power", with_witness: bool = False):
+                     mode: str = "power", with_witness: bool = False, Al: int | None = None):
     """Least N with the N-th closure test set inside A^ell.
 
     The witness (with_witness=True) is the element proving N-1 fails,
-    certifying minimality; None when N == 1.
+    certifying minimality; None when N == 1.  Al as in containment_holds.
     """
     if ell < 1:
         raise ValidationError("ell must be at least 1")
-    n_cap = _search_bound(ell, A.valuation, S, SEARCH_CAP)
+    v = A.valuation
+    n_cap = _search_bound(ell, v, S, SEARCH_CAP)
     validate_mode(mode)
-    Al = ideal_power(A, ell, S)
+    Al = next(_powers(A.shifts, S, ell)) if Al is None else Al
+    if mode == "power":  # N = f // v + 1, as the module docstring says, checked
+        N = (ell * v + (S.window(ell * v, max(S.conductor, 1)) & ~Al).bit_length() - 1) // v + 1
+        if not containment_holds(A, N, ell, S, Al=Al)[0]:
+            raise StructuralError(f"closed-form exponent {N} fails its containment check")
+        witness = containment_holds(A, N - 1, ell, S, Al=Al)[1] if with_witness and N > 1 else None
+        return (N, witness) if with_witness else N
     last_failure: int | None = None
-    for N in range(1, n_cap + 1):
-        holds, failure = containment_holds(A, N, ell, S, mode=mode, Al=Al)
+    for N, CN in zip(range(1, n_cap + 1), _powers(closure_ideal(A, S).shifts, S)):
+        holds, failure = containment_holds(A, N, ell, S, mode=mode, Al=Al, CN=CN)
         if holds:
             return (N, last_failure) if with_witness else N
         last_failure = failure
@@ -216,19 +240,15 @@ def enumerate_ideals(S: NumericalSemigroup, v_max: int):
     for v in range(1, v_max + 1):
         if not S.contains(v):
             continue
-        ground = [
-            s for s in range(v + 1, v + S.conductor)
-            if S.contains(s) and not S.contains(s - v)
-        ]
+        ground = [v + i for i in _bits(S.window(v, S.conductor) & S.gap_mask)]  # s - v a gap
 
-        def rec(start: int, chosen: tuple[int, ...]):
+        def rec(chosen: tuple[int, ...], rest: list[int]):
+            # rest: the later members of ground that no chosen shift covers
             yield SemigroupIdeal((v,) + chosen)
-            for i in range(start, len(ground)):
-                c = ground[i]
-                if all(not S.contains(c - x) for x in chosen):
-                    yield from rec(i + 1, chosen + (c,))
+            for i, c in enumerate(rest):
+                yield from rec(chosen + (c,), [d for d in rest[i + 1:] if not S.contains(d - c)])
 
-        yield from rec(0, ())
+        yield from rec((), ground)
 
 
 def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
@@ -248,14 +268,11 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
             f"v_max must be at least {S.generators[0]}, the smallest element of {S}")
     _search_bound(ell_max, S.generators[0], S, MU_SEARCH_CAP)
     best: tuple[int, SemigroupIdeal, int] | None = None
-    count = 0
-    for A in enumerate_ideals(S, v_max):
-        count += 1
-        if count > cap:
+    for seen, A in enumerate(enumerate_ideals(S, v_max), 1):
+        if seen > cap:
             raise ResourceCapError(f"mu search exceeded {cap} ideals")
-        for ell in range(1, ell_max + 1):
-            N = germ_bs_exponent(A, ell, S)
-            cand = N - ell + 1
+        for ell, Al in zip(range(1, ell_max + 1), _powers(A.shifts, S)):
+            cand = germ_bs_exponent(A, ell, S, Al=Al) - ell + 1
             if best is None or cand > best[0]:
                 best = (cand, A, ell)
     return best

@@ -25,7 +25,11 @@ block evaluation of `bsw.loja`.  `TableSemigroup` is the list-loop
 membership table, `minimal_shifts_greedy` the greedy antichain
 minimalization and `containment_holds_scan` the element-by-element
 containment scan that the bit masks of `bsw.semigroup` replaced; with
-`germ_bs_exponent_scan` they are the reference for its windows.
+`germ_bs_exponent_scan`, the search over N = 1, 2, ..., they are the
+reference for its windows and its closed-form exponent.
+`enumerate_ideals_scan` is the element-by-element ideal enumeration and
+`huneke_mu_scan` that search for each of its ideals and each ell, the
+reference for the mu search over powers built once per ideal.
 `check_acyclicity_full` is the exactness certificate that also builds
 every (rho_k+1)-minor, which `bsw.resolution` derives from the maps
 composing to zero instead; `rank_at` is the exact rank over Q of a
@@ -58,7 +62,7 @@ from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, ex
                       parse_polynomial, power_combinations)
 from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
                             minors)
-from bsw.semigroup import NumericalSemigroup
+from bsw.semigroup import NumericalSemigroup, SemigroupIdeal
 
 
 def monomials_up_to(n: int, degree: int):
@@ -648,3 +652,35 @@ def germ_bs_exponent_scan(shifts, ell: int, T: TableSemigroup, mode: str = "powe
         if holds:
             return N, last
         last = failure
+
+
+def enumerate_ideals_scan(T: TableSemigroup, v_max: int):
+    """The antichain ideals with valuation v <= v_max in the order of
+    `enumerate_ideals`, the further shifts chosen from the members s of
+    (v, v + conductor) with s - v outside S, tested element by element."""
+    for v in range(1, v_max + 1):
+        if not T.contains(v):
+            continue
+        ground = [s for s in range(v + 1, v + T.conductor)
+                  if T.contains(s) and not T.contains(s - v)]
+
+        def rec(start, chosen):
+            yield SemigroupIdeal((v,) + chosen)
+            for i in range(start, len(ground)):
+                if all(not T.contains(ground[i] - x) for x in chosen):
+                    yield from rec(i + 1, chosen + (ground[i],))
+
+        yield from rec(0, ())
+
+
+def huneke_mu_scan(T: TableSemigroup, v_max: int, ell_max: int):
+    """(mu, shifts, ell): the largest germ_bs_exponent_scan N - ell + 1 over
+    enumerate_ideals_scan(T, v_max) and ell = 1..ell_max, the first
+    maximizer in that order."""
+    best = None
+    for A in enumerate_ideals_scan(T, v_max):
+        for ell in range(1, ell_max + 1):
+            cand = germ_bs_exponent_scan(A.shifts, ell, T)[0] - ell + 1
+            if best is None or cand > best[0]:
+                best = (cand, A.shifts, ell)
+    return best

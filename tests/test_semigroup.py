@@ -15,8 +15,9 @@ from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            semigroup_build, semigroup_ideal)
 from bsw.session import parse_session, run_session
 
-from _oracles import (TableSemigroup, containment_holds_scan, genus, germ_bs_exponent_scan,
-                      members_below, minimal_shifts_greedy)
+from _oracles import (TableSemigroup, containment_holds_scan, enumerate_ideals_scan, genus,
+                      germ_bs_exponent_scan, huneke_mu_scan, members_below,
+                      minimal_shifts_greedy)
 
 S25 = semigroup_build((2, 5))
 S23 = semigroup_build((2, 3))
@@ -224,6 +225,13 @@ def test_enumerate_yields_minimal_antichains():
         assert semigroup_ideal(S25, A.shifts).shifts == A.shifts
 
 
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda g: gcd(*g) == 1),
+       st.integers(1, 24))
+def test_enumerate_matches_the_scan(gens, v_max):
+    assert ([A.shifts for A in enumerate_ideals(semigroup_build(gens), v_max)]
+            == [A.shifts for A in enumerate_ideals_scan(TableSemigroup(gens), v_max)])
+
+
 def test_enumerate_validation():
     with pytest.raises(ValidationError):
         list(enumerate_ideals(S25, 0))
@@ -259,20 +267,55 @@ def test_mu_value_rechecks():
 
 
 def test_searches_build_each_power_once(monkeypatch):
-    built = []
+    built, powers = [], semigroup._powers
 
-    def counting_power(A, ell, S, *args):
-        built.append((A, ell))
-        return ideal_power(A, ell, S, *args)
+    def counting_powers(shifts, *args):
+        built.append(shifts)
+        return powers(shifts, *args)
 
-    monkeypatch.setattr(semigroup, "ideal_power", counting_power)
-    # N = 4 is found in the fourth round, and A^2 is built once
+    monkeypatch.setattr(semigroup, "_powers", counting_powers)
+    # N = 4 is read off A^2, and A^2 is built once
     assert germ_bs_exponent(ideal(2), 2, S25) == 4
-    assert built == [(ideal(2), 2)]
+    assert built == [(2,)]
     built.clear()
     S = semigroup_build((5, 7, 9))
     huneke_mu(S, 20, 4)
-    assert built == [(A, ell) for A in enumerate_ideals(S, 20) for ell in range(1, 5)]
+    # A^1..A^4 come from one pass per ideal
+    assert built == [A.shifts for A in enumerate_ideals(S, 20)]
+
+
+S10 = semigroup_build(range(10, 20))
+
+
+@pytest.mark.parametrize("mode", ["power", "closure-power"])
+def test_power_cap_refusal_names_the_requested_power(mode):
+    # the cap is checked at ell = 40 itself, not at the first ell' < 40 over the cap
+    A = semigroup_ideal(S10, range(10, 20))
+    with pytest.raises(ResourceCapError, match=r"^ideal power would need 2054455634 products "
+                                               r"\(cap 200000\)$"):
+        germ_bs_exponent(A, 40, S10, mode=mode)
+
+
+def test_mu_power_cap_refusal_follows_the_search_order():
+    # the first (ideal, ell) in search order whose power is over the cap
+    with pytest.raises(ResourceCapError, match=r"^ideal power would need 201376 products "
+                                               r"\(cap 200000\)$"):
+        huneke_mu(S10, 12, 40)
+
+
+@st.composite
+def mu_cases(draw):
+    gens = draw(st.lists(st.integers(2, 12), min_size=2, max_size=4, unique=True)
+                .filter(lambda g: gcd(*g) == 1))
+    return gens, draw(st.integers(min(gens), 2 * min(gens))), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu_cases())
+def test_mu_matches_the_scan(case):
+    gens, v_max, ell_max = case
+    mu, A, ell = huneke_mu(semigroup_build(gens), v_max, ell_max)
+    assert (mu, A.shifts, ell) == huneke_mu_scan(TableSemigroup(gens), v_max, ell_max)
 
 
 # ------------------------------------------------- bit masks against the scans
