@@ -17,7 +17,7 @@ from .resolution import (FreeComplex, PolyMatrix, StrataReport, check_acyclicity
                          check_bs_condition, check_cm_depth,
                          check_normality_condition, expected_ranks,
                          free_resolution, koszul_complex, minimalize,
-                         normality_witness, rank_locus_ideal, strata, syzygies)
+                         normality_witness, rank_locus_ideal, strata)
 from .closure import MonomialIdeal, bs_verify_monomial, newton_closure, newton_facets
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, containment_holds,
                         enumerate_ideals, germ_bs_exponent, germ_closure_member,

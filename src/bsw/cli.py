@@ -5,7 +5,7 @@ error block (an unexpected exception inside a command, i.e. a bug), 3
 budget or resource-cap exhaustion (3 wins when both kinds of block are
 present).
 `--budget N` caps each command's Groebner work at N units (S-pairs and
-reduction steps); the default comes from BSW_BUDGET when set.
+reduction steps); the default is DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
@@ -17,20 +17,6 @@ import sys
 
 from .modgb import DEFAULT_BUDGET
 from .session import SessionSyntaxError, parse_session, report_exit_code, run_session
-
-BUDGET_ENV = "BSW_BUDGET"
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"bsw: {BUDGET_ENV} must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
 
 def _read(path: str) -> str:
     try:
@@ -49,7 +35,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a session file, emit a JSON report")
     run_p.add_argument("session", help="session file path")
     run_p.add_argument("--out", help="report destination (default: stdout)")
-    run_p.add_argument("--budget", type=int, default=None,
+    run_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="work units (S-pairs and reduction steps) per command")
     run_p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
@@ -68,12 +54,11 @@ def main(argv=None) -> int:
         print(f"ok: {sess.n_statements} statements, {len(sess.commands)} commands")
         return 0
 
-    budget = args.budget if args.budget is not None else _default_budget()
-    if budget < 1:
+    if args.budget < 1:
         print("bsw: budget must be positive", file=sys.stderr)
         return 2
     csv_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
-    report = run_session(sess, seed=args.seed, budget=budget, csv_dir=csv_dir)
+    report = run_session(sess, seed=args.seed, budget=args.budget, csv_dir=csv_dir)
     payload = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

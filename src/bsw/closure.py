@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import (POWER_CAP, Exponent, Polynomial, format_monomial, minimalize_antichain,
+from .poly import (Exponent, Polynomial, format_monomial, minimalize_antichain,
                    power_combinations)
 
 FM_ROW_CAP = 20_000
@@ -74,8 +74,8 @@ class MonomialIdeal:
             exps.append(next(iter(t)))
         return cls(polys[0].ring.n, tuple(exps))
 
-    def power(self, ell: int, cap: int = POWER_CAP) -> "MonomialIdeal":
-        combos = power_combinations(self.exponents, ell, cap)
+    def power(self, ell: int) -> "MonomialIdeal":
+        combos = power_combinations(self.exponents, ell)
         return MonomialIdeal(self.nvars, tuple(tuple(map(sum, zip(*c))) for c in combos))
 
     def strings(self, names: tuple[str, ...]) -> list[str]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import StructuralError, ValidationError
 from .modgb import (DEFAULT_BUDGET, Budget, TopOrder, VecPoly, autoreduce, divide,
                     run_buchberger, syzygy_columns)
-from .poly import POWER_CAP, Polynomial, RingContext, minimalize_antichain, power_combinations
+from .poly import Polynomial, RingContext, minimalize_antichain, power_combinations
 
 
 class GroebnerBasis:
@@ -177,11 +177,11 @@ def _intersect(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(ring, out)
 
 
-def ideal_power(I: Ideal, ell: int, cap: int = POWER_CAP) -> Ideal:
+def ideal_power(I: Ideal, ell: int) -> Ideal:
     """I^ell from products of generators; guarded against blowup."""
     one = Polynomial.constant(I.ring, 1)
     return Ideal(I.ring, [math.prod(combo, start=one)
-                          for combo in power_combinations(I.generators, ell, cap)])
+                          for combo in power_combinations(I.generators, ell)])
 
 
 def krull_dimension(I: Ideal, budget: Budget | int | None = None) -> int:

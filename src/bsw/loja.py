@@ -344,11 +344,10 @@ class LojaEstimate:
     log_phi: tuple[float, ...]  # ... and log |phi|, in sample order
 
 
-def loja_exponent_estimate(phi: Polynomial, a_polys, points,
-                           residual_threshold: float = RESIDUAL_THRESHOLD) -> LojaEstimate:
+def loja_exponent_estimate(phi: Polynomial, a_polys, points) -> LojaEstimate:
     """OLS fit of log|phi| against log sum_j |a_j| over the points, any
     iterable of sequences of complex coordinates, read BLOCK_POINTS at a
-    time."""
+    time; reliable when the residual is at most RESIDUAL_THRESHOLD."""
     import numpy as np
     a_polys = [_ComplexPoly(g) for g in a_polys]
     if not a_polys:
@@ -397,7 +396,7 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points,
         residual=residual,
         n_points=len(xs),
         radii_range=(lo, hi),
-        reliable=residual <= residual_threshold,
+        reliable=residual <= RESIDUAL_THRESHOLD,
         log_a=tuple(xs),
         log_phi=tuple(ys),
     )

@@ -156,29 +156,29 @@ class Budget:
 
     A session command passes one meter to all of its steps; Budget.of
     gives a library call with an int or None (DEFAULT_BUDGET) a fresh
-    one.  Running out raises BudgetExceededError carrying the engine
-    state passed to spend and the units spent on this meter.
+    one.  Each spend charges one unit; running out raises
+    BudgetExceededError, "Groebner budget of N work units exhausted",
+    carrying the engine state passed to spend and the units spent.
     """
 
-    __slots__ = ("left", "total", "label")
+    __slots__ = ("left", "total")
 
-    def __init__(self, units: int, label: str = "Groebner"):
+    def __init__(self, units: int):
         self.left = units
         self.total = units
-        self.label = label
 
     @classmethod
-    def of(cls, budget: "Budget | int | None", label: str = "Groebner") -> "Budget":
+    def of(cls, budget: "Budget | int | None") -> "Budget":
         """The meter itself, or a fresh one of `budget` (None: DEFAULT_BUDGET) units."""
         if isinstance(budget, Budget):
             return budget
-        return cls(DEFAULT_BUDGET if budget is None else budget, label)
+        return cls(DEFAULT_BUDGET if budget is None else budget)
 
-    def spend(self, cost: int, partial):
-        self.left -= cost
+    def spend(self, partial):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceededError(
-                f"{self.label} budget of {self.total} work units exhausted",
+                f"Groebner budget of {self.total} work units exhausted",
                 partial=tuple(partial), spent=self.total - self.left,
             )
 
@@ -204,7 +204,7 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
             if gpos == pos and exp_divides(ge, e):
                 hit = i
                 break
-        budget.spend(1, reducers)
+        budget.spend(reducers)
         if hit < 0:
             rem[m] = h.pop(m)
         else:
@@ -248,7 +248,7 @@ def run_buchberger(gens: list[VecPoly], order: TopOrder,
     while heap:
         i, j = heapq.heappop(heap)[1]
         pairs.discard((i, j))
-        budget.spend(1, G)
+        budget.spend(G)
         (pos, ei), (_, ej) = lts[i], lts[j]
         lcm = exp_lcm(ei, ej)
         # product criterion: coprime leading terms reduce to zero
@@ -275,7 +275,7 @@ def run_buchberger(gens: list[VecPoly], order: TopOrder,
 def module_groebner(gens: list[VecPoly], order: TopOrder,
                     budget_units: Budget | int | None = None) -> list[VecPoly]:
     """Groebner basis (non-reduced) of a submodule, charged to Budget.of(budget_units)."""
-    return run_buchberger(gens, order, Budget.of(budget_units, "module Groebner"))
+    return run_buchberger(gens, order, Budget.of(budget_units))
 
 
 def autoreduce(G: list[VecPoly], order: TopOrder, budget: Budget) -> list[VecPoly]:
@@ -319,7 +319,7 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext,
     order = _GraphOrder(ctx, [columns[j] for j in live])
     graph = [VecPoly(ctx, r + len(live), {**columns[j].terms, (r + slot, one): 1})
              for slot, j in enumerate(live)]
-    budget = Budget.of(budget, "module Groebner")
+    budget = Budget.of(budget)
     G = module_groebner(graph, order, budget)
     # basis elements with no image part generate the syzygies; reduce them
     # in graph coordinates, then move tail slot r + s to column live[s]

@@ -100,16 +100,16 @@ class RingContext:
             raise ValidationError(f"unknown variable {name!r}") from None
 
 
-def power_combinations(gens: tuple, ell: int, cap: int = POWER_CAP):
+def power_combinations(gens: tuple, ell: int):
     """The multisets of ell generators whose products (or sums) generate
     the ell-th power, as tuples; the one ideal-power enumeration of the
     polynomial, monomial and semigroup regimes, refused with
-    ResourceCapError when there are more than cap of them."""
+    ResourceCapError when there are more than POWER_CAP of them."""
     if ell < 1:
         raise ValidationError("power wants ell >= 1")
     count = comb(len(gens) + ell - 1, ell)
-    if count > cap:
-        raise ResourceCapError(f"ideal power would need {count} products (cap {cap})")
+    if count > POWER_CAP:
+        raise ResourceCapError(f"ideal power would need {count} products (cap {POWER_CAP})")
     return itertools.combinations_with_replacement(gens, ell)
 
 

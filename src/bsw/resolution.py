@@ -65,10 +65,6 @@ class PolyMatrix:
         ents = [[col.component(i) for col in columns] for i in range(nrows)]
         return cls(ring, ents, cols_hint=len(columns))
 
-    def columns(self) -> list[VecPoly]:
-        return [VecPoly.from_column(self.ring, [row[j] for row in self.entries])
-                for j in range(self.cols)]
-
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self @ other (apply other first)."""
         if self.cols != other.rows:
@@ -190,13 +186,6 @@ def expected_ranks(C: FreeComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
-def syzygies(M: PolyMatrix) -> PolyMatrix:
-    """Matrix whose columns are a Groebner basis (induced Schreyer order)
-    of the syzygy module of M's columns."""
-    cols = syzygy_columns(M.columns(), M.ring)
-    return PolyMatrix.from_columns(M.ring, M.cols, cols)
-
-
 def _column_degree(col: VecPoly, prev_shifts, ring: RingContext) -> int:
     """Degree of a graded column: deg x^a + prev_shifts[pos], equal on every term x^a e_pos."""
     degs = {ring.weighted_degree(e) + prev_shifts[pos] for pos, e in col.terms}
@@ -222,15 +211,16 @@ def _prune_generators(cols: list[VecPoly], ctx: RingContext, sort_keys,
     return kept
 
 
-def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = None,
-                    certify: bool = True, budget: Budget | int | None = None) -> FreeComplex:
+def free_resolution(I: Ideal, max_len: int | None = None, certify: bool = True,
+                    budget: Budget | int | None = None) -> FreeComplex:
     """Iterated-syzygy resolution of O/I with f_1 = the generator row.
 
     Syzygy generating sets are pruned greedily from level 2 on; the first
     map keeps the generators exactly as given, so redundant generators
-    surface as unit entries for minimalize to strip.  For graded input the
-    pruning, in degree order, keeps minimal generators, so the chain stays
-    within the global-dimension bound n, the default max_len.  For other
+    surface as unit entries for minimalize to strip.  The complex is graded
+    when every generator is quasi-homogeneous; then the pruning, in degree
+    order, keeps minimal generators, so the chain stays within the
+    global-dimension bound n, the default max_len.  For other
     input the pruned sets need not be minimal and an exact chain can need
     more than n maps; a chain still going at max_len maps raises
     ResourceCapError.  All steps draw on one Budget.of(budget).
@@ -246,16 +236,11 @@ def free_resolution(I: Ideal, max_len: int | None = None, graded: bool | None = 
         return FreeComplex(ring, (1,), (), graded=True, shifts=((0,),))
     budget = Budget.of(budget)
     infos = [weighted_degree_info(g) for g in gens]
-    if graded is None:
-        graded = all(info.quasi_homogeneous for info in infos)
-    if graded:
-        if any(not info.quasi_homogeneous for info in infos):
-            raise ValidationError("graded resolution wants quasi-homogeneous generators")
-        if any(info.max_degree == 0 for info in infos):
-            raise ValidationError("resolution wants a proper ideal")
-    else:
-        if I.groebner(budget=budget).is_unit():
-            raise ValidationError("resolution wants a proper ideal")
+    graded = all(info.quasi_homogeneous for info in infos)
+    unit = (any(info.max_degree == 0 for info in infos) if graded
+            else I.groebner(budget=budget).is_unit())
+    if unit:
+        raise ValidationError("resolution wants a proper ideal")
 
     ranks = [1, len(gens)]
     maps = [PolyMatrix(ring, [list(gens)])]

@@ -27,7 +27,7 @@ from itertools import count
 from math import ceil, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import POWER_CAP, power_combinations
+from .poly import power_combinations
 
 MU_CAP = 100_000
 SEARCH_CAP = 1_000
@@ -129,29 +129,25 @@ def germ_ideal_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup) -> bool:
     return any(S.contains(s - g) for g in A.shifts)
 
 
-def germ_closure_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup) -> bool:
-    """Closure membership is the valuation test s >= v(A)."""
+def germ_closure_member(s: int, A: SemigroupIdeal, S: NumericalSemigroup,
+                        power: int = 1) -> bool:
+    """s in the closure of A^power: the valuation test s >= power * v(A)."""
+    if power < 1:
+        raise ValidationError("power wants ell >= 1")
     if not S.contains(s):
         raise ValidationError(f"{s} is not in the semigroup")
-    return s >= A.valuation
+    return s >= power * A.valuation
 
 
-def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
-                cap: int = POWER_CAP) -> SemigroupIdeal:
-    """A^ell: the minimal shifts among the members of its window."""
-    bits = next(_powers(A.shifts, S, ell, cap))
-    return semigroup_ideal(S, [ell * A.valuation + i for i in _bits(bits)])
-
-
-def _powers(shifts, S: NumericalSemigroup, ell: int = 1, cap: int = POWER_CAP):
+def _powers(shifts, S: NumericalSemigroup, ell: int = 1):
     """A^ell, A^(ell+1), ... for A the ideal of the ascending shifts, A^k as bits over
     [k*v, k*v + max(conductor, 1)) built from A^(k-1); each capped as by power_combinations,
     A^ell first, so a search builds each power once and a refusal names the power asked for."""
-    power_combinations(shifts, ell, cap)
+    power_combinations(shifts, ell)
     v, width = shifts[0], max(S.conductor, 1)
     mask = S.window(0, width)  # A^0 = S
     for k in count(1):
-        power_combinations(shifts, k, cap)
+        power_combinations(shifts, k)
         mask = _union(mask, shifts, v, width)
         if k >= ell:
             yield mask
@@ -251,8 +247,7 @@ def enumerate_ideals(S: NumericalSemigroup, v_max: int):
         yield from rec((), ground)
 
 
-def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
-              cap: int = MU_CAP) -> tuple[int, SemigroupIdeal, int]:
+def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int) -> tuple[int, SemigroupIdeal, int]:
     """Exhaustive uniform exponent over the enumerated family.
 
     mu = max over ideals A with v(A) <= v_max and ell <= ell_max of
@@ -269,8 +264,8 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int,
     _search_bound(ell_max, S.generators[0], S, MU_SEARCH_CAP)
     best: tuple[int, SemigroupIdeal, int] | None = None
     for seen, A in enumerate(enumerate_ideals(S, v_max), 1):
-        if seen > cap:
-            raise ResourceCapError(f"mu search exceeded {cap} ideals")
+        if seen > MU_CAP:
+            raise ResourceCapError(f"mu search exceeded {MU_CAP} ideals")
         for ell, Al in zip(range(1, ell_max + 1), _powers(A.shifts, S)):
             cand = germ_bs_exponent(A, ell, S, Al=Al) - ell + 1
             if best is None or cand > best[0]:

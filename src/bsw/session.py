@@ -50,7 +50,7 @@ from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
                          free_resolution, minimalize, normality_witness, strata)
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
                         germ_closure_member, germ_ideal_member, huneke_mu,
-                        ideal_power, semigroup_build, semigroup_ideal, validate_mode)
+                        semigroup_build, semigroup_ideal, validate_mode)
 
 DEFAULT_RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 DEFAULT_PER_RADIUS = 10
@@ -534,8 +534,7 @@ def _run_germ_member(p: dict, **_):
 
 
 def _run_germ_closure_member(p: dict, **_):
-    A = p["A"] if p["power"] == 1 else ideal_power(p["A"], p["power"], p["S"])
-    member = germ_closure_member(p["s"], A, p["S"])
+    member = germ_closure_member(p["s"], p["A"], p["S"], p["power"])
     return ({"s": p["s"], "power": p["power"], "member": member},
             f"t^{p['s']} {'in' if member else 'not in'} closure of ideal^{p['power']}")
 

@@ -37,9 +37,11 @@ matrix evaluated at a rational point, by row echelon form.
 
 The rest are helpers that only the tests need, written as functions of
 the package's objects: term multiples and S-polynomials, monomial
-comparison, the JSON round trip of a free complex, semigroup members and
-genus, monomial-ideal membership, strata lookup, float evaluation of a
-polynomial and the one-point evaluation of a converted `_ComplexPoly`.
+comparison, the JSON round trip of a free complex, the syzygy matrix of a
+matrix's columns, semigroup members and genus, the minimal shifts of a
+germ ideal power, monomial-ideal membership, strata lookup, float
+evaluation of a polynomial and the one-point evaluation of a converted
+`_ComplexPoly`.
 """
 
 from __future__ import annotations
@@ -57,12 +59,13 @@ from bsw.errors import (EstimationError, ResourceCapError, SamplingError, Struct
 from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
                       LojaEstimate, VarietySampler, _Block, _ComplexPoly)
 from bsw.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension
-from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide
+from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide, syzygy_columns
 from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
                       parse_polynomial, power_combinations)
 from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
                             minors)
-from bsw.semigroup import NumericalSemigroup, SemigroupIdeal
+from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, _bits, _powers,
+                           semigroup_ideal)
 
 
 def monomials_up_to(n: int, degree: int):
@@ -289,7 +292,7 @@ def buchberger_by_min(gens, order, budget) -> list:
     while pairs:
         i, j = min(pairs, key=lcm_key)
         pairs.discard((i, j))
-        budget.spend(1, G)
+        budget.spend(G)
         (pos, ei), (_, ej) = lts[i], lts[j]
         lcm = exp_lcm(ei, ej)
         if product and lcm == exp_add(ei, ej):
@@ -441,12 +444,25 @@ def rank_at(M: PolyMatrix, point) -> int:
     return len(span.pivots)
 
 
+def syzygies(M: PolyMatrix) -> PolyMatrix:
+    """Matrix whose columns are a Groebner basis (induced Schreyer order)
+    of the syzygy module of M's columns."""
+    cols = [VecPoly.from_column(M.ring, [row[j] for row in M.entries]) for j in range(M.cols)]
+    return PolyMatrix.from_columns(M.ring, M.cols, syzygy_columns(cols, M.ring))
+
+
 def genus(S: NumericalSemigroup) -> int:
     return len(S.gaps)
 
 
 def members_below(S: NumericalSemigroup, bound: int) -> list[int]:
     return [s for s in range(bound) if S.contains(s)]
+
+
+def ideal_power(A: SemigroupIdeal, ell: int, S: NumericalSemigroup) -> SemigroupIdeal:
+    """A^ell: the minimal shifts among the members of its `bsw.semigroup` window."""
+    bits = next(_powers(A.shifts, S, ell))
+    return semigroup_ideal(S, [ell * A.valuation + i for i in _bits(bits)])
 
 
 def member(M: MonomialIdeal, v) -> bool:
@@ -527,8 +543,7 @@ def sample_variety_scalar(sampler: VarietySampler) -> list[tuple[complex, ...]]:
     return points
 
 
-def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points,
-                                  residual_threshold: float = RESIDUAL_THRESHOLD) -> LojaEstimate:
+def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points) -> LojaEstimate:
     """`bsw.loja.loja_exponent_estimate` one point at a time."""
     a_polys = list(a_polys)
     if not a_polys:
@@ -565,7 +580,7 @@ def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points,
         residual=residual,
         n_points=len(xs),
         radii_range=(lo, hi),
-        reliable=residual <= residual_threshold,
+        reliable=residual <= RESIDUAL_THRESHOLD,
         log_a=tuple(xs),
         log_phi=tuple(ys),
     )

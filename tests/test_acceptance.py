@@ -23,11 +23,11 @@ from bsw.resolution import (check_acyclicity, check_cm_depth,
                             free_resolution, koszul_complex, minimalize, strata)
 from bsw.semigroup import (containment_holds, enumerate_ideals,
                            germ_bs_exponent, germ_closure_member,
-                           germ_ideal_member, huneke_mu, ideal_power,
+                           germ_ideal_member, huneke_mu,
                            semigroup_build, semigroup_ideal)
 from bsw import cli
 
-from _oracles import macaulay_member, mul_term
+from _oracles import ideal_power, macaulay_member, mul_term
 
 SESSION_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                             "sessions", "acceptance.bsw")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import (containment_witness_fullbox, member, newton_closure_fullbox,
                       newton_facets_fraction, np_member, np_member_bruteforce,
                       staircase_fullbox)
+import bsw.poly
 from bsw import closure
 from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
@@ -68,14 +69,15 @@ def test_member_divisibility():
     assert member(M2((0, 0)), (0, 0))  # unit ideal contains everything
 
 
-def test_power():
+def test_power(monkeypatch):
     M = M2((1, 0), (0, 1))
     assert M.power(2).exponents == ((0, 2), (1, 1), (2, 0))
     assert M.power(1).exponents == M.exponents
     with pytest.raises(ValidationError):
         M.power(0)
+    monkeypatch.setattr(bsw.poly, "POWER_CAP", 3)
     with pytest.raises(ResourceCapError):
-        M.power(5, cap=3)
+        M.power(5)
 
 
 # ---------------------------------------------------------------- closure

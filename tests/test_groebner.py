@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import bsw.poly
 from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
                         ValidationError)
 from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
@@ -149,12 +150,13 @@ def test_power_cap():
     assert "cap" in str(e.value)
 
 
-def test_power_cap_counts_products_not_sequences():
+def test_power_cap_counts_products_not_sequences(monkeypatch):
     # C(3 + 12 - 1, 12) = 91 products, not 3^12
     cube = ideal("x, y, z", R3)
     assert len(ideal_power(cube, 12).generators) == 91
+    monkeypatch.setattr(bsw.poly, "POWER_CAP", 90)
     with pytest.raises(ResourceCapError, match="91 products"):
-        ideal_power(cube, 12, cap=90)
+        ideal_power(cube, 12)
 
 
 # ---------------------------------------------------------------- dimension

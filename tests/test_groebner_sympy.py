@@ -73,7 +73,7 @@ def test_module_budget_carries_partial_and_spent():
     with pytest.raises(BudgetExceededError) as info:
         module_groebner(gens, TopOrder(ring), budget_units=2)
     exc = info.value
-    assert str(exc) == "module Groebner budget of 2 work units exhausted"
+    assert str(exc) == "Groebner budget of 2 work units exhausted"
     assert exc.spent == 3
     assert isinstance(exc.partial, tuple) and len(exc.partial) >= len(gens)
     assert all(isinstance(v, VecPoly) for v in exc.partial)

@@ -144,10 +144,10 @@ def test_scaling_moves_intercept_not_slope():
     assert abs(scaled.intercept - base.intercept - math.log(1000)) <= 1e-9
 
 
-def test_threshold_plumbs_into_reliability():
+def test_threshold_plumbs_into_reliability(monkeypatch):
     pts = curve_points()
-    est = loja_exponent_estimate(P("z^3"), [P("z"), P("w")], pts,
-                                 residual_threshold=1e-15)
+    monkeypatch.setattr(loja, "RESIDUAL_THRESHOLD", 1e-15)
+    est = loja_exponent_estimate(P("z^3"), [P("z"), P("w")], pts)
     assert not est.reliable
 
 

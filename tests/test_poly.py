@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bsw.poly
 from bsw import closure, groebner, semigroup
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.modgb import VecPoly
@@ -16,7 +17,8 @@ from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent, exp_
                       parse_polynomials, split_top_commas, weighted_degree_info)
 
 from _oracles import (cmp_monomials, eval_complex, exp_add_genexpr, exp_divides_genexpr,
-                      exp_lcm_genexpr, exp_sub_genexpr, monomial_key, weighted_degree_genexpr)
+                      exp_lcm_genexpr, exp_sub_genexpr, ideal_power, monomial_key,
+                      weighted_degree_genexpr)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -243,17 +245,17 @@ S345 = semigroup.semigroup_build((3, 4, 5))
 
 
 @pytest.mark.parametrize("power", [
-    lambda cap: groebner.ideal_power(groebner.Ideal(R3, parse_polynomials("x, y, z", R3)),
-                                     12, cap=cap),
-    lambda cap: closure.MonomialIdeal(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))).power(12, cap=cap),
-    lambda cap: semigroup.ideal_power(semigroup.semigroup_ideal(S345, (3, 4, 5)), 12, S345,
-                                      cap=cap),
+    lambda: groebner.ideal_power(groebner.Ideal(R3, parse_polynomials("x, y, z", R3)), 12),
+    lambda: closure.MonomialIdeal(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))).power(12),
+    lambda: ideal_power(semigroup.semigroup_ideal(S345, (3, 4, 5)), 12, S345),
 ], ids=["polynomial", "monomial", "semigroup"])
-def test_every_ideal_power_shares_one_cap(power):
-    # C(3 + 12 - 1, 12) = 91 products of 3 generators, in every regime
-    power(91)
+def test_every_ideal_power_shares_one_cap(power, monkeypatch):
+    # C(3 + 12 - 1, 12) = 91 products of 3 generators, in every regime, against one constant
+    monkeypatch.setattr(bsw.poly, "POWER_CAP", 91)
+    power()
+    monkeypatch.setattr(bsw.poly, "POWER_CAP", 90)
     with pytest.raises(ResourceCapError) as err:
-        power(90)
+        power()
     assert str(err.value) == "ideal power would need 91 products (cap 90)"
 
 

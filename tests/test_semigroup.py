@@ -6,17 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bsw.poly
 from bsw import semigroup
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            containment_holds, enumerate_ideals,
                            germ_bs_exponent, germ_closure_member,
-                           germ_ideal_member, huneke_mu, ideal_power,
+                           germ_ideal_member, huneke_mu,
                            semigroup_build, semigroup_ideal)
 from bsw.session import parse_session, run_session
 
 from _oracles import (TableSemigroup, containment_holds_scan, enumerate_ideals_scan, genus,
-                      germ_bs_exponent_scan, huneke_mu_scan, members_below,
+                      germ_bs_exponent_scan, huneke_mu_scan, ideal_power, members_below,
                       minimal_shifts_greedy)
 
 S25 = semigroup_build((2, 5))
@@ -111,13 +112,14 @@ def test_closure_member_examples():
     assert not germ_closure_member(2, ideal(5), S25)
 
 
-def test_ideal_power():
+def test_ideal_power(monkeypatch):
     assert ideal_power(ideal(2), 3, S25).shifts == (6,)
     assert ideal_power(ideal(4, 5), 2, S25).shifts == (8, 9)
     with pytest.raises(ValidationError):
         ideal_power(ideal(2), 0, S25)
+    monkeypatch.setattr(bsw.poly, "POWER_CAP", 5)
     with pytest.raises(ResourceCapError):
-        ideal_power(ideal(4, 5), 9, S25, cap=5)
+        ideal_power(ideal(4, 5), 9, S25)
 
 
 def test_closure_ideal_examples():
@@ -249,9 +251,10 @@ def test_mu_monotone_in_gauge():
     assert small <= huneke_mu(S25, 12, 4)[0]
 
 
-def test_mu_caps_and_validation():
+def test_mu_caps_and_validation(monkeypatch):
+    monkeypatch.setattr(semigroup, "MU_CAP", 5)
     with pytest.raises(ResourceCapError):
-        huneke_mu(S25, 12, 1, cap=5)
+        huneke_mu(S25, 12, 1)
     with pytest.raises(ValidationError):
         huneke_mu(S25, 12, 0)
     with pytest.raises(ValidationError):

@@ -178,6 +178,21 @@ def test_germ_closure_member_power():
     assert block["result"] == {"s": 5, "power": 2, "member": True}
 
 
+def test_germ_closure_member_power_beyond_the_ideal_power_cap():
+    # A^40 would need C(49, 40) = 2,054,455,634 products, but closure membership
+    # only asks s >= 40 * v(A) = 400
+    germ = ("germ semigroup 10, 11, 12, 13, 14, 15, 16, 17, 18, 19;\n"
+            "germ ideal 10, 11, 12, 13, 14, 15, 16, 17, 18, 19;\n")
+    sess = parse_session(germ + "germ closure-member 400 power=40;\n"
+                         "germ closure-member 399 power=40;\n"
+                         "germ closure-member 400 power=0;\n")
+    blocks = [run_command(c) for c in sess.commands]
+    assert blocks[0]["result"] == {"s": 400, "power": 40, "member": True}
+    assert blocks[1]["result"] == {"s": 399, "power": 40, "member": False}
+    assert blocks[2]["status"] == "error"
+    assert blocks[2]["error"] == {"kind": "validation", "message": "power wants ell >= 1"}
+
+
 def test_bs_verify_block():
     block = run_one("ring x, y;\nideal M = x^2, y^2;\nbs-verify-monomial M --ell 1;")
     assert block["result"] == {"holds": True, "ell": 1, "d": 2, "exponent": 2,
@@ -439,21 +454,6 @@ def test_cli_budget_flag(tmp_path, capsys):
     assert cli.main(["run", spath, "--budget", "0", "--out",
                      str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
-
-
-def test_cli_budget_env(tmp_path, capsys, monkeypatch):
-    spath = write(tmp_path, "s.bsw",
-                  "ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nstrata T;\n")
-    monkeypatch.setenv(cli.BUDGET_ENV, "1")
-    assert cli.main(["run", spath, "--out", str(tmp_path / "r.json")]) == 3
-    # explicit flag overrides the environment
-    assert cli.main(["run", spath, "--budget", "100000", "--out",
-                     str(tmp_path / "r.json")]) == 0
-    monkeypatch.setenv(cli.BUDGET_ENV, "zap")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", spath, "--out", str(tmp_path / "r.json")])
-    assert exc.value.code == 2
-    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_cli_seed_changes_sampling(tmp_path, capsys):

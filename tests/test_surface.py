@@ -1,6 +1,7 @@
 """Package-surface guard: every function, class and method that `src/bsw`
 defines is used by the package, the benchmark harness, the tools or the
-README, so code that only the tests need lives in `tests/_oracles.py`."""
+code of the README, so code that only the tests need lives in
+`tests/_oracles.py`."""
 
 import ast
 import glob
@@ -9,6 +10,7 @@ import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+CODE = re.compile(r"```.*?```|`[^`]+`", re.S)  # fenced blocks, then backtick spans
 
 
 def _trees(pattern, skip=()):
@@ -40,7 +42,8 @@ def unreferenced_definitions(root: str = ROOT) -> list[str]:
     """Non-dunder definitions of src/bsw/*.py that nothing outside tests/ names.
 
     A re-export in src/bsw/__init__.py is not a use: public API that no
-    package, tools or perfbench code calls counts only if the README names it.
+    package, tools or perfbench code calls counts only if the README names
+    it in code, a fenced block or a backtick span; a word of its prose is no use.
     """
     used = set()
     for pattern, with_strings in (("src/bsw/*.py", False), ("tools/*.py", False),
@@ -48,7 +51,7 @@ def unreferenced_definitions(root: str = ROOT) -> list[str]:
         for tree in _trees(os.path.join(root, pattern), skip=("__init__.py",)):
             used |= _referenced(tree, with_strings)
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        used.update(WORD.findall(fh.read()))
+        used.update(WORD.findall(" ".join(CODE.findall(fh.read()))))
     defined = set()
     for tree in _trees(os.path.join(root, "src/bsw/*.py")):
         for node in ast.walk(tree):

@@ -20,7 +20,8 @@ session that runs `bs-exponent` at ell 2 and 3 in both modes and
 then `germ mu vmax=21 lmax=3` on <7, 9, 11> and, on <10, ..., 19> with the
 ideal of its generators, the ideal-power refusals of `bs-exponent ell=40`
 in both modes and `germ mu vmax=12 lmax=40` (so their cap texts are
-compared), and on a certification session that runs a certified `resolve`
+compared) and `closure-member 400 power=40` and `399 power=40`, which
+read 40·v(A) without building A^40, and on a certification session that runs a certified `resolve`
 of the rational normal quartic and `strata`/`check-cm` on the zero ideal
 (the codim-0 path): 29 runs.  Both trees read the session files of this
 checkout, so only the code differs.
@@ -84,7 +85,9 @@ GERM_SESSION = ("germ semigroup 5, 7, 9;\n"
                 "germ ideal 10, 11, 12, 13, 14, 15, 16, 17, 18, 19;\n"
                 "germ bs-exponent ell=40;\n"
                 "germ bs-exponent ell=40 mode=closure-power;\n"
-                "germ mu vmax=12 lmax=40;\n")
+                "germ mu vmax=12 lmax=40;\n"
+                "germ closure-member 400 power=40;\n"
+                "germ closure-member 399 power=40;\n")
 CERTIFY_SESSION = ("ring a, b, c, d, e;\n"
                    "ideal RNC4 = a*c - b^2, a*d - b*c, a*e - b*d,\n"
                    "  b*d - c^2, b*e - c*d, c*e - d^2;\n"
