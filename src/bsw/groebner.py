@@ -11,7 +11,8 @@ monomial ideal skips the engine: its reduced basis is its minimalized
 generators, made monic, and costs no units.
 
 Krull dimension comes from the leading-term ideal of a reduced basis via
-maximal independent variable subsets; intersection is read off the
+maximal independent variable subsets (monomial_dimension, which also bounds
+codims from any set of leading monomials); intersection is read off the
 syzygies of the two generator lists (modgb.syzygy_columns).
 """
 
@@ -185,24 +186,19 @@ def ideal_power(I: Ideal, ell: int) -> Ideal:
 
 
 def krull_dimension(I: Ideal, budget: Budget | int | None = None) -> int:
-    """dim V(I): largest variable subset independent modulo leading terms.
+    """dim V(I) = dim V(in(I)), read off the leading terms of the reduced basis.
 
     Unit ideal -> -1 (empty variety); zero ideal in n vars -> n.
     """
-    ring = I.ring
     gb = I.groebner(budget=budget)
-    if not gb.elements:
-        return ring.n
-    supports = []
-    for g in gb.elements:
-        e = g.leading_term()[0]
-        supports.append(frozenset(i for i, k in enumerate(e) if k > 0))
+    return monomial_dimension((g.leading_term()[0] for g in gb.elements), I.ring.n)
+
+
+def monomial_dimension(exps, n: int) -> int:
+    """dim V(x^e : e in exps) in n variables: the largest variable subset
+    that contains no exponent's support; -1 if some x^e is 1."""
+    supports = {frozenset(i for i, k in enumerate(e) if k) for e in exps}
     if frozenset() in supports:
         return -1  # a unit leading term
-    n = ring.n
-    for size in range(n, -1, -1):
-        for S in itertools.combinations(range(n), size):
-            Sset = set(S)
-            if all(not sup <= Sset for sup in supports):
-                return size
-    return -1
+    subsets = (S for size in range(n, -1, -1) for S in itertools.combinations(range(n), size))
+    return next(len(S) for S in subsets if not any(sup.issubset(S) for sup in supports))

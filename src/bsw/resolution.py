@@ -13,6 +13,10 @@ every f_k has a nonzero rho_k-minor and its rho_k-minor locus has
 codimension >= k in C^n, where rho_k is the alternating sum of ranks
 from level k up.  All (rho_k+1)-minors then vanish, as maps compose to
 zero: rank f_k <= rank E_k - rank f_{k+1} <= rho_k by induction down k.
+The codimension is bounded from below first, with no Buchberger run: the
+leading monomials of the minors under a global order span an ideal inside
+the initial ideal, whose codimension equals the minor ideal's.  Only a
+level that no fixed order certifies so computes its exact codimension.
 
 Strata: given a resolving complex of O/I and the expected ranks, Z_k is
 the locus inside Z = V(I) where f_k drops below rank rho_k.  With
@@ -28,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .groebner import Ideal, krull_dimension
+from .groebner import Ideal, krull_dimension, monomial_dimension
 from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_columns
 from .poly import Polynomial, RingContext, weighted_degree_info
 
@@ -396,12 +400,24 @@ def rank_locus_ideal(C: FreeComplex, k: int, ambient: Ideal) -> tuple[Ideal, boo
     return Ideal(C.ring, C.rank_minors[k - 1] + ambient.generators), degenerate
 
 
+def _leading_codim_reaches(mins, ring: RingContext, k: int) -> bool:
+    """Is codim <LT(mins)> >= k for the ring's order or for lex under a
+    cyclic rotation of the variables?  For a global order, <LT(mins)> lies
+    inside in(I) for I = (mins), and dim R/I = dim R/in(I), so then
+    codim I >= k too.  An empty locus (a constant minor) has infinite codim."""
+    n = ring.n
+    keys = [ring.order_key, *(lambda e, s=s: e[s:] + e[:s] for s in range(n))]
+    dims = (monomial_dimension((max(p._terms, key=key) for p in mins), n) for key in keys)
+    return any(dim < 0 or n - dim >= k for dim in dims)
+
+
 def check_acyclicity(C: FreeComplex, budget: Budget | int | None = None):
     """Exactness certificate from the rho_k-minors of each f_k.
 
     Returns (acyclic, failures); each failure is (k, reason).  The test
     is exact over a polynomial ring: codimension equals grade there.
-    All codimensions draw on one Budget.of(budget)."""
+    Levels that _leading_codim_reaches passes spend nothing; the exact
+    codims of the others draw on one Budget.of(budget)."""
     ring = C.ring
     budget = Budget.of(budget)
     failures = []
@@ -411,7 +427,7 @@ def check_acyclicity(C: FreeComplex, budget: Budget | int | None = None):
             failures.append((k, f"expected rank {r} exceeds matrix size"))
         elif not mins:
             failures.append((k, f"all {r}-minors vanish"))
-        else:
+        elif not _leading_codim_reaches(mins, ring, k):
             dim = krull_dimension(Ideal(ring, mins), budget=budget)
             # an empty locus (unit minor ideal) has infinite codimension
             if dim >= 0 and ring.n - dim < k:

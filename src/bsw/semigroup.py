@@ -15,9 +15,10 @@ ceil(conductor / v(A)), where that window is empty.  Mode "power" reads N off
 the window: {s in S : s >= N*v(A)} lies in A^ell iff N*v(A) > f, f the largest
 member of S outside A^ell, so N = f // v(A) + 1 (f >= (ell-1)*v(A), so when the
 window misses nothing ell*v(A) - 1 gives the same N); mode "closure-power"
-tries N = 1, 2, ... in turn.  A search whose bound exceeds SEARCH_CAP is
-refused, and so is a mu search (which repeats the search for every ell up to
-its gauge) whose largest bound exceeds MU_SEARCH_CAP.
+tries N = 1, 2, ... in turn.  A search builds A^1, A^2, ... one step each, so
+its bound is the last power it may build: ell in mode "power" and for a mu
+search (which reads N for every ell up to its gauge), ell + ceil(conductor /
+v(A)) + 1 in mode "closure-power"; a bound above SEARCH_CAP is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .poly import power_combinations
 
 MU_CAP = 100_000
 SEARCH_CAP = 1_000
-MU_SEARCH_CAP = 100
 TABLE_CAP = 1_100_000
 
 
@@ -192,9 +192,10 @@ def germ_bs_exponent(A: SemigroupIdeal, ell: int, S: NumericalSemigroup,
     """
     if ell < 1:
         raise ValidationError("ell must be at least 1")
-    v = A.valuation
-    n_cap = _search_bound(ell, v, S, SEARCH_CAP)
     validate_mode(mode)
+    v = A.valuation
+    n_cap = ell + ceil(S.conductor / v) + 1  # the last N that "closure-power" tries
+    _search_bound(n_cap if mode == "closure-power" else ell)
     Al = next(_powers(A.shifts, S, ell)) if Al is None else Al
     if mode == "power":  # N = f // v + 1, as the module docstring says, checked
         N = (ell * v + (S.window(ell * v, max(S.conductor, 1)) & ~Al).bit_length() - 1) // v + 1
@@ -217,12 +218,10 @@ def validate_mode(mode: str) -> None:
         raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _search_bound(ell: int, v: int, S: NumericalSemigroup, cap: int) -> int:
-    """ell + ceil(conductor / v) + 1, the last N an exponent search tries; at most cap."""
-    bound = ell + ceil(S.conductor / v) + 1
-    if bound > cap:
-        raise ResourceCapError(f"exponent search bound {bound} exceeds the cap {cap}")
-    return bound
+def _search_bound(bound: int) -> None:
+    """Refuse a search whose last power, as the module docstring says, exceeds SEARCH_CAP."""
+    if bound > SEARCH_CAP:
+        raise ResourceCapError(f"exponent search bound {bound} exceeds the cap {SEARCH_CAP}")
 
 
 def enumerate_ideals(S: NumericalSemigroup, v_max: int):
@@ -261,7 +260,7 @@ def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int) -> tuple[int, Sem
     if v_max < S.generators[0]:
         raise ValidationError(
             f"v_max must be at least {S.generators[0]}, the smallest element of {S}")
-    _search_bound(ell_max, S.generators[0], S, MU_SEARCH_CAP)
+    _search_bound(ell_max)
     best: tuple[int, SemigroupIdeal, int] | None = None
     for seen, A in enumerate(enumerate_ideals(S, v_max), 1):
         if seen > MU_CAP:

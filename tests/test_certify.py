@@ -1,11 +1,13 @@
 """Exactness certificate from the rho_k-minors alone, and the minors it shares with strata."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsw import resolution
 from bsw.errors import ResourceCapError, ValidationError
-from bsw.groebner import Ideal
+from bsw.groebner import Ideal, monomial_dimension
+from bsw.modgb import Budget
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
 from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity, expected_ranks,
                             free_resolution, koszul_complex, rank_locus_ideal, strata)
@@ -16,6 +18,9 @@ R1 = RingContext(("x",))
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
 R4 = RingContext(("a", "b", "c", "d"))
+R5 = RingContext(("a", "b", "c", "d", "e"))
+TC = "a*c - b^2, a*d - b*c, b*d - c^2"
+RNC4 = "a*c - b^2, a*d - b*c, a*e - b*d, b*d - c^2, b*e - c*d, c*e - d^2"
 
 
 def PM(ring, rows):
@@ -63,6 +68,46 @@ def test_strata_reuses_the_certified_minors(monkeypatch):
     S = strata(C, I)
     # one list per map while certifying, then one for the Jacobian
     assert sizes == list(expected_ranks(C)) + [S.p]
+
+
+def units_spent(ring, text, certify):
+    meter = Budget(10**6)
+    free_resolution(Ideal(ring, tuple(parse_polynomials(text, ring))), certify=certify,
+                    budget=meter)
+    return meter.total - meter.left
+
+
+@pytest.mark.parametrize("ring, text", [(R4, TC), (R5, RNC4)])
+def test_leading_monomials_certify_graded_resolutions_for_free(ring, text):
+    # every level passes on its minors' leading monomials, with no Buchberger run
+    assert units_spent(ring, text, True) == units_spent(ring, text, False)
+
+
+def test_fallback_runs_only_where_no_order_reaches_the_level(monkeypatch):
+    I = Ideal(R3, tuple(parse_polynomials("x^2 - y^3, x*z - y^4, z^2 - x*y^5", R3)))
+    C = free_resolution(I, certify=False)
+    asked = []
+    real = resolution.krull_dimension
+
+    def recorded(J, budget=None):
+        asked.append(J.generators)
+        return real(J, budget=budget)
+
+    monkeypatch.setattr(resolution, "krull_dimension", recorded)
+    assert check_acyclicity(C) == (True, ())
+    # level 2 passes on lex in the order z > x > y though its ring-order bound is codim 1;
+    # no order reaches codim 3 at level 3, so only that level runs Buchberger
+    ring_order_bound = 3 - monomial_dimension((p.leading_term()[0] for p in C.rank_minors[1]), 3)
+    assert ring_order_bound == 1
+    assert asked == [C.rank_minors[2]]
+
+
+@pytest.mark.parametrize("elems", ["x, x*y", "x^2, x*y, y^2"])
+def test_non_exact_koszul_failures_match_the_full_check(elems):
+    # no order's leading monomials reach the failing level, so its exact codim is quoted
+    K = koszul_complex(parse_polynomials(elems, R2))
+    assert check_acyclicity(K) == check_acyclicity_full(K)
+    assert not check_acyclicity(K)[0]
 
 
 # ---------------------------------------------------------------- properties

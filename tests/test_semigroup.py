@@ -261,6 +261,23 @@ def test_mu_caps_and_validation(monkeypatch):
         huneke_mu(S25, 0, 1)
 
 
+def test_mu_needs_no_cap_on_the_conductor():
+    # the conductor, 200, does not bound the search: "power" mode reads N off
+    # A^ell, so only A^1 is built, though ell + ceil(conductor / v) + 1 = 102
+    S = semigroup_build((2, 201))
+    mu, A, ell = huneke_mu(S, 2, 1)
+    assert (mu, A.shifts, ell) == (101, (2,), 1)
+    assert (mu, A.shifts, ell) == huneke_mu_scan(TableSemigroup((2, 201)), 2, 1)
+
+
+@pytest.mark.parametrize("mode, ell", [("power", 1001), ("closure-power", 998)])
+def test_search_bound_is_the_last_power_built(mode, ell):
+    # "power" builds A^1..A^ell; "closure-power" also tries N up to ell + 3 on <2, 5>
+    with pytest.raises(ResourceCapError, match=r"^exponent search bound 1001 exceeds the cap 1000$"):
+        germ_bs_exponent(ideal(2), ell, S25, mode=mode)
+    assert germ_bs_exponent(ideal(2), ell - 1, S25, mode=mode) >= ell - 1
+
+
 def test_mu_value_rechecks():
     # every enumerated case stays within the reported uniform exponent
     mu = huneke_mu(S25, 8, 3)[0]

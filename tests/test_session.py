@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from bsw import cli
+from bsw.groebner import Ideal, krull_dimension
+from bsw.poly import RingContext, parse_polynomials
+from bsw.resolution import free_resolution, strata
 from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, parse_session,
                          report_exit_code, run_command, run_session)
 
@@ -223,24 +226,48 @@ def test_budget_error_block():
     assert block["error"]["kind"] == "budget"
 
 
+TC_HEAD = "ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
+
+
+def least_budget(text):
+    """The fewest units on which the session's one command ends ok, by bisection
+    over run_command (the work does not depend on the budget, so ok is monotone)."""
+    def ok(units):
+        return run_one(text, budget=units)["status"] == "ok"
+
+    lo, hi = 0, 1
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
 def test_one_budget_meter_per_command():
-    # strata TC needs 268 units over all its steps, no single step more than 203
-    block = run_one("ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
-                    "strata TC;\n", budget=250)
+    # strata TC needs more units over all its steps than the budget, though
+    # each step alone fits in it
+    budget = least_budget(TC_HEAD + "strata TC;\n") - 1
+    block = run_one(TC_HEAD + "strata TC;\n", budget=budget)
     assert block["error"]["kind"] == "budget"
+    R = RingContext(("a", "b", "c", "d"))
+    I = Ideal(R, parse_polynomials("a*c - b^2, a*d - b*c, b*d - c^2", R))
+    S = strata(free_resolution(I, budget=budget), I)
+    for J in [I] + [info.ideal for info in S.strata.values()]:
+        krull_dimension(Ideal(R, J.generators), budget=budget)
     # syzygies and generator pruning draw on the meter without certification too
-    block = run_one("ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
-                    "resolve TC --certify false;\n", budget=1)
+    block = run_one(TC_HEAD + "resolve TC --certify false;\n", budget=1)
     assert block["error"]["kind"] == "budget"
 
 
 def test_budget_verdict_does_not_depend_on_command_order():
     # check-cm TC computes TC's basis first; strata TC must still pay for its own
-    head = "ring a, b, c, d;\nideal TC = a*c - b^2, a*d - b*c, b*d - c^2;\n"
+    cost = least_budget(TC_HEAD + "strata TC;\n")
     verdicts = set()
-    for budget in range(257, 269):
-        a = run_session(parse(head + "strata TC;\n"), budget=budget)["blocks"][-1]
-        b = run_session(parse(head + "check-cm TC;\nstrata TC;\n"), budget=budget)["blocks"][-1]
+    for budget in range(cost - 11, cost + 1):
+        a = run_session(parse(TC_HEAD + "strata TC;\n"), budget=budget)["blocks"][-1]
+        b = run_session(parse(TC_HEAD + "check-cm TC;\nstrata TC;\n"),
+                        budget=budget)["blocks"][-1]
         del a["line"], b["line"]
         assert a == b
         verdicts.add(a["status"])
@@ -281,16 +308,16 @@ def test_newton_projection_row_cap_gives_resource_cap_block():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("germ semigroup 2, 5;\ngerm ideal 2;\ngerm bs-exponent ell=998;",
+    ("germ semigroup 2, 5;\ngerm ideal 2;\ngerm bs-exponent ell=998 mode=closure-power;",
      "exponent search bound 1001 exceeds the cap 1000"),
-    ("germ semigroup 2, 5;\ngerm mu vmax=2 lmax=98;",
-     "exponent search bound 101 exceeds the cap 100"),
+    ("germ semigroup 2, 5;\ngerm mu vmax=2 lmax=1001;",
+     "exponent search bound 1001 exceeds the cap 1000"),
     ("ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5 --per-radius 14286;",
      "sampler needs 100002 points (cap 100000)"),
 ])
 def test_user_sized_searches_are_capped(text, message):
-    # each value is just above its cap: bs-exponent and mu search up to
-    # ell + ceil(conductor / v) + 1 = ell + 3, loja samples 7 radii
+    # each value is just above its cap: closure-power tries N up to
+    # ell + ceil(conductor / v) + 1 = ell + 3, mu builds A^1..A^lmax, loja samples 7 radii
     rep = run_session(parse(text))
     assert rep["blocks"][0]["error"] == {"kind": "resource-cap", "message": message}
     assert report_exit_code(rep) == 3

@@ -12,7 +12,10 @@ whose containment check fails (so a real counterexample is compared), at
 seeds 0, 3 and 11; on sessions/acceptance.bsw at seed 0 with `--budget` 1,
 48, 49, 289 and 290, so budget verdicts are compared too (48/49 is where
 the TP commands run out; 289/290 is where they run out in trees that send
-monomial ideals through Buchberger); and, at seed 0 only since they sample nothing, on a
+monomial ideals through Buchberger); on perfbench/workloads/resolve.bsw at
+seed 0 with `--budget` 433 and 434, either side of the 434 units that
+`resolve NG` costs, so the metering of the certification fallback is
+compared; and, at seed 0 only since they sample nothing, on a
 `newton-closure` session whose Newton projection exceeds the row cap, so
 a `resource-cap` verdict and its exit code are compared, and on a germ
 session that runs `bs-exponent` at ell 2 and 3 in both modes and
@@ -21,9 +24,11 @@ then `germ mu vmax=21 lmax=3` on <7, 9, 11> and, on <10, ..., 19> with the
 ideal of its generators, the ideal-power refusals of `bs-exponent ell=40`
 in both modes and `germ mu vmax=12 lmax=40` (so their cap texts are
 compared) and `closure-member 400 power=40` and `399 power=40`, which
-read 40·v(A) without building A^40, and on a certification session that runs a certified `resolve`
-of the rational normal quartic and `strata`/`check-cm` on the zero ideal
-(the codim-0 path): 29 runs.  Both trees read the session files of this
+read 40·v(A) without building A^40, then `germ mu vmax=2 lmax=1` on
+<2, 201>, whose conductor no longer caps the search, and on a
+certification session that runs a certified `resolve` of the rational
+normal quartic and `strata`/`check-cm` on the zero ideal
+(the codim-0 path): 31 runs.  Both trees read the session files of this
 checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
@@ -44,6 +49,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 3, 11)
 BUDGETS = (1, 48, 49, 289, 290)
+RESOLVE_BUDGETS = (433, 434)
 RUN = "import sys; from bsw.cli import main; sys.exit(main(sys.argv[1:]))"
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 CSV_SESSION = ("ring z, w weights 2, 5;\n"
@@ -87,7 +93,9 @@ GERM_SESSION = ("germ semigroup 5, 7, 9;\n"
                 "germ bs-exponent ell=40 mode=closure-power;\n"
                 "germ mu vmax=12 lmax=40;\n"
                 "germ closure-member 400 power=40;\n"
-                "germ closure-member 399 power=40;\n")
+                "germ closure-member 399 power=40;\n"
+                "germ semigroup 2, 201;\n"
+                "germ mu vmax=2 lmax=1;\n")
 CERTIFY_SESSION = ("ring a, b, c, d, e;\n"
                    "ideal RNC4 = a*c - b^2, a*d - b*c, a*e - b*d,\n"
                    "  b*d - c^2, b*e - c*d, c*e - d^2;\n"
@@ -152,6 +160,9 @@ def main(argv=None) -> int:
                 for session, label in zip(sessions, labels) for seed in SEEDS]
         runs += [(acceptance, os.path.relpath(acceptance, ROOT),
                   ["--seed", "0", "--budget", str(budget)]) for budget in BUDGETS]
+        resolve = os.path.join(ROOT, "perfbench", "workloads", "resolve.bsw")
+        runs += [(resolve, os.path.relpath(resolve, ROOT),
+                  ["--seed", "0", "--budget", str(budget)]) for budget in RESOLVE_BUDGETS]
         runs.append((row_cap, "row-cap session", ["--seed", "0"]))
         runs.append((germ, "germ session", ["--seed", "0"]))
         runs.append((certify, "certification session", ["--seed", "0"]))
