@@ -267,8 +267,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # square only while bits remain
+                base = base * base
         return out
 
     def scale(self, c) -> "Polynomial":

@@ -37,10 +37,6 @@ from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_co
 from .poly import Polynomial, RingContext, weighted_degree_info
 
 
-def _dot(us, vs, zero: Polynomial) -> Polynomial:
-    return sum((u * v for u, v in zip(us, vs)), zero)
-
-
 class PolyMatrix:
     """Immutable matrix of polynomials over one ring.
 
@@ -75,8 +71,9 @@ class PolyMatrix:
             raise StructuralError("composition shape mismatch")
         zero = Polynomial.zero(self.ring)
         columns = [[row[j] for row in other.entries] for j in range(other.cols)]
-        return PolyMatrix(self.ring, [[_dot(row, col, zero) for col in columns]
-                                      for row in self.entries], cols_hint=other.cols)
+        return PolyMatrix(self.ring, [[sum((u * v for u, v in zip(row, col)), zero)
+                                       for col in columns] for row in self.entries],
+                          cols_hint=other.cols)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -283,69 +280,55 @@ def free_resolution(I: Ideal, max_len: int | None = None, certify: bool = True,
 def minimalize(C: FreeComplex) -> FreeComplex:
     """Strip unit (degree-0) entries, each by one Schur-complement update.
 
-    Graded complexes only.  Pivots are chosen deterministically: lowest
-    map index first, then row-major within the map.  The result has no
+    Graded complexes only.  One row-major sweep per map, lowest map first: a
+    cancellation edits its own map, deletes a column of the map before and a
+    row of the map after, and leaves the degree-0 entries of the rows above
+    it as they were (their multiplier is zero or of positive degree), so no
+    earlier pivot appears.  No pivot rechecks that maps compose to zero;
+    FreeComplex checks it on the input and on the result.  The result has no
     nonzero constant entries and the same homology; for a resolution its
-    ranks are the graded Betti numbers.
+    ranks are the graded Betti numbers.  When nothing changes, C is returned.
     """
     if not C.graded:
         raise ValidationError("minimalize needs a graded complex")
     ring = C.ring
-    ents: list[list[list[Polynomial]]] = [
-        [list(row) for row in M.entries] for M in C.maps
-    ]
+    ents = [[list(row) for row in M.entries] for M in C.maps]
     shifts = [list(s) for s in C.shifts]
-
-    def find_pivot():
-        for k, M in enumerate(ents):
-            for i, row in enumerate(M):
-                for j, p in enumerate(row):
-                    c = p.constant_value()
-                    if c is not None and c != 0:
-                        return k, i, j, c
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        k, pi, pj, c = hit
-        M, zero = ents[k], Polynomial.zero(ring)
-        # the pair cancels only if row pi of f_{k+1} composes to zero with
-        # f_{k+2} and f_k composes to zero with column pj of f_{k+1}
-        if k + 1 < len(ents) and any(not _dot(M[pi], col, zero).is_zero()
-                                     for col in zip(*ents[k + 1])):
-            raise StructuralError("minimalize: complement row did not vanish")
-        if k > 0 and any(not _dot(row, [r[pj] for r in M], zero).is_zero()
-                         for row in ents[k - 1]):
-            raise StructuralError("minimalize: complement column did not vanish")
-        # Schur complement: what the surviving entries become once the
-        # pivot row and column are cleared by basis changes in E_{k+1}, E_k
-        for a, row in enumerate(M):
-            if a == pi or row[pj].is_zero():
+    for k, M in enumerate(ents):
+        pi = 0
+        while pi < len(M):
+            hit = next(((j, c) for j, p in enumerate(M[pi]) if (c := p.constant_value())), None)
+            if hit is None:
+                pi += 1
                 continue
-            lam = row[pj].scale(1 / c)
-            for j, p in enumerate(M[pi]):
-                if j != pj and not p.is_zero():
-                    row[j] = row[j] - lam * p
-        # delete basis element pj of E_{k+1} and pi of E_k
-        for row in M:
-            del row[pj]
-        del M[pi]
-        if k + 1 < len(ents):
-            del ents[k + 1][pj]
-        if k > 0:
-            for row in ents[k - 1]:
-                del row[pi]
-        del shifts[k + 1][pj]
-        del shifts[k][pi]
+            pj, c = hit
+            # Schur complement: what the surviving entries become once the
+            # pivot row and column are cleared by basis changes in E_{k+1}, E_k
+            for a, row in enumerate(M):
+                if a == pi or row[pj].is_zero():
+                    continue
+                lam = row[pj].scale(1 / c)
+                for j, p in enumerate(M[pi]):
+                    if j != pj and not p.is_zero():
+                        row[j] = row[j] - lam * p
+            # delete basis element pj of E_{k+1} and pi of E_k
+            for row in M:
+                del row[pj]
+            del M[pi]
+            if k + 1 < len(ents):
+                del ents[k + 1][pj]
+            if k > 0:
+                for row in ents[k - 1]:
+                    del row[pi]
+            del shifts[k + 1][pj]
+            del shifts[k][pi]
 
-    ranks = [len(s) for s in shifts]
-    # drop trailing zero-rank levels
-    while len(ranks) > 1 and ranks[-1] == 0:
-        ranks.pop()
+    while len(shifts) > 1 and not shifts[-1]:  # drop trailing zero-rank levels
         shifts.pop()
         ents.pop()
+    ranks = [len(s) for s in shifts]
+    if ranks == list(C.ranks):
+        return C
     maps = [PolyMatrix(ring, M, cols_hint=ranks[k]) for k, M in enumerate(ents, start=1)]
     return FreeComplex(ring, tuple(ranks), tuple(maps), graded=True,
                        shifts=tuple(tuple(s) for s in shifts))

@@ -4,7 +4,8 @@ For a monomial curve germ the value semigroup S determines everything: an
 ideal is a finite antichain of shifts, membership is subtraction, and the
 integral closure of A is {s in S : s >= v(A)} where v(A) is the minimal shift
 (order of vanishing).  Sets of values are int bit masks over windows of at
-most max(conductor, 1) values, never from 0, which would cost v(A) bits.
+most max(conductor, 1) values, never from 0, which would cost v(A) bits; the
+gaps are stored once, as the mask `gap_mask`, and never listed.
 
 Truncation sufficiency, and why windows start at ell*v(A): nothing below
 ell*v(A) lies in A^ell, so for N < ell the least test element N*v(A) fails;
@@ -39,8 +40,7 @@ TABLE_CAP = 1_100_000
 class NumericalSemigroup:
     generators: tuple[int, ...]
     conductor: int
-    gaps: tuple[int, ...]
-    gap_mask: int  # bit s set iff s is a gap
+    gap_mask: int  # bit s set iff s is a gap, the one stored form of the gaps
 
     def contains(self, s: int) -> bool:
         return s >= 0 and not self.gap_mask >> s & 1
@@ -54,7 +54,7 @@ class NumericalSemigroup:
 
 
 def semigroup_build(generators) -> NumericalSemigroup:
-    """Membership bits, conductor and gaps for <g_1, ..., g_k>, gcd 1.
+    """Membership bits and conductor for <g_1, ..., g_k>, gcd 1.
 
     By Schur's bound the conductor is at most (g_min - 1)(g_max - 1), so a table
     of g_min * g_max + 2 entries holds every gap; tables above TABLE_CAP are refused.
@@ -73,7 +73,7 @@ def semigroup_build(generators) -> NumericalSemigroup:
             # doubling: after round k, member is closed under adding j * x, j < 2^(k+1)
             member = (member | member << (x << k)) & full
     gap_mask = full & ~member
-    return NumericalSemigroup(gens, gap_mask.bit_length(), _bits(gap_mask), gap_mask)
+    return NumericalSemigroup(gens, gap_mask.bit_length(), gap_mask)
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Batch session language: declarations, commands, JSON report blocks.
 
 A session file is a sequence of semicolon-terminated statements; `#`
-comments run to end of line.  Declarations bind state (`ring`, `ideal`,
+comments run to end of line and read as spaces in the one pass over the
+text that splits the statements.  Declarations bind state (`ring`, `ideal`,
 `poly`, `germ semigroup`, `germ ideal`) and produce no output; every
 other statement is a command producing one report block, in file order.
 Commands snapshot the bindings in force where they appear, so state may
@@ -19,7 +20,9 @@ Each command kind is one `_COMMANDS` entry: a parse function
 (kind, tokens, parse state) -> (inputs, payload), and a run function
 payload -> (result, summary) whose summary is built from the result
 alone.  Parse helpers raise `ValidationError`; `parse_session` attaches
-the statement position once.
+the statement position once; they get the declared ring, germ semigroup or
+germ ideal from one `need(what)`.  A float overflow in `loja` gives a
+`sampling` or `estimation` block with a fixed message, not the C library's.
 
 In a session, numpy loads at parse time or not at all.  Importing bsw
 does not load it: `closure` and `loja` import it inside the functions
@@ -78,28 +81,19 @@ class Session:
     commands: list[Command] = field(default_factory=list)
 
 
-def _blank_comments(text: str) -> str:
-    # positions must survive, so comments become spaces
-    out = []
+def _statements(text: str):
+    """Yield (raw, line, col) per ';'-terminated statement, in one pass over
+    text; a `#` comment reads as spaces up to its newline, so positions and
+    the raw text's interior spacing survive."""
+    buf: list[str] = []
+    start: tuple[int, int] | None = None
+    line, col = 1, 1
     in_comment = False
     for ch in text:
         if ch == "\n":
             in_comment = False
-            out.append(ch)
-        elif ch == "#":
-            in_comment = True
-            out.append(" ")
-        else:
-            out.append(" " if in_comment else ch)
-    return "".join(out)
-
-
-def _statements(text: str):
-    """Yield (raw, line, col) per ';'-terminated statement."""
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
-    line, col = 1, 1
-    for ch in text:
+        elif in_comment or ch == "#":
+            in_comment, ch = True, " "
         if ch == ";":
             raw = "".join(buf).strip()
             if not raw:
@@ -187,23 +181,15 @@ class _ParseState:
     def __init__(self):
         self.ring: RingContext | None = None
         self.bindings: dict[str, tuple[str, object]] = {}
-        self.semigroup: NumericalSemigroup | None = None
+        self.germ_semigroup: NumericalSemigroup | None = None
         self.germ_ideal: SemigroupIdeal | None = None
 
-    def need_ring(self) -> RingContext:
-        if self.ring is None:
-            raise ValidationError("no ring declared yet")
-        return self.ring
-
-    def need_semigroup(self) -> NumericalSemigroup:
-        if self.semigroup is None:
-            raise ValidationError("no germ semigroup declared yet")
-        return self.semigroup
-
-    def need_germ_ideal(self) -> SemigroupIdeal:
-        if self.germ_ideal is None:
-            raise ValidationError("no germ ideal declared yet")
-        return self.germ_ideal
+    def need(self, what: str):
+        """The declared "ring", "germ semigroup" or "germ ideal"."""
+        got = getattr(self, what.replace(" ", "_"))
+        if got is None:
+            raise ValidationError(f"no {what} declared yet")
+        return got
 
     def lookup(self, name: str, want: str):
         got = self.bindings.get(name)
@@ -263,7 +249,7 @@ def _parse_binding(kind: str, rest: str, st: _ParseState):
     name, rhs = rest.split("=", 1)
     name = name.strip()
     rhs = rhs.strip()
-    ring = st.need_ring()
+    ring = st.need("ring")
     if kind == "ideal":
         obj: object = Ideal(ring, tuple(parse_polynomials(rhs, ring)))
     else:
@@ -278,7 +264,7 @@ def _poly_or_binding(text: str, st: _ParseState) -> list[Polynomial]:
         if kind == "ideal":
             return list(obj.generators)
         return [obj]
-    return parse_polynomials(text, st.need_ring())
+    return parse_polynomials(text, st.need("ring"))
 
 
 def _gen_strings(I: Ideal) -> list[str]:
@@ -335,30 +321,26 @@ def _parse_bs_verify(kind: str, tokens: list[str], st: _ParseState):
 
 def _germ(st: _ParseState, with_ideal: bool = True, **fields):
     """Semigroup (and germ ideal) echo plus fields, as (inputs, payload)."""
-    S = st.need_semigroup()
+    S = st.need("germ semigroup")
     inputs: dict = {"semigroup": list(S.generators)}
     payload: dict = {"S": S}
     if with_ideal:
-        A = st.need_germ_ideal()
+        A = st.need("germ ideal")
         inputs["ideal"] = list(A.shifts)
         payload["A"] = A
     return {**inputs, **fields}, {**payload, **fields}
 
 
 def _parse_germ_member(kind: str, tokens: list[str], st: _ParseState):
-    pos, _ = _parse_flags(tokens, ())
+    """`germ member s`, or `germ closure-member s [power=p]` (p defaults to 1)."""
+    closure = kind == "germ closure-member"
+    pos, flags = _parse_flags(tokens, ("power",) if closure else ())
     if len(pos) != 1:
         raise ValidationError(f"{kind} wants one element")
-    return _germ(st, s=_int(pos[0], "element"))
-
-
-def _parse_germ_closure_member(kind: str, tokens: list[str], st: _ParseState):
-    pos, flags = _parse_flags(tokens, ("power",))
-    if len(pos) != 1:
-        raise ValidationError(f"{kind} wants one element")
-    s = _int(pos[0], "element")
-    power = _int(flags["power"], "power") if "power" in flags else 1
-    return _germ(st, s=s, power=power)
+    fields = {"s": _int(pos[0], "element")}
+    if closure:
+        fields["power"] = _int(flags.get("power", "1"), "power")
+    return _germ(st, **fields)
 
 
 def _parse_germ_bs_exponent(kind: str, tokens: list[str], st: _ParseState):
@@ -385,7 +367,7 @@ def _parse_loja(kind: str, tokens: list[str], st: _ParseState):
         positional_max=0)
     if "phi" not in flags or "a" not in flags:
         raise ValidationError("loja wants --phi and --a")
-    ring = st.need_ring()
+    ring = st.need("ring")
     phi_list = _poly_or_binding(flags["phi"], st)
     if len(phi_list) != 1:
         raise ValidationError("loja --phi wants a single polynomial")
@@ -563,7 +545,14 @@ def _run_loja(p: dict, seed: int, csv_dir: str, **_):
         var, expr = p["solve"]
         sampler = hypersurface_sampler(ring, var, expr, p["radii"],
                                        p["per_radius"], seed)
-    est = loja_exponent_estimate(p["phi"], p["a"], sample_variety(sampler))
+    try:  # CPython's OverflowError text is the C library's; a block's is fixed
+        points = iter(sample_variety(sampler))  # the list is freed once the fit has read it
+    except OverflowError:
+        raise SamplingError("sampling overflows the float range") from None
+    try:
+        est = loja_exponent_estimate(p["phi"], p["a"], points)
+    except OverflowError:
+        raise EstimationError("estimation overflows the float range") from None
     result = {"slope": est.slope, "intercept": est.intercept,
               "residual": est.residual, "n_points": est.n_points,
               "radii_range": [est.radii_range[0], est.radii_range[1]],
@@ -589,7 +578,7 @@ _COMMANDS = {
     "newton-closure": (_parse_ideal, _run_newton_closure),
     "loja": (_parse_loja, _run_loja),
     "germ member": (_parse_germ_member, _run_germ_member),
-    "germ closure-member": (_parse_germ_closure_member, _run_germ_closure_member),
+    "germ closure-member": (_parse_germ_member, _run_germ_closure_member),
     "germ bs-exponent": (_parse_germ_bs_exponent, _run_germ_bs_exponent),
     "germ mu": (_parse_germ_mu, _run_germ_mu),
 }
@@ -602,7 +591,7 @@ def parse_session(text: str) -> Session:
     """Parse and resolve a session; commands are not executed."""
     st = _ParseState()
     sess = Session()
-    for raw, line, col in _statements(_blank_comments(text)):
+    for raw, line, col in _statements(text):
         sess.n_statements += 1
         kind, *tokens = raw.split()
         try:
@@ -617,13 +606,13 @@ def parse_session(text: str) -> Session:
                     raise ValidationError("germ wants a subcommand")
                 sub, tokens = tokens[0], tokens[1:]
                 if sub == "semigroup":
-                    st.semigroup = semigroup_build(
+                    st.germ_semigroup = semigroup_build(
                         _int_list("".join(tokens), "semigroup generators"))
                     st.germ_ideal = None
                     continue
                 if sub == "ideal":
                     st.germ_ideal = semigroup_ideal(
-                        st.need_semigroup(), _int_list("".join(tokens), "ideal shifts"))
+                        st.need("germ semigroup"), _int_list("".join(tokens), "ideal shifts"))
                     continue
                 kind = f"germ {sub}"
                 if kind not in _COMMANDS:

@@ -30,15 +30,19 @@ reference for its windows and its closed-form exponent.
 `enumerate_ideals_scan` is the element-by-element ideal enumeration and
 `huneke_mu_scan` that search for each of its ideals and each ell, the
 reference for the mu search over powers built once per ideal.
+`statements_two_pass` blanks the comments in one pass and splits the
+statements in a second, the reference for the one pass of `bsw.session`.
 `check_acyclicity_full` is the exactness certificate that also builds
 every (rho_k+1)-minor, which `bsw.resolution` derives from the maps
-composing to zero instead; `rank_at` is the exact rank over Q of a
+composing to zero instead; `minimalize_rescan` is graded minimalization
+that rescans from the first map and rechecks compositions at every pivot,
+the reference for the one sweep per map of `minimalize`; `rank_at` is the exact rank over Q of a
 matrix evaluated at a rational point, by row echelon form.
 
 The rest are helpers that only the tests need, written as functions of
 the package's objects: term multiples and S-polynomials, monomial
 comparison, the JSON round trip of a free complex, the syzygy matrix of a
-matrix's columns, semigroup members and genus, the minimal shifts of a
+matrix's columns, semigroup gaps, members and genus, the minimal shifts of a
 germ ideal power, monomial-ideal membership, strata lookup, float
 evaluation of a polynomial and the one-point evaluation of a converted
 `_ComplexPoly`.
@@ -66,6 +70,7 @@ from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, 
                             minors)
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, _bits, _powers,
                            semigroup_ideal)
+from bsw.session import SessionSyntaxError
 
 
 def monomials_up_to(n: int, degree: int):
@@ -435,6 +440,62 @@ def check_acyclicity_full(C: FreeComplex, budget: Budget | int | None = None):
     return (not failures, tuple(failures))
 
 
+def minimalize_rescan(C: FreeComplex) -> FreeComplex:
+    """Graded minimalization that looks for each pivot from the first map
+    again, checks before each cancellation that the pivot row composes to
+    zero with the next map and the pivot column with the previous one, and
+    always builds a new complex."""
+    if not C.graded:
+        raise ValidationError("minimalize needs a graded complex")
+    ring = C.ring
+    ents = [[list(row) for row in M.entries] for M in C.maps]
+    shifts = [list(s) for s in C.shifts]
+
+    def find_pivot():
+        for k, M in enumerate(ents):
+            for i, row in enumerate(M):
+                for j, p in enumerate(row):
+                    c = p.constant_value()
+                    if c is not None and c != 0:
+                        return k, i, j, c
+        return None
+
+    while (hit := find_pivot()) is not None:
+        k, pi, pj, c = hit
+        M, zero = ents[k], Polynomial.zero(ring)
+        if k + 1 < len(ents) and any(not sum((u * v for u, v in zip(M[pi], col)), zero).is_zero()
+                                     for col in zip(*ents[k + 1])):
+            raise StructuralError("minimalize: complement row did not vanish")
+        if k > 0 and any(not sum((u * r[pj] for u, r in zip(row, M)), zero).is_zero()
+                         for row in ents[k - 1]):
+            raise StructuralError("minimalize: complement column did not vanish")
+        for a, row in enumerate(M):
+            if a == pi or row[pj].is_zero():
+                continue
+            lam = row[pj].scale(1 / c)
+            for j, p in enumerate(M[pi]):
+                if j != pj and not p.is_zero():
+                    row[j] = row[j] - lam * p
+        for row in M:
+            del row[pj]
+        del M[pi]
+        if k + 1 < len(ents):
+            del ents[k + 1][pj]
+        if k > 0:
+            for row in ents[k - 1]:
+                del row[pi]
+        del shifts[k + 1][pj]
+        del shifts[k][pi]
+    ranks = [len(s) for s in shifts]
+    while len(ranks) > 1 and ranks[-1] == 0:
+        ranks.pop()
+        shifts.pop()
+        ents.pop()
+    maps = [PolyMatrix(ring, M, cols_hint=ranks[k]) for k, M in enumerate(ents, start=1)]
+    return FreeComplex(ring, tuple(ranks), tuple(maps), graded=True,
+                       shifts=tuple(tuple(s) for s in shifts))
+
+
 def rank_at(M: PolyMatrix, point) -> int:
     """Rank over Q of M with its variables set to the rational point."""
     span = _RowSpan(M.cols)
@@ -451,8 +512,13 @@ def syzygies(M: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_columns(M.ring, M.cols, syzygy_columns(cols, M.ring))
 
 
+def gaps(S: NumericalSemigroup) -> tuple[int, ...]:
+    """The gaps of S, ascending: the set bits of its gap mask, one shift per bit."""
+    return tuple(s for s in range(S.gap_mask.bit_length()) if S.gap_mask >> s & 1)
+
+
 def genus(S: NumericalSemigroup) -> int:
-    return len(S.gaps)
+    return len(gaps(S))
 
 
 def members_below(S: NumericalSemigroup, bound: int) -> list[int]:
@@ -699,3 +765,39 @@ def huneke_mu_scan(T: TableSemigroup, v_max: int, ell_max: int):
             if best is None or cand > best[0]:
                 best = (cand, A.shifts, ell)
     return best
+
+
+def statements_two_pass(text: str) -> list[tuple[str, int, int]]:
+    """The (raw, line, col) of each ';'-terminated statement: first every
+    `#` comment becomes spaces up to its newline, then the blanked text is
+    split; SessionSyntaxError for an empty or unterminated statement."""
+    blanked = []
+    in_comment = False
+    for ch in text:
+        if ch == "\n":
+            in_comment = False
+            blanked.append(ch)
+        elif ch == "#":
+            in_comment = True
+            blanked.append(" ")
+        else:
+            blanked.append(" " if in_comment else ch)
+    out = []
+    buf: list[str] = []
+    start = None
+    line, col = 1, 1
+    for ch in blanked:
+        if ch == ";":
+            raw = "".join(buf).strip()
+            if not raw:
+                raise SessionSyntaxError("empty statement", *(start or (line, col)))
+            out.append((raw, start[0], start[1]))
+            buf, start = [], None
+        else:
+            if not ch.isspace() and start is None:
+                start = (line, col)
+            buf.append(ch)
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    if start is not None:
+        raise SessionSyntaxError("statement missing ';'", start[0], start[1])
+    return out

@@ -67,6 +67,15 @@ def test_power_is_repeated_product(p, k):
     assert p ** k == expect
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 20, 33])
+def test_power_squares_only_while_bits_remain(k, monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    P("x + y") ** k
+    assert len(calls) == k.bit_length() - 1 + bin(k).count("1")
+
+
 @given(polys())
 def test_zero_product(p):
     assert (p * Polynomial.zero(R2)).is_zero()

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsw.errors import BudgetExceededError, StructuralError, ValidationError
 from bsw.groebner import Ideal, ideal_member, krull_dimension
@@ -14,8 +16,8 @@ from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             minimalize, minors, normality_witness,
                             rank_locus_ideal, strata)
 
-from _oracles import (complex_from_json_dict, hilbert_function, stratum, syzygies,
-                      to_json_dict)
+from _oracles import (complex_from_json_dict, hilbert_function, minimalize_rescan, stratum,
+                      syzygies, to_json_dict)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -225,6 +227,58 @@ def test_minimalize_two_planes_stable():
             for p in row:
                 cv = p.constant_value()
                 assert cv is None or cv == 0
+
+
+def _complex_parts(C):
+    return C.ranks, C.shifts, [m.to_strings() for m in C.maps]
+
+
+QUADRICS = ("x^2", "x*y", "y^2", "y*z", "z^2", "x*z", "x*y - z^2", "x^2 + y*z")
+
+
+@st.composite
+def redundant_ideals(draw):
+    """Quadrics of R3 followed by elements of the ideal they generate: sums
+    c*g + d*h of quadrics and variable multiples v*g, so f_2 of the
+    resolution has unit entries, often several."""
+    gens = draw(st.lists(st.sampled_from(QUADRICS), min_size=1, max_size=3, unique=True))
+    polys = [P(g, R3) for g in gens]
+    pick = st.integers(0, len(polys) - 1)
+    for _ in range(draw(st.integers(1, 2))):
+        g, h = polys[draw(pick)], polys[draw(pick)]
+        if draw(st.booleans()):
+            extra = g.scale(draw(st.integers(1, 3))) + h.scale(draw(st.integers(-2, 2)))
+        else:
+            extra = P(draw(st.sampled_from("xyz")), R3) * g
+        if not extra.is_zero():
+            polys.append(extra)
+    return Ideal(R3, tuple(polys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(redundant_ideals())
+def test_minimalize_matches_the_rescan_on_redundant_generators(I):
+    C = free_resolution(I)
+    assert _complex_parts(minimalize(C)) == _complex_parts(minimalize_rescan(C))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(("x", "y", "x^2", "x*y", "y^2")), min_size=1, max_size=3),
+       st.integers(0, 3), st.sampled_from((1, -1, 3)))
+def test_minimalize_matches_the_rescan_on_koszul_with_a_unit(elems, at, c):
+    polys = [P(e) for e in elems]
+    polys.insert(min(at, len(polys)), Polynomial.constant(R2, c))
+    K = koszul_complex(polys)
+    assert _complex_parts(minimalize(K)) == _complex_parts(minimalize_rescan(K))
+
+
+@pytest.mark.parametrize("C", [
+    koszul_complex([P("x"), P("y")]),
+    koszul_complex([P("x^2", R3), P("y*z", R3), P("x*z - y^2", R3)]),
+    resolve("x*z, x*w, y*z, y*w", R4),
+], ids=["koszul-xy", "koszul-ci", "two-planes"])
+def test_minimalize_returns_a_unit_free_complex_itself(C):
+    assert minimalize(C) is C
 
 
 # ---------------------------------------------------------------- koszul

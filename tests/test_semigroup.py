@@ -16,8 +16,8 @@ from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, closure_ideal,
                            semigroup_build, semigroup_ideal)
 from bsw.session import parse_session, run_session
 
-from _oracles import (TableSemigroup, containment_holds_scan, enumerate_ideals_scan, genus,
-                      germ_bs_exponent_scan, huneke_mu_scan, ideal_power, members_below,
+from _oracles import (TableSemigroup, containment_holds_scan, enumerate_ideals_scan, gaps,
+                      genus, germ_bs_exponent_scan, huneke_mu_scan, ideal_power, members_below,
                       minimal_shifts_greedy)
 
 S25 = semigroup_build((2, 5))
@@ -32,13 +32,22 @@ def ideal(*shifts, S=S25):
 # ---------------------------------------------------------------- build
 
 def test_build_examples():
-    assert (S25.gaps, S25.conductor, genus(S25)) == ((1, 3), 4, 2)
-    assert (S23.gaps, S23.conductor) == ((1,), 2)
-    assert (DVR.gaps, DVR.conductor) == ((), 0)
+    assert (gaps(S25), S25.conductor, genus(S25)) == ((1, 3), 4, 2)
+    assert (gaps(S23), S23.conductor) == ((1,), 2)
+    assert (gaps(DVR), DVR.conductor) == ((), 0)
     S = semigroup_build((3, 5, 7))
-    assert (S.gaps, S.conductor, genus(S)) == ((1, 2, 4), 5, 3)
+    assert (gaps(S), S.conductor, genus(S)) == ((1, 2, 4), 5, 3)
     S2 = semigroup_build((4, 6, 9))
-    assert (S2.gaps, S2.conductor) == ((1, 2, 3, 5, 7, 11), 12)
+    assert (gaps(S2), S2.conductor) == ((1, 2, 3, 5, 7, 11), 12)
+
+
+def test_build_lists_no_gaps(monkeypatch):
+    # the gaps are stored once, as gap_mask; no tuple of them is built
+    calls = []
+    monkeypatch.setattr(semigroup, "_bits", lambda mask: calls.append(mask) or ())
+    for gens in ((2, 5), (4, 6, 9), (1000, 1099)):
+        semigroup_build(gens)
+    assert calls == []
 
 
 def test_build_canonicalizes():
@@ -70,7 +79,7 @@ def test_build_properties(gens):
     if S.conductor > 0:
         assert not S.contains(S.conductor - 1)
     assert all(S.contains(s) for s in range(S.conductor, S.conductor + max(gens)))
-    assert all(g < S.conductor and not S.contains(g) for g in S.gaps)
+    assert all(g < S.conductor and not S.contains(g) for g in gaps(S))
     members = members_below(S, S.conductor + max(gens))
     for a in members[:6]:
         for b in members[:6]:
@@ -369,7 +378,7 @@ def scan_cases(draw):
 def test_masks_match_the_scans(case):
     gens, T, shifts, ell, N, mode = case
     S = semigroup_build(gens)
-    assert (S.gaps, S.conductor) == (T.gaps, T.conductor)
+    assert (gaps(S), S.conductor) == (T.gaps, T.conductor)
     minimal = outcome(minimal_shifts_greedy, T, shifts)
     assert outcome(lambda: semigroup_ideal(S, shifts).shifts) == minimal
     assume(isinstance(minimal, tuple))

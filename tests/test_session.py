@@ -14,8 +14,10 @@ from bsw import cli
 from bsw.groebner import Ideal, krull_dimension
 from bsw.poly import RingContext, parse_polynomials
 from bsw.resolution import free_resolution, strata
-from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, parse_session,
-                         report_exit_code, run_command, run_session)
+from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, _statements,
+                         parse_session, report_exit_code, run_command, run_session)
+
+from _oracles import statements_two_pass
 
 CUSP = "ring z, w weights 2, 5;\nideal C = z^5 - w^2;\n"
 
@@ -58,6 +60,19 @@ def test_comments_and_semicolons_inside_comments():
     sess = parse("# leading; note\nring x; # has ; inside\nideal I = x;\nresolve I;\n")
     assert sess.n_statements == 3
     assert len(sess.commands) == 1
+
+
+def _split(splitter, text):
+    try:
+        return list(splitter(text))
+    except SessionSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=300)
+@given(hst.text(alphabet="x ;#\n", max_size=40))
+def test_statements_match_the_two_pass_splitter(text):
+    assert _split(_statements, text) == _split(statements_two_pass, text)
 
 
 def test_empty_statement_position():
@@ -385,6 +400,17 @@ def test_unexpected_exception_becomes_internal_block(tmp_path, capsys, monkeypat
     assert blocks[0]["error"] == {"kind": "internal", "message": "RuntimeError: boom"}
     assert blocks[0]["summary"] == "internal error: RuntimeError: boom"
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, kind", [
+    ("--phi w --a z --solve w=10^309*z", "sampling"),     # a coefficient beyond floats
+    ("--phi 10^309*w --a z --solve w=z", "estimation"),
+    ("--phi w^2 --a z --solve w=10^300*z", "estimation"),  # the squared norm of a point
+])
+def test_loja_overflow_gives_a_fixed_message(flags, kind):
+    block = run_one(f"ring z, w;\nloja {flags};\n")
+    message = f"{kind} overflows the float range"
+    assert block["error"] == {"kind": kind, "message": message}
 
 
 def test_loja_block_and_csv(tmp_path):

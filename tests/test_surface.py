@@ -1,12 +1,15 @@
 """Package-surface guard: every function, class and method that `src/bsw`
 defines is used by the package, the benchmark harness, the tools or the
 code of the README, so code that only the tests need lives in
-`tests/_oracles.py`."""
+`tests/_oracles.py`.  The README's Python blocks run as written."""
 
 import ast
+import contextlib
 import glob
+import io
 import os
 import re
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -63,3 +66,27 @@ def unreferenced_definitions(root: str = ROOT) -> list[str]:
 
 def test_no_test_only_code_in_package():
     assert unreferenced_definitions() == []
+
+
+def test_readme_python_blocks_print_what_their_comments_say():
+    """The README's ```python blocks run in order in one namespace, and each
+    `print` writes its line's comment up to the first ": "."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        comments = {tok.start[0]: tok.string[1:].strip()
+                    for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                    if tok.type == tokenize.COMMENT}
+        printed = 0
+        for stmt in ast.parse(block).body:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            if (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                    and getattr(stmt.value.func, "id", None) == "print"):
+                printed += 1
+                want = comments[stmt.end_lineno].split(": ", 1)[0]
+                assert out.getvalue().rstrip("\n") == want, block.splitlines()[stmt.lineno - 1]
+        assert printed

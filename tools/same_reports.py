@@ -28,7 +28,8 @@ read 40·v(A) without building A^40, then `germ mu vmax=2 lmax=1` on
 <2, 201>, whose conductor no longer caps the search, and on a
 certification session that runs a certified `resolve` of the rational
 normal quartic and `strata`/`check-cm` on the zero ideal
-(the codim-0 path): 31 runs.  Both trees read the session files of this
+(the codim-0 path); and on a `loja` session whose estimate overflows the
+float range, so the text of its error block is compared: 32 runs.  Both trees read the session files of this
 checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
@@ -104,6 +105,9 @@ CERTIFY_SESSION = ("ring a, b, c, d, e;\n"
                    "strata Z;\n"
                    "check-cm Z;\n")
 
+OVERFLOW_SESSION = ("ring z, w;\n"
+                    "loja --phi w^2 --a z --solve w=10^300*z;\n")
+
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
     os.makedirs(out_dir)
@@ -147,8 +151,9 @@ def main(argv=None) -> int:
         row_cap = os.path.join(tmp, "row_cap.bsw")
         germ = os.path.join(tmp, "germ.bsw")
         certify = os.path.join(tmp, "certify.bsw")
+        overflow = os.path.join(tmp, "overflow.bsw")
         for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION),
-                           (certify, CERTIFY_SESSION)]:
+                           (certify, CERTIFY_SESSION), (overflow, OVERFLOW_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -166,6 +171,7 @@ def main(argv=None) -> int:
         runs.append((row_cap, "row-cap session", ["--seed", "0"]))
         runs.append((germ, "germ session", ["--seed", "0"]))
         runs.append((certify, "certification session", ["--seed", "0"]))
+        runs.append((overflow, "loja overflow session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
