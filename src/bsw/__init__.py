@@ -18,7 +18,8 @@ from .resolution import (FreeComplex, PolyMatrix, StrataReport, check_acyclicity
                          check_normality_condition, expected_ranks,
                          free_resolution, koszul_complex, minimalize,
                          normality_witness, rank_locus_ideal, strata)
-from .closure import MonomialIdeal, bs_verify_monomial, newton_closure, newton_facets
+from .closure import (MonomialIdeal, bs_exponent, bs_verify_monomial, newton_closure,
+                      newton_facets)
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, containment_holds,
                         enumerate_ideals, germ_bs_exponent, germ_closure_member,
                         germ_ideal_member, huneke_mu, semigroup_build,

@@ -1,9 +1,10 @@
 """Command line front end: run or syntax-check a session file.
 
-Exit codes: 0 success, 2 validation or syntax failure or an `internal`
-error block (an unexpected exception inside a command, i.e. a bug), 3
-budget or resource-cap exhaustion (3 wins when both kinds of block are
-present).
+Exit codes: 0 success, 2 an unreadable session file, an unwritable
+`--out` (found before any command runs), validation or syntax failure or
+an `internal` error block (an unexpected exception inside a command, i.e.
+a bug), 3 budget or resource-cap exhaustion (3 wins when both kinds of
+block are present).
 `--budget N` caps each command's Groebner work at N units (S-pairs and
 reduction steps); the default is DEFAULT_BUDGET.
 """
@@ -11,6 +12,7 @@ reduction steps); the default is DEFAULT_BUDGET.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,12 +20,13 @@ import sys
 from .modgb import DEFAULT_BUDGET
 from .session import SessionSyntaxError, parse_session, report_exit_code, run_session
 
-def _read(path: str) -> str:
+def _open(path: str, mode: str):
+    """path opened for reading ("r") or writing ("w"); exit 2 if it cannot be."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        print(f"bsw: cannot read {path}: {exc}", file=sys.stderr)
+        print(f"bsw: cannot {'read' if mode == 'r' else 'write'} {path}: {exc}",
+              file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -43,7 +46,8 @@ def main(argv=None) -> int:
     check_p.add_argument("session", help="session file path")
 
     args = parser.parse_args(argv)
-    text = _read(args.session)
+    with _open(args.session, "r") as fh:
+        text = fh.read()
     try:
         sess = parse_session(text)
     except SessionSyntaxError as exc:
@@ -57,14 +61,15 @@ def main(argv=None) -> int:
     if args.budget < 1:
         print("bsw: budget must be positive", file=sys.stderr)
         return 2
+    # the report file is opened before the session runs, so an unwritable
+    # --out stops bsw before any command (or loja CSV) has run
+    out = _open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     csv_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
-    report = run_session(sess, seed=args.seed, budget=args.budget, csv_dir=csv_dir)
-    payload = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with out as fh:
+        report = run_session(sess, seed=args.seed, budget=args.budget, csv_dir=csv_dir)
+        fh.write(json.dumps(report, indent=2) + "\n")
+        if args.out:
+            fh.truncate()  # drop what a loja --csv of the same name wrote past the report
     return report_exit_code(report)
 
 

@@ -223,21 +223,24 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     return None
 
 
-def bs_verify_monomial(M: MonomialIdeal, ell: int, d: int | None = None
-                       ) -> tuple[bool, Exponent | None]:
-    """Classical containment check: closure(M^(min(m,d)+ell-1)) inside M^ell.
-
-    d defaults to the ambient variable count; m is the minimal generator
-    count.  Returns (holds, counterexample_exponent_or_None).
-    """
+def bs_exponent(M: MonomialIdeal, ell: int, d: int | None = None) -> tuple[int, int]:
+    """(d, e) for the classical containment closure(M^e) inside M^ell:
+    e = min(m, d) + ell - 1, m the minimal generator count and d
+    defaulting to the ambient variable count."""
     if ell < 1:
         raise ValidationError("ell must be at least 1")
     if d is None:
         d = M.nvars
     if d < 1:
         raise ValidationError("d must be at least 1")
-    m = len(M.exponents)
-    e = min(m, d) + ell - 1
+    return d, min(len(M.exponents), d) + ell - 1
+
+
+def bs_verify_monomial(M: MonomialIdeal, ell: int, d: int | None = None
+                       ) -> tuple[bool, Exponent | None]:
+    """Classical containment check: closure(M^e) inside M^ell, e from
+    bs_exponent.  Returns (holds, counterexample_exponent_or_None)."""
+    e = bs_exponent(M, ell, d)[1]
     target = M.power(ell) if ell > 1 else M
     witness = closure_containment_witness(M, e, target)
     return (witness is None, witness)

@@ -22,6 +22,7 @@ eliminates.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -365,6 +366,9 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(chunks)
 
 
+_SPACES = re.compile(r"\s*")
+
+
 class _Tokens:
     """Tiny tokenizer for the polynomial text syntax, tracking positions."""
 
@@ -372,13 +376,10 @@ class _Tokens:
         self.text = text
         self.i = 0
 
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
+        """The next non-space character ("" at the end), skipping the spaces."""
+        self.i = _SPACES.match(self.text, self.i).end()
+        return self.text[self.i:self.i + 1]
 
     def take(self) -> str:
         ch = self.peek()
@@ -388,68 +389,42 @@ class _Tokens:
     def error(self, msg: str):
         raise ValidationError(f"{msg} at position {self.i} in {self.text!r}")
 
-    def read_int(self) -> int:
-        self.skip_ws()
-        j = self.i
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.i:
-            self.error("expected an integer")
-        val = int(self.text[self.i:j])
-        self.i = j
-        return val
-
-    def read_name(self) -> str:
-        self.skip_ws()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        if j == self.i:
-            self.error("expected a name")
-        name = self.text[self.i:j]
-        self.i = j
-        return name
+    def read(self, pattern: str, what: str) -> str:
+        """The run that `pattern` matches after any spaces; if none, an error
+        that names `what`."""
+        self.peek()
+        m = re.compile(pattern).match(self.text, self.i)
+        if m is None:
+            self.error(f"expected {what}")
+        self.i = m.end()
+        return m.group()
 
 
 def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
     """Parse `3/2*x^2*y - z` style syntax; errors carry position info.
 
-    Grammar: sum of terms; a term is a product of factors joined by `*`;
-    a factor is a rational, a variable, or a parenthesized sum, with an
-    optional `^nat`.
+    Grammar: sum of terms, each after a run of signs (required between
+    terms); a term is a product of factors joined by `*`; a factor is an
+    integer of ASCII digits with an optional `/denominator`, a variable, or
+    a parenthesized sum, with an optional `^integer`.
     """
     tk = _Tokens(text)
     p = _parse_sum(tk, ring)
-    tk.skip_ws()
-    if tk.i != len(text):
+    if tk.peek():
         tk.error("trailing input")
     return p
 
 
 def _parse_sum(tk: _Tokens, ring: RingContext) -> Polynomial:
     total = Polynomial.zero(ring)
-    sign = 1
-    first = True
     while True:
-        ch = tk.peek()
-        if ch == "+":
-            tk.take()
-        elif ch == "-":
-            tk.take()
-            sign = -sign
-        elif not first:
-            break
-        # allow runs of signs like "- -x"
+        negative = False
         while tk.peek() in ("+", "-"):
-            if tk.take() == "-":
-                sign = -sign
+            negative ^= tk.take() == "-"
         term = _parse_product(tk, ring)
-        total = total + (term if sign == 1 else -term)
-        sign = 1
-        first = False
+        total = total + (-term if negative else term)
         if tk.peek() not in ("+", "-"):
-            break
-    return total
+            return total
 
 
 def _parse_product(tk: _Tokens, ring: RingContext) -> Polynomial:
@@ -468,26 +443,22 @@ def _parse_factor(tk: _Tokens, ring: RingContext) -> Polynomial:
         if tk.peek() != ")":
             tk.error("expected ')'")
         tk.take()
-    elif ch.isdigit():
-        num = tk.read_int()
+    elif "0" <= ch <= "9":
+        num = int(tk.read("[0-9]+", "an integer"))
         if tk.peek() == "/":
             tk.take()
-            den = tk.read_int()
+            den = int(tk.read("[0-9]+", "an integer"))
             if den == 0:
                 tk.error("zero denominator")
-            p = Polynomial.constant(ring, Fraction(num, den))
-        else:
-            p = Polynomial.constant(ring, num)
+            num = Fraction(num, den)
+        p = Polynomial.constant(ring, num)
     elif ch.isalpha() or ch == "_":
-        name = tk.read_name()
-        idx = ring.var_index(name)
-        p = Polynomial.variable(ring, idx)
+        p = Polynomial.variable(ring, ring.var_index(tk.read(r"\w+", "a name")))
     else:
         tk.error("expected a factor")
     if tk.peek() == "^":
         tk.take()
-        k = tk.read_int()
-        p = p ** k
+        p = p ** int(tk.read("[0-9]+", "an integer"))
     return p
 
 

@@ -440,7 +440,6 @@ class StratumInfo:
 @dataclass(frozen=True)
 class StrataReport:
     ring: RingContext
-    ambient_dim: int
     d: int                       # dim Z
     p: int                       # codim of Z in C^n
     expected: tuple[int, ...]    # rho_k for the resolving complex
@@ -449,8 +448,6 @@ class StrataReport:
     strata: dict                 # r -> StratumInfo, r = 0..length-p
     purity_ok: bool
     degenerate: tuple[str, ...]  # warnings from unit-minor conventions
-    notes: tuple[str, ...]
-
 
 
 def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:
@@ -461,11 +458,10 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
     if C.ring != ring:
         raise StructuralError("complex and ideal rings differ")
     budget = Budget.of(budget)
-    n = ring.n
     d = krull_dimension(I, budget=budget)
     if d < 0:
         raise ValidationError("strata of an empty variety are undefined")
-    p = n - d
+    p = ring.n - d
     rho = expected_ranks(C)
     degenerate: list[str] = []
 
@@ -494,15 +490,9 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
         for r, info in strata_map.items()
         if r >= 1
     )
-    notes = (
-        "codims measured inside Z (codim_Z = dim Z - dim stratum)",
-        "strata beyond the complex length are empty and omitted",
-    )
-    return StrataReport(
-        ring=ring, ambient_dim=n, d=d, p=p, expected=rho,
-        zk_ideals=zk, zsing_ideal=z0_ideal, strata=strata_map,
-        purity_ok=purity_ok, degenerate=tuple(degenerate), notes=notes,
-    )
+    return StrataReport(ring=ring, d=d, p=p, expected=rho, zk_ideals=zk,
+                        zsing_ideal=z0_ideal, strata=strata_map,
+                        purity_ok=purity_ok, degenerate=tuple(degenerate))
 
 
 def check_cm_depth(S: StrataReport) -> tuple[bool, int, int]:

@@ -14,7 +14,8 @@ timestamp field differs.  Command failures (validation, budget) become
 structured error blocks, never process aborts (any other exception
 becomes an `internal` error block); the only hard stops are
 syntax errors, unknown keywords, duplicate names, and references to
-names that were never bound, all raised at parse time with positions.
+names that were never bound or that live in another ring than the one
+the command works in, all raised at parse time with positions.
 
 Each command kind is one `_COMMANDS` entry: a parse function
 (kind, tokens, parse state) -> (inputs, payload), and a run function
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .closure import MonomialIdeal, bs_verify_monomial, newton_closure
+from .closure import MonomialIdeal, bs_exponent, bs_verify_monomial, newton_closure
 from .errors import (BudgetExceededError, EstimationError, ResourceCapError,
                      SamplingError, StructuralError, ValidationError)
 from .groebner import Ideal
@@ -191,13 +192,16 @@ class _ParseState:
             raise ValidationError(f"no {what} declared yet")
         return got
 
-    def lookup(self, name: str, want: str):
+    def lookup(self, name: str, want: str, ring: RingContext | None = None):
+        """The `want` bound to name, refused if it lives outside ring (if given)."""
         got = self.bindings.get(name)
         if got is None:
             raise ValidationError(f"name {name!r} is not bound")
         kind, obj = got
         if kind != want:
             raise ValidationError(f"{name!r} is a {kind}, expected {want}")
+        if ring is not None and obj.ring != ring:
+            raise ValidationError(f"{name!r} is bound in another ring")
         return obj
 
     def bind(self, name: str, kind: str, obj):
@@ -218,6 +222,9 @@ def _parse_ring(rest: str, st: _ParseState):
         names_part.append(words[i])
         i += 1
     names = tuple(n for n in split_top_commas(" ".join(names_part)) if n)
+    for clause in ("weights", "order"):
+        if words[i:].count(clause) > 1:
+            raise ValidationError(f"duplicate {clause} clause")
     while i < len(words):
         if words[i] == "weights":
             if i + 1 >= len(words):
@@ -258,12 +265,11 @@ def _parse_binding(kind: str, rest: str, st: _ParseState):
 
 
 def _poly_or_binding(text: str, st: _ParseState) -> list[Polynomial]:
-    """A flag value naming a binding, or polynomial text in the ring."""
+    """A flag value naming a binding in the current ring, or polynomial text in it."""
     if text in st.bindings:
-        kind, obj = st.bindings[text]
-        if kind == "ideal":
-            return list(obj.generators)
-        return [obj]
+        kind = st.bindings[text][0]
+        obj = st.lookup(text, kind, st.need("ring"))
+        return list(obj.generators) if kind == "ideal" else [obj]
     return parse_polynomials(text, st.need("ring"))
 
 
@@ -302,7 +308,7 @@ def _parse_resolution(kind: str, tokens: list[str], st: _ParseState):
 def _parse_check_bs(kind: str, tokens: list[str], st: _ParseState):
     inputs, payload, flags = _named_ideal(tokens, st, "check-bs wants NAME --ideal A",
                                           ("m",), ("ideal",))
-    a = st.lookup(flags["ideal"], "ideal")
+    a = st.lookup(flags["ideal"], "ideal", payload["ideal"].ring)
     m = _int(flags["m"], "m") if "m" in flags else len(a.generators)
     inputs.update(test_ideal=flags["ideal"], test_generators=_gen_strings(a), m=m)
     payload.update(a=a, m=m)
@@ -445,7 +451,7 @@ def _run_strata(p: dict, budget: Budget, **_):
             "empty": info.empty,
         })
     result = {
-        "ambient_dim": S.ambient_dim,
+        "ambient_dim": S.ring.n,
         "dim": S.d,
         "codim": S.p,
         "expected_ranks": list(S.expected),
@@ -453,7 +459,8 @@ def _run_strata(p: dict, budget: Budget, **_):
         "strata": strata_rows,
         "purity_ok": S.purity_ok,
         "degenerate": list(S.degenerate),
-        "notes": list(S.notes),
+        "notes": ["codims measured inside Z (codim_Z = dim Z - dim stratum)",
+                  "strata beyond the complex length are empty and omitted"],
     }
     nonempty = [row["r"] for row in strata_rows if not row["empty"]]
     return result, (f"dim {S.d}, codim {S.p}; nonempty strata r in {nonempty}; "
@@ -489,8 +496,7 @@ def _run_bs_verify(p: dict, **_):
     I: Ideal = p["ideal"]
     M = MonomialIdeal.from_polynomials(list(I.generators))
     holds, witness = bs_verify_monomial(M, p["ell"], p["d"])
-    d = p["d"] if p["d"] is not None else M.nvars
-    exponent = min(len(M.exponents), d) + p["ell"] - 1
+    d, exponent = bs_exponent(M, p["ell"], p["d"])
     names = I.ring.variable_names
     result = {"holds": holds, "ell": p["ell"], "d": d, "exponent": exponent,
               "counterexample": None if witness is None

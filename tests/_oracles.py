@@ -32,6 +32,10 @@ reference for its windows and its closed-form exponent.
 reference for the mu search over powers built once per ideal.
 `statements_two_pass` blanks the comments in one pass and splits the
 statements in a second, the reference for the one pass of `bsw.session`.
+`parse_polynomial_isdigit` is the polynomial reader with a `skip_ws`,
+`read_int` and `read_name` per token kind, `str.isdigit` digits and a sum
+loop that tests its first term apart; on text without non-ASCII digits it
+is the reference for the one `read` of `bsw.poly`.
 `check_acyclicity_full` is the exactness certificate that also builds
 every (rho_k+1)-minor, which `bsw.resolution` derives from the maps
 composing to zero instead; `minimalize_rescan` is graded minimalization
@@ -801,3 +805,122 @@ def statements_two_pass(text: str) -> list[tuple[str, int, int]]:
     if start is not None:
         raise SessionSyntaxError("statement missing ';'", start[0], start[1])
     return out
+
+
+class _IsdigitTokens:
+    """The tokenizer that `parse_polynomial_isdigit` reads with."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.i = 0
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.i += 1
+        return ch
+
+    def error(self, msg: str):
+        raise ValidationError(f"{msg} at position {self.i} in {self.text!r}")
+
+    def read_int(self) -> int:
+        self.skip_ws()
+        j = self.i
+        while j < len(self.text) and self.text[j].isdigit():
+            j += 1
+        if j == self.i:
+            self.error("expected an integer")
+        val = int(self.text[self.i:j])
+        self.i = j
+        return val
+
+    def read_name(self) -> str:
+        self.skip_ws()
+        j = self.i
+        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+            j += 1
+        if j == self.i:
+            self.error("expected a name")
+        name = self.text[self.i:j]
+        self.i = j
+        return name
+
+
+def parse_polynomial_isdigit(text: str, ring: RingContext) -> Polynomial:
+    """The polynomial reader with `str.isdigit` digits (a non-ASCII digit
+    reaches `int`, which reads `٣` as 3 and raises ValueError on `²`) and
+    a sum loop that tests its first term apart."""
+    tk = _IsdigitTokens(text)
+    p = _isdigit_sum(tk, ring)
+    tk.skip_ws()
+    if tk.i != len(text):
+        tk.error("trailing input")
+    return p
+
+
+def _isdigit_sum(tk: _IsdigitTokens, ring: RingContext) -> Polynomial:
+    total = Polynomial.zero(ring)
+    sign = 1
+    first = True
+    while True:
+        ch = tk.peek()
+        if ch == "+":
+            tk.take()
+        elif ch == "-":
+            tk.take()
+            sign = -sign
+        elif not first:
+            break
+        while tk.peek() in ("+", "-"):
+            if tk.take() == "-":
+                sign = -sign
+        term = _isdigit_product(tk, ring)
+        total = total + (term if sign == 1 else -term)
+        sign = 1
+        first = False
+        if tk.peek() not in ("+", "-"):
+            break
+    return total
+
+
+def _isdigit_product(tk: _IsdigitTokens, ring: RingContext) -> Polynomial:
+    p = _isdigit_factor(tk, ring)
+    while tk.peek() == "*":
+        tk.take()
+        p = p * _isdigit_factor(tk, ring)
+    return p
+
+
+def _isdigit_factor(tk: _IsdigitTokens, ring: RingContext) -> Polynomial:
+    ch = tk.peek()
+    if ch == "(":
+        tk.take()
+        p = _isdigit_sum(tk, ring)
+        if tk.peek() != ")":
+            tk.error("expected ')'")
+        tk.take()
+    elif ch.isdigit():
+        num = tk.read_int()
+        if tk.peek() == "/":
+            tk.take()
+            den = tk.read_int()
+            if den == 0:
+                tk.error("zero denominator")
+            p = Polynomial.constant(ring, Fraction(num, den))
+        else:
+            p = Polynomial.constant(ring, num)
+    elif ch.isalpha() or ch == "_":
+        p = Polynomial.variable(ring, ring.var_index(tk.read_name()))
+    else:
+        tk.error("expected a factor")
+    if tk.peek() == "^":
+        tk.take()
+        p = p ** tk.read_int()
+    return p

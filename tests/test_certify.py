@@ -47,6 +47,14 @@ def test_zero_expected_rank_is_the_unit_ideal():
     assert [str(g) for g in locus.generators] == ["1"] and not degenerate
 
 
+def test_strata_of_the_non_exact_complex_warns_that_rho_2_is_too_large():
+    C = FreeComplex(R2, (1, 1, 2), (PM(R2, [["x"]]), PM(R2, [["0", "0"]])))
+    S = strata(C, Ideal(R2, ()))
+    assert S.degenerate == ("rho_2 exceeds the size of f_2; Z_2 = Z",)
+    assert (S.d, S.p, S.strata[2].dim, S.strata[2].codim_in_z) == (2, 0, 2, 0)
+    assert not S.purity_ok
+
+
 def test_split_complex_longer_than_the_ring_is_exact():
     # R <-1- R <-0- R <-1- R is split exact; its unit minor ideals cut out
     # the empty set, whose codimension is infinite, not n + 1 = 2 < 3

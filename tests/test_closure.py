@@ -12,7 +12,7 @@ from _oracles import (containment_witness_fullbox, member, newton_closure_fullbo
                       staircase_fullbox)
 import bsw.poly
 from bsw import closure
-from bsw.closure import (MonomialIdeal, _staircase, bs_verify_monomial,
+from bsw.closure import (MonomialIdeal, _staircase, bs_exponent, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
@@ -311,3 +311,14 @@ def test_one_variable_closure_and_witness():
     rep = run_session(parse_session("ring t;\nideal T = t^3;\nnewton-closure T;\n"))
     assert rep["blocks"][0]["status"] == "ok"
     assert rep["blocks"][0]["result"]["closure"] == ["t^3"]
+
+
+def test_bs_exponent_is_min_m_d_plus_ell_minus_one():
+    M = MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)))  # m = 4
+    assert bs_exponent(M, 1) == (3, 3)  # d defaults to the variable count
+    assert bs_exponent(M, 2, d=2) == (2, 3)
+    assert bs_exponent(M, 2, d=7) == (7, 5)
+    with pytest.raises(ValidationError, match="ell must be at least 1"):
+        bs_exponent(M, 0, d=0)  # ell is checked before d
+    with pytest.raises(ValidationError, match="d must be at least 1"):
+        bs_exponent(M, 1, d=0)

@@ -2,10 +2,11 @@
 
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsw.poly
@@ -18,7 +19,7 @@ from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent, exp_
 
 from _oracles import (cmp_monomials, eval_complex, exp_add_genexpr, exp_divides_genexpr,
                       exp_lcm_genexpr, exp_sub_genexpr, ideal_power, monomial_key,
-                      weighted_degree_genexpr)
+                      parse_polynomial_isdigit, weighted_degree_genexpr)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -320,3 +321,49 @@ def test_print_parse_round_trip(p):
 def test_hash_consistent_with_eq(p, q):
     if p == q:
         assert hash(p) == hash(q)
+
+
+# ---------------------------------------------------------------- one reader
+
+def _read_outcome(read, text):
+    try:
+        return str(read(text, R3))
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+READER_CHARS = "xyzα0123 +-*^()/_"
+# chunks of the same characters, so that sign runs, powers and fractions
+# reach the deeper branches more often than with characters drawn one by one
+READER_CHUNKS = ["x", "y", "z", "α", "_", "0", "1", "23", " ", "  ", "+", "-", "--", "*",
+                 "^", "^2", "(", ")", "/", "/3"]
+
+
+# exponents of one digit: a two-digit power of a sum takes seconds to expand
+@settings(max_examples=300)
+@given(st.one_of(st.text(alphabet=READER_CHARS, max_size=12),
+                 st.lists(st.sampled_from(READER_CHUNKS), max_size=10).map("".join))
+       .filter(lambda text: not re.search(r"\^ *[0-9]{2}", text)))
+def test_reader_matches_the_isdigit_reader_on_ascii_digits(text):
+    assert _read_outcome(parse_polynomial, text) == _read_outcome(parse_polynomial_isdigit, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^²", "expected an integer at position 2"),
+    ("3/²", "expected an integer at position 2"),
+    ("²*x", "expected a factor at position 0"),
+    ("٣*x", "expected a factor at position 0"),
+])
+def test_non_ascii_digits_are_positioned_errors(text, message):
+    with pytest.raises(ValidationError) as info:
+        P(text)
+    assert str(info.value) == f"{message} in {text!r}"
+
+
+def test_trailing_input_and_zero_denominator_are_positioned_errors():
+    with pytest.raises(ValidationError) as info:
+        P("x y")
+    assert str(info.value) == "trailing input at position 2 in 'x y'"
+    with pytest.raises(ValidationError) as info:
+        P("x + 1/0")
+    assert str(info.value) == "zero denominator at position 7 in 'x + 1/0'"

@@ -161,6 +161,46 @@ def test_ring_redeclaration_keeps_old_bindings():
     assert b2["result"]["closure"] == ["a*b"]
 
 
+@pytest.mark.parametrize("text, where, name", [
+    ("ring p, q weights 1, 1;\npoly f = q^3;\nring z, w weights 2, 5;\n"
+     "loja --phi f --a z --curve 2,5;\n", (4, 1), "f"),
+    ("ring p, q, r;\npoly f = q^3;\nring z, w weights 2, 5;\n"
+     "loja --phi z --a f --curve 2,5;\n", (4, 1), "f"),
+    ("ring x;\nideal A = x;\nring y;\nideal I = y;\ncheck-bs I --ideal A;\n", (5, 1), "A"),
+])
+def test_a_binding_of_another_ring_is_refused(text, where, name):
+    e = err(text)
+    assert (str(e), (e.line, e.col)) == (f"{name!r} is bound in another ring", where)
+
+
+def test_bindings_of_an_earlier_ring_still_mix_with_each_other():
+    sess = parse("ring x, y;\nideal A = x, y;\nideal I = x^2;\nring z;\n"
+                 "check-bs I --ideal A;\nring x, y;\npoly f = x;\n"
+                 "loja --phi f --a A --curve 1,1;\n")
+    assert [c.kind for c in sess.commands] == ["check-bs", "loja"]
+
+
+@pytest.mark.parametrize("clauses, which", [
+    ("order lex order degrevlex", "order"),
+    ("weights 1, 2 order lex weights 2, 1", "weights"),
+])
+def test_a_ring_clause_given_twice_is_refused(clauses, which):
+    assert str(err(f"ring x, y {clauses};")) == f"duplicate {which} clause"
+
+
+def test_loja_radii_flag():
+    sess = parse("ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5 --radii 1e-1, 5e-2,2e-2;\n")
+    assert sess.commands[0].inputs["radii"] == [0.1, 0.05, 0.02]
+    e = err("ring z, w;\nloja --phi w --a z --curve 1,1 --radii 0.1,abc;\n")
+    assert (str(e), e.line) == ("radii wants floats, got 'abc'", 2)
+
+
+def test_resolve_certify_true_is_the_default():
+    plain, certified = [run_one(CUSP + f"resolve C{flag};") for flag in ("", " --certify true")]
+    assert certified["result"]["certified"] is True
+    assert plain["result"] == certified["result"]
+
+
 # ---------------------------------------------------------------- blocks
 
 def test_check_normal_block_cusp():
@@ -497,6 +537,30 @@ def test_cli_missing_file(tmp_path, capsys):
         cli.main(["run", str(tmp_path / "absent.bsw")])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["x^²", "3/²", "²*x"])
+def test_cli_check_refuses_non_ascii_digits(tmp_path, capsys, text):
+    spath = write(tmp_path, "s.bsw", f"ring x;\npoly f = {text};\n")
+    assert cli.main(["check", spath]) == 2
+    assert f"{spath}:2:1: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", "somedir"])
+def test_cli_unwritable_out_stops_before_running(tmp_path, capsys, out):
+    (tmp_path / "somedir").mkdir()
+    spath = write(tmp_path, "s.bsw", "ring z, w;\nloja --phi w --a z --curve 1,1 --csv pts.csv;\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", spath, "--out", str(tmp_path / out)])
+    assert info.value.code == 2
+    assert f"bsw: cannot write {tmp_path / out}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob("pts.csv"))
+
+
+def test_cli_report_replaces_a_loja_csv_of_the_same_name(tmp_path, capsys):
+    spath = write(tmp_path, "s.bsw", "ring z, w;\nloja --phi w --a z --curve 1,1 --csv r.json;\n")
+    assert cli.main(["run", spath, "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["blocks"][0]["result"]["csv"] == "r.json"
 
 
 def test_cli_budget_flag(tmp_path, capsys):
