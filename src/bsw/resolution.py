@@ -485,14 +485,24 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
         dr = krull_dimension(idl, budget=budget)
         strata_map[r] = StratumInfo(idl, dr, (d - dr) if dr >= 0 else None)
 
-    purity_ok = all(
-        info.empty or (info.codim_in_z is not None and info.codim_in_z >= r + 1)
-        for r, info in strata_map.items()
-        if r >= 1
-    )
     return StrataReport(ring=ring, d=d, p=p, expected=rho, zk_ideals=zk,
                         zsing_ideal=z0_ideal, strata=strata_map,
-                        purity_ok=purity_ok, degenerate=tuple(degenerate))
+                        purity_ok=_codim_failure(strata_map, d, 1, r_min=1) is None,
+                        degenerate=tuple(degenerate))
+
+
+def _codim_failure(strata_map: dict, d: int, need: int, meet=None, r_min: int = 0):
+    """First nonempty stratum r >= r_min with codim_Z < need + r, as (r, codim),
+    else None, visiting r in order.  The codim is d minus the stratum's dim, or
+    minus meet(info) when given, whose empty locus (dim -1) passes."""
+    for r in sorted(strata_map):
+        info = strata_map[r]
+        if r < r_min or info.empty:
+            continue
+        dim = info.dim if meet is None else meet(info)
+        if dim >= 0 and d - dim < need + r:
+            return r, d - dim
+    return None
 
 
 def check_cm_depth(S: StrataReport) -> tuple[bool, int, int]:
@@ -522,30 +532,14 @@ def check_bs_condition(S: StrataReport, a: Ideal, m: int | None = None,
     if m < 1:
         raise ValidationError("m must be at least 1")
     budget = Budget.of(budget)
-    for r in sorted(S.strata):
-        info = S.strata[r]
-        if info.empty:
-            continue
-        meet = Ideal(S.ring, info.ideal.generators + a.generators)
-        dim_meet = krull_dimension(meet, budget=budget)
-        if dim_meet < 0:
-            continue
-        codim = S.d - dim_meet
-        if codim < m + 1 + r:
-            return False, (r, codim)
-    return True, None
+    witness = _codim_failure(S.strata, S.d, m + 1, lambda info: krull_dimension(
+        Ideal(S.ring, info.ideal.generators + a.generators), budget=budget))
+    return witness is None, witness
 
 
 def normality_witness(S: StrataReport):
     """First (r, codim) violating codim_Z Z^r >= 2 + r, else None."""
-    for r in sorted(S.strata):
-        info = S.strata[r]
-        if info.empty:
-            continue
-        if info.codim_in_z is None or info.codim_in_z >= 2 + r:
-            continue
-        return (r, info.codim_in_z)
-    return None
+    return _codim_failure(S.strata, S.d, 2)
 
 
 def check_normality_condition(S: StrataReport) -> bool:

@@ -17,13 +17,17 @@ syntax errors, unknown keywords, duplicate names, and references to
 names that were never bound or that live in another ring than the one
 the command works in, all raised at parse time with positions.
 
-Each command kind is one `_COMMANDS` entry: a parse function
-(kind, tokens, parse state) -> (inputs, payload), and a run function
-payload -> (result, summary) whose summary is built from the result
-alone.  Parse helpers raise `ValidationError`; `parse_session` attaches
-the statement position once; they get the declared ring, germ semigroup or
-germ ideal from one `need(what)`.  A float overflow in `loja` gives a
-`sampling` or `estimation` block with a fixed message, not the C library's.
+A statement's keyword, its first word or `germ` and the next, selects one
+`_DECLARATIONS` entry, a parse function (kind, text after the keyword, parse
+state) that binds state, or one `_COMMANDS` entry: a parse function (kind,
+tokens, parse state) -> (inputs, payload), and a run function payload ->
+(result, summary) whose summary is built from the result alone.  Parse
+helpers raise `ValidationError`; `parse_session` attaches the statement
+position once; they get the declared ring, germ semigroup or germ ideal from
+one `need(what)`.  Number lists are comma-separated, never space-separated,
+and integers are ASCII digits with an optional sign.  A float overflow in
+`loja` gives a `sampling` or `estimation` block with a fixed message, not
+the C library's.
 
 In a session, numpy loads at parse time or not at all.  Importing bsw
 does not load it: `closure` and `loja` import it inside the functions
@@ -36,6 +40,7 @@ not (resolutions, strata, `check-*`, germ commands) never loads it.
 from __future__ import annotations
 
 import os
+import re
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -58,6 +63,8 @@ from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
 
 DEFAULT_RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 DEFAULT_PER_RADIUS = 10
+_INT = re.compile(r"[+-]?[0-9]+")
+_KEYWORD = re.compile(r"germ\s+\S+|\S+")
 
 
 class SessionSyntaxError(Exception):
@@ -150,10 +157,9 @@ def _parse_flags(tokens: list[str], allowed: tuple[str, ...], positional_max: in
 
 
 def _int(value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{what} wants an integer, got {value!r}") from None
+    if _INT.fullmatch(value) is None:
+        raise ValidationError(f"{what} wants an integer, got {value!r}")
+    return int(value)
 
 
 def _bool(value: str, what: str) -> bool:
@@ -165,6 +171,8 @@ def _bool(value: str, what: str) -> bool:
 
 
 def _int_list(value: str, what: str) -> tuple[int, ...]:
+    if not value:
+        raise ValidationError(f"{what} wants a list")
     return tuple(_int(p, what) for p in split_top_commas(value))
 
 
@@ -212,42 +220,25 @@ class _ParseState:
         self.bindings[name] = (kind, obj)
 
 
-def _parse_ring(rest: str, st: _ParseState):
-    words = rest.split()
-    names_part: list[str] = []
-    weights: tuple[int, ...] | None = None
-    order: str | None = None
-    i = 0
-    while i < len(words) and words[i] not in ("weights", "order"):
-        names_part.append(words[i])
-        i += 1
-    names = tuple(n for n in split_top_commas(" ".join(names_part)) if n)
-    for clause in ("weights", "order"):
-        if words[i:].count(clause) > 1:
-            raise ValidationError(f"duplicate {clause} clause")
-    while i < len(words):
-        if words[i] == "weights":
-            if i + 1 >= len(words):
-                raise ValidationError("weights wants a list")
-            j = i + 1
-            vals = []
-            while j < len(words) and words[j] != "order":
-                vals.append(words[j])
-                j += 1
-            weights = _int_list(" ".join(vals).replace(" ", ""), "weights")
-            i = j
-        elif words[i] == "order":
-            if i + 1 >= len(words):
-                raise ValidationError("order wants a tag")
-            order = words[i + 1]
-            i += 2
+def _parse_ring(kind: str, rest: str, st: _ParseState):
+    """`ring NAMES [weights LIST] [order TAG]`, the clauses in either order."""
+    clause = "names"
+    clauses: dict[str, list[str]] = {clause: []}
+    for word in rest.split():
+        if word in ("weights", "order"):
+            if word in clauses:
+                raise ValidationError(f"duplicate {word} clause")
+            clause, clauses[word] = word, []
         else:
-            raise ValidationError(f"unexpected token {words[i]!r}")
+            clauses[clause].append(word)
+    names = tuple(n for n in split_top_commas(" ".join(clauses["names"])) if n)
     if not names:
         raise ValidationError("ring wants variable names")
-    if order is not None and order not in RING_ORDERS:
-        raise ValidationError(f"unknown order {order!r}")
-    st.ring = RingContext(names, weights, order or "weighted-degrevlex")
+    order = " ".join(clauses.get("order", ["weighted-degrevlex"]))
+    if order not in RING_ORDERS:
+        raise ValidationError(f"unknown order {order!r}" if order else "order wants a tag")
+    weights = _int_list(" ".join(clauses["weights"]), "weights") if "weights" in clauses else None
+    st.ring = RingContext(names, weights, order)
 
 
 def _parse_binding(kind: str, rest: str, st: _ParseState):
@@ -262,6 +253,16 @@ def _parse_binding(kind: str, rest: str, st: _ParseState):
     else:
         obj = parse_polynomial(rhs, ring)
     st.bind(name, kind, obj)
+
+
+def _parse_germ_semigroup(kind: str, rest: str, st: _ParseState):
+    st.germ_semigroup = semigroup_build(_int_list(" ".join(rest.split()), "semigroup generators"))
+    st.germ_ideal = None
+
+
+def _parse_germ_ideal(kind: str, rest: str, st: _ParseState):
+    st.germ_ideal = semigroup_ideal(st.need("germ semigroup"),
+                                    _int_list(" ".join(rest.split()), "ideal shifts"))
 
 
 def _poly_or_binding(text: str, st: _ParseState) -> list[Polynomial]:
@@ -592,6 +593,9 @@ _COMMANDS = {
 # the command kinds whose run functions use numpy (closure, loja)
 _NUMPY_KINDS = frozenset({"bs-verify-monomial", "newton-closure", "loja"})
 
+_DECLARATIONS = {"ring": _parse_ring, "ideal": _parse_binding, "poly": _parse_binding,
+                 "germ semigroup": _parse_germ_semigroup, "germ ideal": _parse_germ_ideal}
+
 
 def parse_session(text: str) -> Session:
     """Parse and resolve a session; commands are not executed."""
@@ -599,33 +603,18 @@ def parse_session(text: str) -> Session:
     sess = Session()
     for raw, line, col in _statements(text):
         sess.n_statements += 1
-        kind, *tokens = raw.split()
+        keyword = _KEYWORD.match(raw)
+        kind, rest = " ".join(keyword.group().split()), raw[keyword.end():]
         try:
-            if kind == "ring":
-                _parse_ring(raw[len(kind):], st)
-                continue
-            if kind in ("ideal", "poly"):
-                _parse_binding(kind, raw[len(kind):], st)
+            if kind in _DECLARATIONS:
+                _DECLARATIONS[kind](kind, rest, st)
                 continue
             if kind == "germ":
-                if not tokens:
-                    raise ValidationError("germ wants a subcommand")
-                sub, tokens = tokens[0], tokens[1:]
-                if sub == "semigroup":
-                    st.germ_semigroup = semigroup_build(
-                        _int_list("".join(tokens), "semigroup generators"))
-                    st.germ_ideal = None
-                    continue
-                if sub == "ideal":
-                    st.germ_ideal = semigroup_ideal(
-                        st.need("germ semigroup"), _int_list("".join(tokens), "ideal shifts"))
-                    continue
-                kind = f"germ {sub}"
-                if kind not in _COMMANDS:
-                    raise ValidationError(f"unknown germ subcommand {sub!r}")
-            elif kind not in _COMMANDS:
-                raise ValidationError(f"unknown statement keyword {kind!r}")
-            inputs, payload = _COMMANDS[kind][0](kind, tokens, st)
+                raise ValidationError("germ wants a subcommand")
+            if kind not in _COMMANDS:
+                what = "germ subcommand" if kind.startswith("germ ") else "statement keyword"
+                raise ValidationError(f"unknown {what} {kind.removeprefix('germ ')!r}")
+            inputs, payload = _COMMANDS[kind][0](kind, rest.split(), st)
         except (ValidationError, StructuralError) as exc:
             raise SessionSyntaxError(str(exc), line, col) from None
         if kind in _NUMPY_KINDS:

@@ -32,6 +32,11 @@ reference for its windows and its closed-form exponent.
 reference for the mu search over powers built once per ideal.
 `statements_two_pass` blanks the comments in one pass and splits the
 statements in a second, the reference for the one pass of `bsw.session`.
+`parse_ring_joined` and `germ_list_joined` read a `ring` declaration and
+a germ declaration's number list as `bsw.session` did when it joined the
+words of a list with no separator and read integers with `int()`; apart
+from texts where a space alone separates two numbers, which it now refuses,
+they are the reference for its one clause pass and its one number-list reader.
 `parse_polynomial_isdigit` is the polynomial reader with a `skip_ws`,
 `read_int` and `read_name` per token kind, `str.isdigit` digits and a sum
 loop that tests its first term apart; on text without non-ASCII digits it
@@ -68,8 +73,8 @@ from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERF
                       LojaEstimate, VarietySampler, _Block, _ComplexPoly)
 from bsw.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension
 from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide, syzygy_columns
-from bsw.poly import (Polynomial, RingContext, exp_add, exp_divides, exp_lcm, exp_sub,
-                      parse_polynomial, power_combinations)
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, exp_add, exp_divides, exp_lcm,
+                      exp_sub, parse_polynomial, power_combinations, split_top_commas)
 from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
                             minors)
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, _bits, _powers,
@@ -924,3 +929,59 @@ def _isdigit_factor(tk: _IsdigitTokens, ring: RingContext) -> Polynomial:
         tk.take()
         p = p ** tk.read_int()
     return p
+
+
+def _int_list_by_int(value: str, what: str) -> tuple[int, ...]:
+    out = []
+    for part in split_top_commas(value):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ValidationError(f"{what} wants an integer, got {part!r}") from None
+    return tuple(out)
+
+
+def parse_ring_joined(rest: str) -> RingContext:
+    """The ring that `ring REST;` declares, read with the weights clause's
+    words joined with no separator; ValidationError if refused."""
+    words = rest.split()
+    names_part: list[str] = []
+    weights: tuple[int, ...] | None = None
+    order: str | None = None
+    i = 0
+    while i < len(words) and words[i] not in ("weights", "order"):
+        names_part.append(words[i])
+        i += 1
+    names = tuple(n for n in split_top_commas(" ".join(names_part)) if n)
+    for clause in ("weights", "order"):
+        if words[i:].count(clause) > 1:
+            raise ValidationError(f"duplicate {clause} clause")
+    while i < len(words):
+        if words[i] == "weights":
+            if i + 1 >= len(words):
+                raise ValidationError("weights wants a list")
+            j = i + 1
+            vals = []
+            while j < len(words) and words[j] != "order":
+                vals.append(words[j])
+                j += 1
+            weights = _int_list_by_int("".join(vals), "weights")
+            i = j
+        elif words[i] == "order":
+            if i + 1 >= len(words):
+                raise ValidationError("order wants a tag")
+            order = words[i + 1]
+            i += 2
+        else:
+            raise ValidationError(f"unexpected token {words[i]!r}")
+    if not names:
+        raise ValidationError("ring wants variable names")
+    if order is not None and order not in RING_ORDERS:
+        raise ValidationError(f"unknown order {order!r}")
+    return RingContext(names, weights, order or "weighted-degrevlex")
+
+
+def germ_list_joined(rest: str, what: str) -> tuple[int, ...]:
+    """The numbers of `germ semigroup REST;` or `germ ideal REST;`, read with
+    the words joined with no separator; ValidationError if refused."""
+    return _int_list_by_int("".join(rest.split()), what)

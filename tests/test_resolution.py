@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bsw.errors import BudgetExceededError, StructuralError, ValidationError
 from bsw.groebner import Ideal, ideal_member, krull_dimension
+from bsw.modgb import Budget
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
 from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             check_bs_condition, check_cm_depth,
@@ -494,6 +495,21 @@ def test_bs_condition_respects_budget():
     assert check_bs_condition(S, ideal("x, w", R4)) == (False, (0, 2))
     with pytest.raises(BudgetExceededError):
         check_bs_condition(S, ideal("x, w", R4), budget=1)
+
+
+def test_bs_condition_charges_each_meet_in_order_of_r():
+    # two planes meeting in a point: Z^0 and Z^1 are both nonempty; m = 1
+    # passes r = 0 and fails at r = 1 after both meets, m = 2 fails at r = 0
+    # and forms no second meet
+    I = ideal("x*z, x*w, y*z, y*w", R4)
+    S = strata(free_resolution(I), I)
+    a = ideal("x - z, y - w", R4)
+    for m, witness, units in ((1, (1, 2), 192), (2, (0, 2), 141)):
+        budget = Budget(10 ** 6)
+        assert check_bs_condition(S, a, m, budget=budget) == (False, witness)
+        assert budget.total - budget.left == units
+    with pytest.raises(BudgetExceededError):
+        check_bs_condition(S, a, 1, budget=191)
 
 
 def test_bs_condition_validates_m():

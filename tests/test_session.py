@@ -2,22 +2,26 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from bsw import cli
+from bsw.errors import StructuralError, ValidationError
 from bsw.groebner import Ideal, krull_dimension
 from bsw.poly import RingContext, parse_polynomials
 from bsw.resolution import free_resolution, strata
+from bsw.semigroup import semigroup_build, semigroup_ideal
 from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, _statements,
                          parse_session, report_exit_code, run_command, run_session)
+from bsw.session import _DECLARATIONS, _ParseState
 
-from _oracles import statements_two_pass
+from _oracles import germ_list_joined, parse_ring_joined, statements_two_pass
 
 CUSP = "ring z, w weights 2, 5;\nideal C = z^5 - w^2;\n"
 
@@ -186,6 +190,80 @@ def test_bindings_of_an_earlier_ring_still_mix_with_each_other():
 ])
 def test_a_ring_clause_given_twice_is_refused(clauses, which):
     assert str(err(f"ring x, y {clauses};")) == f"duplicate {which} clause"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ring x weights 1 2;", 1),
+    ("ring x, y weights 1, 2 3;", 1),
+    ("germ semigroup 2, 5 7;", 1),
+    ("germ semigroup 2, 5;\ngerm ideal 2 5;", 2),
+])
+def test_a_space_never_separates_two_numbers(tmp_path, capsys, text, line):
+    e = err(text)
+    assert (e.line, e.col) == (line, 1) and "wants an integer" in str(e)
+    assert cli.main(["check", write(tmp_path, "s.bsw", text + "\n")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("germ semigroup \u0662, \u0665;", "\u0662"),
+    ("ring x weights \uff13;", "\uff13"),
+    ("germ semigroup 2, 5;\ngerm ideal 2;\ngerm member 1_0;", "1_0"),
+])
+def test_session_integers_are_ascii_digits(text, value):
+    e = err(text)
+    assert (e.line, e.col) == (text.count("\n") + 1, 1)
+    assert str(e).endswith(f"wants an integer, got {value!r}")
+
+
+DECLARATION_WORDS = ("x", "y", "z", ",", "weights", "order", "lex", "degrevlex", "mystery",
+                     "0", "1", "2", "3", "-1")
+SPACED_NUMBERS = re.compile(r"[0-9]\s+-?[0-9]")
+GERM_S = semigroup_build((2, 3))
+
+
+def _declared(kind, text):
+    """What `kind text;` declares: the ring, the semigroup's generators or the shifts."""
+    st = _ParseState()
+    st.germ_semigroup = GERM_S
+    _DECLARATIONS[kind](kind, text, st)
+    if kind == "ring":
+        return st.ring
+    return st.germ_semigroup.generators if kind == "germ semigroup" else st.germ_ideal.shifts
+
+
+def _declared_joined(kind, text):
+    if kind == "ring":
+        return parse_ring_joined(text)
+    if kind == "germ semigroup":
+        return semigroup_build(germ_list_joined(text, "semigroup generators")).generators
+    return semigroup_ideal(GERM_S, germ_list_joined(text, "ideal shifts")).shifts
+
+
+def _or_none(read, kind, text):
+    try:
+        return read(kind, text)
+    except (ValidationError, StructuralError):
+        return None
+
+
+@pytest.mark.parametrize("kind", ("ring", "germ semigroup", "germ ideal"))
+@settings(max_examples=300, deadline=None)
+@given(text=hst.lists(hst.tuples(hst.sampled_from(DECLARATION_WORDS),
+                                 hst.sampled_from((" ", " ", "  ", ""))),
+                      max_size=9).map(lambda pieces: "".join(map("".join, pieces))))
+@example(text="x, y weights 1, 2 3")
+@example(text="x weights 1 order lex weights 1")
+@example(text="x order lex order lex ")
+@example(text="2, 3 1")
+def test_declarations_read_as_the_joining_oracle(kind, text):
+    # the same ring, generators or shifts, or both refuse; except that a list
+    # whose numbers a space alone separates, which the oracle joins, is refused
+    new, old = _or_none(_declared, kind, text), _or_none(_declared_joined, kind, text)
+    if old is not None and SPACED_NUMBERS.search(text):
+        assert new is None, text
+    else:
+        assert new == old, text
 
 
 def test_loja_radii_flag():

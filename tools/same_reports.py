@@ -29,7 +29,12 @@ read 40·v(A) without building A^40, then `germ mu vmax=2 lmax=1` on
 certification session that runs a certified `resolve` of the rational
 normal quartic and `strata`/`check-cm` on the zero ideal
 (the codim-0 path); and on a `loja` session whose estimate overflows the
-float range, so the text of its error block is compared: 32 runs.  Both trees read the session files of this
+float range, so the text of its error block is compared; and on a
+declarations session that writes `weights` before and after `order`,
+comma lists with and without spaces and a `germ ideal` re-declared after
+a new `germ semigroup`, then runs `resolve`, `strata`, `check-normal`,
+`check-bs` and germ commands on them, so the parsed rings, generators and
+shifts show in the report: 33 runs.  Both trees read the session files of this
 checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
@@ -107,6 +112,29 @@ CERTIFY_SESSION = ("ring a, b, c, d, e;\n"
 
 OVERFLOW_SESSION = ("ring z, w;\n"
                     "loja --phi w^2 --a z --solve w=10^300*z;\n")
+DECLARATIONS_SESSION = ("ring x, y, z weights 1, 2, 3 order lex;\n"
+                        "ideal P = x*y - z, y^3 - z^2;\n"
+                        "resolve P;\n"
+                        "ring x,y,z order degrevlex weights 2,1,1;\n"
+                        "ideal Q = x*y - z^3, x*z;\n"
+                        "resolve Q;\n"
+                        "strata Q;\n"
+                        "ring a , b,c order lex;\n"
+                        "ideal T = a*b, b*c;\n"
+                        "ideal A = a + c;\n"
+                        "resolve T;\n"
+                        "strata T;\n"
+                        "check-normal T;\n"
+                        "check-bs T --ideal A;\n"
+                        "germ semigroup 3,5, 7;\n"
+                        "germ ideal 3 , 5;\n"
+                        "germ member 8;\n"
+                        "germ bs-exponent ell=2;\n"
+                        "germ semigroup 4, 6,9;\n"
+                        "germ ideal 4,9;\n"
+                        "germ closure-member 13 power=2;\n"
+                        "germ bs-exponent ell=2 mode=closure-power;\n"
+                        "germ mu vmax=9 lmax=2;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -152,8 +180,10 @@ def main(argv=None) -> int:
         germ = os.path.join(tmp, "germ.bsw")
         certify = os.path.join(tmp, "certify.bsw")
         overflow = os.path.join(tmp, "overflow.bsw")
+        declarations = os.path.join(tmp, "declarations.bsw")
         for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION),
-                           (certify, CERTIFY_SESSION), (overflow, OVERFLOW_SESSION)]:
+                           (certify, CERTIFY_SESSION), (overflow, OVERFLOW_SESSION),
+                           (declarations, DECLARATIONS_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -172,6 +202,7 @@ def main(argv=None) -> int:
         runs.append((germ, "germ session", ["--seed", "0"]))
         runs.append((certify, "certification session", ["--seed", "0"]))
         runs.append((overflow, "loja overflow session", ["--seed", "0"]))
+        runs.append((declarations, "declarations session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
