@@ -187,14 +187,6 @@ def expected_ranks(C: FreeComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _column_degree(col: VecPoly, prev_shifts, ring: RingContext) -> int:
-    """Degree of a graded column: deg x^a + prev_shifts[pos], equal on every term x^a e_pos."""
-    degs = {ring.weighted_degree(e) + prev_shifts[pos] for pos, e in col.terms}
-    if len(degs) != 1:
-        raise StructuralError("syzygy column not quasi-homogeneous in graded mode")
-    return degs.pop()
-
-
 def _prune_generators(cols: list[VecPoly], ctx: RingContext, sort_keys,
                       budget: Budget) -> list[int]:
     """Greedy minimal generating subset: keep a column only if it is not
@@ -220,16 +212,17 @@ def free_resolution(I: Ideal, max_len: int | None = None, certify: bool = True,
     map keeps the generators exactly as given, so redundant generators
     surface as unit entries for minimalize to strip.  The complex is graded
     when every generator is quasi-homogeneous; then the pruning, in degree
-    order, keeps minimal generators, so the chain stays within the
-    global-dimension bound n, the default max_len.  For other
-    input the pruned sets need not be minimal and an exact chain can need
-    more than n maps; a chain still going at max_len maps raises
-    ResourceCapError.  All steps draw on one Budget.of(budget).
+    order, keeps minimal generators, and redundant generators split off a
+    trivial summand between E_2 and E_1 only, so from E_3 on the chain is
+    the minimal resolution, of length at most n: the default max_len
+    max(n, 2) fits every graded chain.  Other input can need more maps, as
+    its pruned sets need not be minimal; a chain still going at max_len
+    maps raises ResourceCapError.  All steps draw on one Budget.of(budget).
     """
     ring = I.ring
     n = ring.n
     if max_len is None:
-        max_len = n
+        max_len = max(n, 2)
     elif max_len < 1:
         raise ValidationError("max_len must be at least 1")
     gens = list(I.generators)
@@ -243,7 +236,6 @@ def free_resolution(I: Ideal, max_len: int | None = None, certify: bool = True,
     if unit:
         raise ValidationError("resolution wants a proper ideal")
 
-    ranks = [1, len(gens)]
     maps = [PolyMatrix(ring, [list(gens)])]
     shifts: list[tuple[int, ...]] = [(0,)]
     if graded:
@@ -255,20 +247,21 @@ def free_resolution(I: Ideal, max_len: int | None = None, certify: bool = True,
         cols = syzygy_columns(cols, ring, budget)
         if not cols:
             break
-        sort_keys = [top.key(top.leading(c)[0]) for c in cols]
-        if graded:
-            degs = [_column_degree(c, shifts[-1], ring) for c in cols]
-            sort_keys = list(zip(degs, sort_keys))
-        kept = _prune_generators(cols, ring, sort_keys, budget)
         if len(maps) == max_len:
             raise ResourceCapError(f"resolution did not terminate within max_len={max_len}")
+        leads = [top.leading(c)[0] for c in cols]
+        sort_keys = [top.key(m) for m in leads]
+        if graded:
+            # FreeComplex checks every entry against these lead degrees
+            degs = [ring.weighted_degree(e) + shifts[-1][pos] for pos, e in leads]
+            sort_keys = list(zip(degs, sort_keys))
+        kept = _prune_generators(cols, ring, sort_keys, budget)
         cols = [cols[j] for j in kept]
-        maps.append(PolyMatrix.from_columns(ring, ranks[-1], cols))
-        ranks.append(len(cols))
+        maps.append(PolyMatrix.from_columns(ring, maps[-1].cols, cols))
         if graded:
             shifts.append(tuple(degs[j] for j in kept))
 
-    C = FreeComplex(ring, tuple(ranks), tuple(maps), graded=graded,
+    C = FreeComplex(ring, (1, *(M.cols for M in maps)), tuple(maps), graded=graded,
                     shifts=tuple(shifts) if graded else None)
     if certify:
         ok, failures = check_acyclicity(C, budget=budget)
@@ -346,8 +339,9 @@ def koszul_complex(elems: list[Polynomial]) -> FreeComplex:
         if a.is_zero():
             raise ValidationError("Koszul inputs must be nonzero")
     m = len(elems)
-    graded = all(weighted_degree_info(a).quasi_homogeneous for a in elems)
-    degs = [weighted_degree_info(a).max_degree for a in elems]
+    infos = [weighted_degree_info(a) for a in elems]
+    graded = all(info.quasi_homogeneous for info in infos)
+    degs = [info.max_degree for info in infos]
     bases = [list(itertools.combinations(range(m), k)) for k in range(m + 1)]
     maps = []
     for k in range(1, m + 1):
@@ -444,8 +438,7 @@ class StrataReport:
     p: int                       # codim of Z in C^n
     expected: tuple[int, ...]    # rho_k for the resolving complex
     zk_ideals: dict              # k -> Ideal (rho_k-minors + I)
-    zsing_ideal: Ideal
-    strata: dict                 # r -> StratumInfo, r = 0..length-p
+    strata: dict                 # r -> StratumInfo, r = 0..length-p; Z^0 = Z_sing
     purity_ok: bool
     degenerate: tuple[str, ...]  # warnings from unit-minor conventions
 
@@ -478,15 +471,11 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
             degenerate.append(f"rho_{k} exceeds the size of f_{k}; Z_{k} = Z")
 
     strata_map: dict[int, StratumInfo] = {}
-    dim0 = krull_dimension(z0_ideal, budget=budget)
-    strata_map[0] = StratumInfo(z0_ideal, dim0, (d - dim0) if dim0 >= 0 else None)
-    for r in range(1, C.length - p + 1):
-        idl = zk[p + r]
-        dr = krull_dimension(idl, budget=budget)
-        strata_map[r] = StratumInfo(idl, dr, (d - dr) if dr >= 0 else None)
+    for r, idl in {0: z0_ideal, **{r: zk[p + r] for r in range(1, C.length - p + 1)}}.items():
+        dim = krull_dimension(idl, budget=budget)
+        strata_map[r] = StratumInfo(idl, dim, (d - dim) if dim >= 0 else None)
 
-    return StrataReport(ring=ring, d=d, p=p, expected=rho, zk_ideals=zk,
-                        zsing_ideal=z0_ideal, strata=strata_map,
+    return StrataReport(ring=ring, d=d, p=p, expected=rho, zk_ideals=zk, strata=strata_map,
                         purity_ok=_codim_failure(strata_map, d, 1, r_min=1) is None,
                         degenerate=tuple(degenerate))
 

@@ -24,10 +24,10 @@ tokens, parse state) -> (inputs, payload), and a run function payload ->
 (result, summary) whose summary is built from the result alone.  Parse
 helpers raise `ValidationError`; `parse_session` attaches the statement
 position once; they get the declared ring, germ semigroup or germ ideal from
-one `need(what)`.  Number lists are comma-separated, never space-separated,
-and integers are ASCII digits with an optional sign.  A float overflow in
-`loja` gives a `sampling` or `estimation` block with a fixed message, not
-the C library's.
+one `need(what)`.  Number lists are comma-separated, never space-separated;
+integers are ASCII digits with an optional sign, and floats finite ASCII
+decimals.  A float overflow in `loja` gives a `sampling` or `estimation`
+block with a fixed message, not the C library's.
 
 In a session, numpy loads at parse time or not at all.  Importing bsw
 does not load it: `closure` and `loja` import it inside the functions
@@ -39,6 +39,7 @@ not (resolutions, strata, `check-*`, germ commands) never loads it.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import traceback
@@ -64,6 +65,7 @@ from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
 DEFAULT_RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 DEFAULT_PER_RADIUS = 10
 _INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _KEYWORD = re.compile(r"germ\s+\S+|\S+")
 
 
@@ -179,10 +181,9 @@ def _int_list(value: str, what: str) -> tuple[int, ...]:
 def _float_list(value: str, what: str) -> tuple[float, ...]:
     out = []
     for p in split_top_commas(value):
-        try:
-            out.append(float(p))
-        except ValueError:
-            raise ValidationError(f"{what} wants floats, got {p!r}") from None
+        if _FLOAT.fullmatch(p) is None or not math.isfinite(x := float(p)):
+            raise ValidationError(f"{what} wants floats, got {p!r}")
+        out.append(x)
     return tuple(out)
 
 
@@ -456,7 +457,7 @@ def _run_strata(p: dict, budget: Budget, **_):
         "dim": S.d,
         "codim": S.p,
         "expected_ranks": list(S.expected),
-        "zsing_generators": [str(g) for g in S.zsing_ideal.generators],
+        "zsing_generators": strata_rows[0]["generators"],
         "strata": strata_rows,
         "purity_ok": S.purity_ok,
         "degenerate": list(S.degenerate),

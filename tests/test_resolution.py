@@ -1,12 +1,14 @@
 """Free resolutions, minimalization, Koszul complexes, rank strata."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsw.errors import BudgetExceededError, StructuralError, ValidationError
+from bsw import resolution
+from bsw.errors import BudgetExceededError, ResourceCapError, StructuralError, ValidationError
 from bsw.groebner import Ideal, ideal_member, krull_dimension
 from bsw.modgb import Budget
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
@@ -132,6 +134,57 @@ def test_resolution_rejects_max_len_below_one():
         with pytest.raises(ValidationError, match="max_len must be at least 1"):
             resolve("x, y", R2, max_len=max_len)
     assert resolve("x", R2, max_len=1).ranks == (1, 1)
+
+
+@st.composite
+def graded_ideals(draw):
+    """Monomials and quasi-homogeneous binomials in 1-3 variables of weights
+    1-3, exponents at most 3, with repeated generators and variable
+    multiples of earlier ones among them."""
+    n = draw(st.integers(1, 3))
+    ring = RingContext(("x", "y", "z")[:n], tuple(draw(st.integers(1, 3)) for _ in range(n)))
+    monomials = [e for e in itertools.product(range(4), repeat=n) if any(e)]
+    by_degree: dict = {}
+    for e in monomials:
+        by_degree.setdefault(ring.weighted_degree(e), []).append(e)
+    shared = [es for es in by_degree.values() if len(es) > 1]
+    gens: list[Polynomial] = []
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(("monomial", "binomial", "repeat", "multiple")))
+        if how == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        elif how == "multiple" and gens:
+            gens.append(Polynomial.variable(ring, draw(st.integers(0, n - 1)))
+                        * draw(st.sampled_from(gens)))
+        elif how == "binomial" and shared:
+            a, b = draw(st.lists(st.sampled_from(draw(st.sampled_from(shared))),
+                                 min_size=2, max_size=2, unique=True))
+            gens.append(Polynomial.monomial(ring, a)
+                        - Polynomial.monomial(ring, b, draw(st.sampled_from((1, -1, 2)))))
+        else:
+            gens.append(Polynomial.monomial(ring, draw(st.sampled_from(monomials))))
+    return Ideal(ring, tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_ideals())
+def test_default_max_len_fits_every_graded_chain(I):
+    # the default certifies; past the first two maps the chain is already minimal
+    C = free_resolution(I)
+    assert C.graded and C.length <= max(I.ring.n, 2)
+    Cmin = minimalize(C)
+    assert all(Cmin.ranks[k] == C.ranks[k] for k in range(3, len(C.ranks)))
+
+
+def test_a_refused_level_is_not_pruned(monkeypatch):
+    calls = []
+    prune = resolution._prune_generators
+    monkeypatch.setattr(resolution, "_prune_generators",
+                        lambda *a: calls.append(a) or prune(*a))
+    with pytest.raises(ResourceCapError, match="max_len=1"):
+        resolve("x, y", R2, max_len=1)
+    assert calls == []
+    assert resolve("x, y", R2, max_len=2).ranks == (1, 2, 1) and len(calls) == 1
 
 
 def test_graded_autodetect():

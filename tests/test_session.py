@@ -273,6 +273,20 @@ def test_loja_radii_flag():
     assert (str(e), e.line) == ("radii wants floats, got 'abc'", 2)
 
 
+@pytest.mark.parametrize("item", ["1_0e-2", "\u0661e-1", "inf", "nan", "1e400"])
+def test_radii_are_finite_ascii_decimals(tmp_path, capsys, item):
+    text = f"ring z, w;\n  loja --phi w --a z --curve 1,1 --radii 1e-1, {item};\n"
+    e = err(text)
+    assert (str(e), e.line, e.col) == (f"radii wants floats, got {item!r}", 2, 3)
+    assert cli.main(["check", write(tmp_path, "s.bsw", text)]) == 2
+    capsys.readouterr()
+
+
+def test_radii_read_every_ascii_decimal_form():
+    sess = parse("ring z, w;\nloja --phi w --a z --curve 1,1 --radii 1, .5, 2.5e-1, 1.E-1, +5e-2;")
+    assert sess.commands[0].inputs["radii"] == [1.0, 0.5, 0.25, 0.1, 0.05]
+
+
 def test_resolve_certify_true_is_the_default():
     plain, certified = [run_one(CUSP + f"resolve C{flag};") for flag in ("", " --certify true")]
     assert certified["result"]["certified"] is True
@@ -835,3 +849,50 @@ def test_fuzzed_sessions_parse_or_give_one_clean_block_per_command(kind, data):
     for block in report["blocks"]:
         assert block["status"] == "ok" or block["error"]["kind"] != "internal", block
     json.dumps(report)
+
+
+# ---------------------------------------------------------------- strict JSON reports
+
+CORPUS = sorted(os.path.join(d, name) for d in ("sessions", os.path.join("perfbench", "workloads"))
+                for name in os.listdir(os.path.join(ROOT, d)) if name.endswith(".bsw"))
+RADII_ITEMS = ("inf", "-inf", "nan", "1e400", "1_0e-2", "\u0661e-1", "1e-1", "5e-2", ".25", "1.",
+               "1E-3", "+2e-2", "-0.0", "0", "5e-324")
+
+
+def _strict_report(text, csv_dir):
+    """json.dumps of the session's report with NaN and Infinity refused, or None
+    for a syntax error."""
+    try:
+        sess = parse_session(text)
+    except SessionSyntaxError:
+        return None
+    return json.dumps(run_session(sess, csv_dir=csv_dir), allow_nan=False)
+
+
+@pytest.mark.parametrize("path", CORPUS)
+def test_corpus_reports_are_strict_json(path, tmp_path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert _strict_report(fh.read(), str(tmp_path)) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.one_of(hst.sampled_from(RADII_ITEMS), hst.floats().map(repr)),
+                 min_size=1, max_size=3),
+       hst.sampled_from(("--curve 1,1", "--solve w=z^2")))
+@example(["1e-1", "nan"], "--curve 1,1")
+@example(["inf", "1e-1"], "--solve w=z^2")
+def test_loja_reports_over_drawn_radii_are_strict_json(items, shape):
+    text = f"ring z, w;\nloja --phi w --a z {shape} --radii {', '.join(items)} --per-radius 3;\n"
+    with tempfile.TemporaryDirectory() as csv_dir:
+        _strict_report(text, csv_dir)
+
+
+# ---------------------------------------------------------------- one-variable resolutions
+
+def test_one_variable_ideal_with_redundant_generators_resolves():
+    # the generator row of (x^2, x^3) has a syzygy, so the chain needs two maps in Q[x]
+    rep = run_session(parse("ring x;\nideal I = x^2, x^3;\nresolve I;\nstrata I;\n"
+                            "check-cm I;\ncheck-normal I;\ncheck-bs I --ideal I;\n"))
+    assert [b["status"] for b in rep["blocks"]] == ["ok"] * 5
+    resolved = rep["blocks"][0]["result"]
+    assert (resolved["ranks"], resolved["minimal_betti"]) == ([1, 2, 1], [1, 1])

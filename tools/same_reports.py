@@ -34,8 +34,11 @@ declarations session that writes `weights` before and after `order`,
 comma lists with and without spaces and a `germ ideal` re-declared after
 a new `germ semigroup`, then runs `resolve`, `strata`, `check-normal`,
 `check-bs` and germ commands on them, so the parsed rings, generators and
-shifts show in the report: 33 runs.  Both trees read the session files of this
-checkout, so only the code differs.
+shifts show in the report; and on a one-variable session that resolves
+(x^2, x^3), (x - 1, x^2 - 1) and, in weight 3, (t^3, t^5, t^7), each of
+whose chains needs two maps, with `strata` on the first two and the
+`check-*` commands on the first.  It prints the number of runs.  Both trees
+read the session files of this checkout, so only the code differs.
 Each run writes into its own directory; the reports are compared with the
 "timestamp" value blanked, every other file (the loja CSVs) byte for byte,
 and the exit codes too.  Prints one line per run and exits 1 on any
@@ -135,6 +138,19 @@ DECLARATIONS_SESSION = ("ring x, y, z weights 1, 2, 3 order lex;\n"
                         "germ closure-member 13 power=2;\n"
                         "germ bs-exponent ell=2 mode=closure-power;\n"
                         "germ mu vmax=9 lmax=2;\n")
+ONE_VARIABLE_SESSION = ("ring x;\n"
+                        "ideal I = x^2, x^3;\n"
+                        "resolve I;\n"
+                        "strata I;\n"
+                        "check-cm I;\n"
+                        "check-normal I;\n"
+                        "check-bs I --ideal I;\n"
+                        "ideal N = x - 1, x^2 - 1;\n"
+                        "resolve N;\n"
+                        "strata N;\n"
+                        "ring t weights 3;\n"
+                        "ideal T = t^3, t^5, t^7;\n"
+                        "resolve T;\n")
 
 
 def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
@@ -181,9 +197,11 @@ def main(argv=None) -> int:
         certify = os.path.join(tmp, "certify.bsw")
         overflow = os.path.join(tmp, "overflow.bsw")
         declarations = os.path.join(tmp, "declarations.bsw")
+        one_variable = os.path.join(tmp, "one_variable.bsw")
         for path, text in [*inline.values(), (row_cap, ROW_CAP_SESSION), (germ, GERM_SESSION),
                            (certify, CERTIFY_SESSION), (overflow, OVERFLOW_SESSION),
-                           (declarations, DECLARATIONS_SESSION)]:
+                           (declarations, DECLARATIONS_SESSION),
+                           (one_variable, ONE_VARIABLE_SESSION)]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         acceptance = os.path.join(ROOT, "sessions", "acceptance.bsw")
@@ -203,6 +221,7 @@ def main(argv=None) -> int:
         runs.append((certify, "certification session", ["--seed", "0"]))
         runs.append((overflow, "loja overflow session", ["--seed", "0"]))
         runs.append((declarations, "declarations session", ["--seed", "0"]))
+        runs.append((one_variable, "one-variable session", ["--seed", "0"]))
         n_diff = 0
         for i, (session, label, flags) in enumerate(runs):
             out_here = os.path.join(tmp, "here", str(i))
