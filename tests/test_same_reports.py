@@ -1,0 +1,48 @@
+"""tools/same_reports.py: the runs it builds from the session corpus and the way
+it compares two output directories.  No corpus session is run here."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SPEC = importlib.util.spec_from_file_location(
+    "same_reports", os.path.join(ROOT, "tools", "same_reports.py"))
+same_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_reports)
+
+RUNS = same_reports.corpus_runs()
+
+
+def test_every_corpus_session_has_a_run():
+    sessions = {os.path.join(d, name) for d in ("sessions", os.path.join("perfbench", "workloads"))
+                for name in os.listdir(os.path.join(ROOT, d)) if name.endswith(".bsw")}
+    assert {session for session, _ in RUNS} == sessions
+
+
+def test_no_run_repeats():
+    pairs = [(session, tuple(flags)) for session, flags in RUNS]
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_runs_come_from_header_lines_or_the_default_seeds():
+    acceptance = [flags for session, flags in RUNS if session == os.path.join("sessions", "acceptance.bsw")]
+    assert ["--seed", "0", "--budget", "48"] in acceptance and len(acceptance) == 8
+    witness = [flags for session, flags in RUNS if session == os.path.join("sessions", "witness.bsw")]
+    assert witness == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
+
+
+def test_two_runs_without_a_report_differ(tmp_path):
+    # `bsw run` with a mistyped flag exits 2 on both sides and writes nothing
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert same_reports._differences(str(tmp_path / "a"), str(tmp_path / "b")) == ["no report"]
+
+
+def test_reports_compare_with_the_timestamp_blanked(tmp_path):
+    for side, stamp in (("a", "2020-01-01"), ("b", "2021-02-02")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "report.json").write_text(json.dumps({"timestamp": stamp, "x": 1}))
+    assert same_reports._differences(str(tmp_path / "a"), str(tmp_path / "b")) == []
+    (tmp_path / "b" / "report.json").write_text(json.dumps({"timestamp": "", "x": 2}))
+    assert same_reports._differences(str(tmp_path / "a"), str(tmp_path / "b")) == ["report.json"]

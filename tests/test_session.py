@@ -875,6 +875,14 @@ def test_corpus_reports_are_strict_json(path, tmp_path):
         assert _strict_report(fh.read(), str(tmp_path)) is not None
 
 
+@pytest.mark.parametrize("path", CORPUS)
+def test_corpus_sessions_yield_no_internal_block(path, tmp_path):
+    # an `internal` error block means a bug in bsw; every corpus session parses
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        report = run_session(parse_session(fh.read()), csv_dir=str(tmp_path))
+    assert [b for b in report["blocks"] if b["status"] != "ok" and b["error"]["kind"] == "internal"] == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(hst.lists(hst.one_of(hst.sampled_from(RADII_ITEMS), hst.floats().map(repr)),
                  min_size=1, max_size=3),
