@@ -166,12 +166,16 @@ def containment_holds(A: SemigroupIdeal, N: int, ell: int, S: NumericalSemigroup
 
     mode "power": test set is the closure of A^N, i.e. {s in S : s >= N*v(A)};
     mode "closure-power": test set is (closure of A)^N.
-    Al is A^ell and CN is (closure of A)^N, as _powers bits, if a search built them.
+    Al is A^ell and CN is (closure of A)^N, as _powers bits, if a search built them;
+    a power built here is the last power of a search, bounded as one.
     """
     validate_mode(mode)
     v = A.valuation
-    Al = next(_powers(A.shifts, S, ell)) if Al is None else Al
+    if Al is None:
+        _search_bound(ell)
+        Al = next(_powers(A.shifts, S, ell))
     if mode == "closure-power" and CN is None:
+        _search_bound(N)
         CN = next(_powers(closure_ideal(A, S).shifts, S, N))
     if N < ell:
         return False, max(N, 0) * v  # the least test element; A^ell starts at ell*v

@@ -19,9 +19,13 @@ the command works in, all raised at parse time with positions.
 
 A statement's keyword, its first word or `germ` and the next, selects one
 `_DECLARATIONS` entry, a parse function (kind, text after the keyword, parse
-state) that binds state, or one `_COMMANDS` entry: a parse function (kind,
-tokens, parse state) -> (inputs, payload), and a run function payload ->
-(result, summary) whose summary is built from the result alone.  Parse
+state) that binds state, or one `_COMMANDS` row, which states the command's
+syntax once: its usage text, its number of positional words, its required
+and its other flags, then a parse function (positional words, flags, parse
+state) -> (inputs, payload) and a run function payload -> (result, summary)
+whose summary is built from the result alone.  `parse_session` reads the
+words with one `_parse_flags` call per command, which checks them against
+the row, so a parse function only resolves names and values.  Parse
 helpers raise `ValidationError`; `parse_session` attaches the statement
 position once; they get the declared ring, germ semigroup or germ ideal from
 one `need(what)`.  Number lists are comma-separated, never space-separated;
@@ -124,8 +128,11 @@ def _statements(text: str):
         raise SessionSyntaxError("statement missing ';'", start[0], start[1])
 
 
-def _parse_flags(tokens: list[str], allowed: tuple[str, ...], positional_max: int = 1):
-    """Positional names, then --key value... / key=value flags."""
+def _parse_flags(tokens: list[str], kind: str, usage: str, n_pos: int,
+                 required: tuple[str, ...], optional: tuple[str, ...]):
+    """A command's tokens as up to n_pos positional words, then --key value... /
+    key=value flags among required + optional; once every token is read, a
+    missing word or required flag gives `{kind} wants {usage}`."""
     positionals: list[str] = []
     flags: dict[str, str] = {}
     i = 0
@@ -145,16 +152,18 @@ def _parse_flags(tokens: list[str], allowed: tuple[str, ...], positional_max: in
             key, value = tok.split("=", 1)
             i += 1
         else:
-            if len(positionals) >= positional_max:
+            if len(positionals) >= n_pos:
                 raise ValidationError(f"unexpected token {tok!r}")
             positionals.append(tok)
             i += 1
             continue
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ValidationError(f"unknown flag {key!r}")
         if key in flags:
             raise ValidationError(f"duplicate flag {key!r}")
         flags[key] = value
+    if len(positionals) < n_pos or any(k not in flags for k in required):
+        raise ValidationError(f"{kind} wants {usage}")
     return positionals, flags
 
 
@@ -281,35 +290,23 @@ def _gen_strings(I: Ideal) -> list[str]:
 
 # ---------------------------------------------------------------- commands
 
-def _named_ideal(tokens: list[str], st: _ParseState, usage: str,
-                 allowed: tuple[str, ...] = (), required: tuple[str, ...] = ()):
-    """NAME of a bound ideal plus flags; returns (inputs, payload, flags).
+def _named_ideal(pos: list[str], flags: dict, st: _ParseState):
+    """The bound ideal that the one positional word names, as (inputs, payload).
     The payload holds a fresh copy of the Ideal, so no command reuses a basis
     cached by another and no budget verdict depends on command order."""
-    pos, flags = _parse_flags(tokens, required + allowed)
-    if len(pos) != 1 or any(k not in flags for k in required):
-        raise ValidationError(usage)
     I = st.lookup(pos[0], "ideal")
-    payload = {"ideal": Ideal(I.ring, I.generators)}
-    return {"ideal": pos[0], "generators": _gen_strings(I)}, payload, flags
+    return {"ideal": pos[0], "generators": _gen_strings(I)}, {"ideal": Ideal(I.ring, I.generators)}
 
 
-def _parse_ideal(kind: str, tokens: list[str], st: _ParseState):
-    inputs, payload, _ = _named_ideal(tokens, st, f"{kind} wants one ideal name")
-    return inputs, payload
-
-
-def _parse_resolution(kind: str, tokens: list[str], st: _ParseState):
-    inputs, payload, flags = _named_ideal(tokens, st, f"{kind} wants one ideal name",
-                                          ("max-len", "certify"))
+def _parse_resolution(pos: list[str], flags: dict, st: _ParseState):
+    inputs, payload = _named_ideal(pos, flags, st)
     payload["max_len"] = _int(flags["max-len"], "max-len") if "max-len" in flags else None
     payload["certify"] = _bool(flags["certify"], "certify") if "certify" in flags else True
     return inputs, payload
 
 
-def _parse_check_bs(kind: str, tokens: list[str], st: _ParseState):
-    inputs, payload, flags = _named_ideal(tokens, st, "check-bs wants NAME --ideal A",
-                                          ("m",), ("ideal",))
+def _parse_check_bs(pos: list[str], flags: dict, st: _ParseState):
+    inputs, payload = _named_ideal(pos, flags, st)
     a = st.lookup(flags["ideal"], "ideal", payload["ideal"].ring)
     m = _int(flags["m"], "m") if "m" in flags else len(a.generators)
     inputs.update(test_ideal=flags["ideal"], test_generators=_gen_strings(a), m=m)
@@ -317,9 +314,8 @@ def _parse_check_bs(kind: str, tokens: list[str], st: _ParseState):
     return inputs, payload
 
 
-def _parse_bs_verify(kind: str, tokens: list[str], st: _ParseState):
-    inputs, payload, flags = _named_ideal(tokens, st, "bs-verify-monomial wants NAME --ell N",
-                                          ("d",), ("ell",))
+def _parse_bs_verify(pos: list[str], flags: dict, st: _ParseState):
+    inputs, payload = _named_ideal(pos, flags, st)
     ell = _int(flags["ell"], "ell")
     d = _int(flags["d"], "d") if "d" in flags else None
     inputs.update(ell=ell, d=d)
@@ -339,42 +335,28 @@ def _germ(st: _ParseState, with_ideal: bool = True, **fields):
     return {**inputs, **fields}, {**payload, **fields}
 
 
-def _parse_germ_member(kind: str, tokens: list[str], st: _ParseState):
-    """`germ member s`, or `germ closure-member s [power=p]` (p defaults to 1)."""
-    closure = kind == "germ closure-member"
-    pos, flags = _parse_flags(tokens, ("power",) if closure else ())
-    if len(pos) != 1:
-        raise ValidationError(f"{kind} wants one element")
-    fields = {"s": _int(pos[0], "element")}
-    if closure:
-        fields["power"] = _int(flags.get("power", "1"), "power")
-    return _germ(st, **fields)
+def _parse_germ_member(pos: list[str], flags: dict, st: _ParseState):
+    return _germ(st, s=_int(pos[0], "element"))
 
 
-def _parse_germ_bs_exponent(kind: str, tokens: list[str], st: _ParseState):
-    _, flags = _parse_flags(tokens, ("ell", "mode"), positional_max=0)
-    if "ell" not in flags:
-        raise ValidationError(f"{kind} wants ell=N")
+def _parse_germ_closure_member(pos: list[str], flags: dict, st: _ParseState):
+    """`germ closure-member s [power=p]`, p defaulting to 1."""
+    return _germ(st, s=_int(pos[0], "element"), power=_int(flags.get("power", "1"), "power"))
+
+
+def _parse_germ_bs_exponent(pos: list[str], flags: dict, st: _ParseState):
     ell = _int(flags["ell"], "ell")
     mode = flags.get("mode", "power")
     validate_mode(mode)
     return _germ(st, ell=ell, mode=mode)
 
 
-def _parse_germ_mu(kind: str, tokens: list[str], st: _ParseState):
-    _, flags = _parse_flags(tokens, ("vmax", "lmax"), positional_max=0)
-    if "vmax" not in flags or "lmax" not in flags:
-        raise ValidationError(f"{kind} wants vmax=N lmax=N")
+def _parse_germ_mu(pos: list[str], flags: dict, st: _ParseState):
     return _germ(st, with_ideal=False, vmax=_int(flags["vmax"], "vmax"),
                  lmax=_int(flags["lmax"], "lmax"))
 
 
-def _parse_loja(kind: str, tokens: list[str], st: _ParseState):
-    _, flags = _parse_flags(
-        tokens, ("phi", "a", "curve", "solve", "radii", "per-radius", "csv"),
-        positional_max=0)
-    if "phi" not in flags or "a" not in flags:
-        raise ValidationError("loja wants --phi and --a")
+def _parse_loja(pos: list[str], flags: dict, st: _ParseState):
     ring = st.need("ring")
     phi_list = _poly_or_binding(flags["phi"], st)
     if len(phi_list) != 1:
@@ -576,19 +558,23 @@ def _run_loja(p: dict, seed: int, csv_dir: str, **_):
                     f"{est.n_points} points, {tag})")
 
 
+# kind: (usage, positional words, required flags, other flags, parse, run)
 _COMMANDS = {
-    "resolve": (_parse_resolution, _run_resolve),
-    "strata": (_parse_resolution, _run_strata),
-    "check-cm": (_parse_ideal, _run_check_cm),
-    "check-normal": (_parse_ideal, _run_check_normal),
-    "check-bs": (_parse_check_bs, _run_check_bs),
-    "bs-verify-monomial": (_parse_bs_verify, _run_bs_verify),
-    "newton-closure": (_parse_ideal, _run_newton_closure),
-    "loja": (_parse_loja, _run_loja),
-    "germ member": (_parse_germ_member, _run_germ_member),
-    "germ closure-member": (_parse_germ_member, _run_germ_closure_member),
-    "germ bs-exponent": (_parse_germ_bs_exponent, _run_germ_bs_exponent),
-    "germ mu": (_parse_germ_mu, _run_germ_mu),
+    "resolve": ("one ideal name", 1, (), ("max-len", "certify"), _parse_resolution, _run_resolve),
+    "strata": ("one ideal name", 1, (), ("max-len", "certify"), _parse_resolution, _run_strata),
+    "check-cm": ("one ideal name", 1, (), (), _named_ideal, _run_check_cm),
+    "check-normal": ("one ideal name", 1, (), (), _named_ideal, _run_check_normal),
+    "check-bs": ("NAME --ideal A", 1, ("ideal",), ("m",), _parse_check_bs, _run_check_bs),
+    "bs-verify-monomial": ("NAME --ell N", 1, ("ell",), ("d",), _parse_bs_verify, _run_bs_verify),
+    "newton-closure": ("one ideal name", 1, (), (), _named_ideal, _run_newton_closure),
+    "loja": ("--phi and --a", 0, ("phi", "a"), ("curve", "solve", "radii", "per-radius", "csv"),
+             _parse_loja, _run_loja),
+    "germ member": ("one element", 1, (), (), _parse_germ_member, _run_germ_member),
+    "germ closure-member": ("one element", 1, (), ("power",), _parse_germ_closure_member,
+                            _run_germ_closure_member),
+    "germ bs-exponent": ("ell=N", 0, ("ell",), ("mode",), _parse_germ_bs_exponent,
+                         _run_germ_bs_exponent),
+    "germ mu": ("vmax=N lmax=N", 0, ("vmax", "lmax"), (), _parse_germ_mu, _run_germ_mu),
 }
 
 # the command kinds whose run functions use numpy (closure, loja)
@@ -615,7 +601,9 @@ def parse_session(text: str) -> Session:
             if kind not in _COMMANDS:
                 what = "germ subcommand" if kind.startswith("germ ") else "statement keyword"
                 raise ValidationError(f"unknown {what} {kind.removeprefix('germ ')!r}")
-            inputs, payload = _COMMANDS[kind][0](kind, rest.split(), st)
+            usage, n_pos, required, optional, parse, _ = _COMMANDS[kind]
+            pos, flags = _parse_flags(rest.split(), kind, usage, n_pos, required, optional)
+            inputs, payload = parse(pos, flags, st)
         except (ValidationError, StructuralError) as exc:
             raise SessionSyntaxError(str(exc), line, col) from None
         if kind in _NUMPY_KINDS:
@@ -649,7 +637,7 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
     block = {"command": cmd.kind, "line": cmd.line, "col": cmd.col,
              "inputs": cmd.inputs}
     try:
-        run = _COMMANDS[cmd.kind][1]
+        run = _COMMANDS[cmd.kind][-1]
         result, summary = run(cmd.payload, budget=Budget.of(budget), seed=seed,
                               csv_dir=csv_dir)
     except Exception as exc:

@@ -287,6 +287,17 @@ def test_search_bound_is_the_last_power_built(mode, ell):
     assert germ_bs_exponent(ideal(2), ell - 1, S25, mode=mode) >= ell - 1
 
 
+@pytest.mark.parametrize("mode, N, ell", [("power", 1, 10**6), ("closure-power", 1, 10**6),
+                                          ("closure-power", 10**6, 1)])
+def test_containment_holds_bounds_the_powers_it_builds(mode, N, ell):
+    # a one-shift ideal never trips the power cap, so A^ell and (closure A)^N,
+    # built here when no search passes them in, are bounded as a search's last power
+    with pytest.raises(ResourceCapError,
+                       match=r"^exponent search bound 1000000 exceeds the cap 1000$"):
+        containment_holds(ideal(2), N, ell, S25, mode=mode)
+    assert containment_holds(ideal(2), 1000, 998, S25, mode=mode) == (True, None)
+
+
 def test_mu_value_rechecks():
     # every enumerated case stays within the reported uniform exponent
     mu = huneke_mu(S25, 8, 3)[0]

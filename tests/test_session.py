@@ -138,6 +138,58 @@ def test_loja_parse_errors():
     assert "needs a value" in str(err(base + "loja --phi w --a z --curve;"))
 
 
+# every name and declaration a command could want, so only its words are wrong
+WORDS_BASE = "ring x, y;\nideal I = x^2, y^2;\ngerm semigroup 2, 5;\ngerm ideal 2;\n"
+
+
+@pytest.mark.parametrize("statement, message, line, col", [
+    ("resolve;", "resolve wants one ideal name", 5, 1),
+    ("resolve I J;", "unexpected token 'J'", 5, 1),
+    ("resolve I --m 1;", "unknown flag 'm'", 5, 1),
+    ("strata --max-len 2;", "strata wants one ideal name", 5, 1),
+    ("strata I I;", "unexpected token 'I'", 5, 1),
+    ("strata I --m 1;", "unknown flag 'm'", 5, 1),
+    ("check-cm certify=true;", "unknown flag 'certify'", 5, 1),
+    ("check-cm;", "check-cm wants one ideal name", 5, 1),
+    ("check-cm I x;", "unexpected token 'x'", 5, 1),
+    ("check-cm I --max-len 2;", "unknown flag 'max-len'", 5, 1),
+    ("check-normal;", "check-normal wants one ideal name", 5, 1),
+    ("  check-normal I I;", "unexpected token 'I'", 5, 3),
+    ("check-normal I certify=true;", "unknown flag 'certify'", 5, 1),
+    ("check-bs I;", "check-bs wants NAME --ideal A", 5, 1),
+    ("check-bs --ideal I --m 1;", "check-bs wants NAME --ideal A", 5, 1),
+    ("check-bs I --ideal;", "flag --ideal needs a value", 5, 1),
+    ("check-bs I I --ideal I;", "unexpected token 'I'", 5, 1),
+    ("check-bs I --ideal I --d 2;", "unknown flag 'd'", 5, 1),
+    ("bs-verify-monomial I --d 1;", "bs-verify-monomial wants NAME --ell N", 5, 1),
+    ("bs-verify-monomial I 2 --ell 2;", "unexpected token '2'", 5, 1),
+    ("bs-verify-monomial I --ell 2 --m 1;", "unknown flag 'm'", 5, 1),
+    ("newton-closure;", "newton-closure wants one ideal name", 5, 1),
+    ("newton-closure I I;", "unexpected token 'I'", 5, 1),
+    ("newton-closure I --d 1;", "unknown flag 'd'", 5, 1),
+    ("loja --phi x;", "loja wants --phi and --a", 5, 1),
+    ("loja --phi x --zz 1;", "unknown flag 'zz'", 5, 1),
+    ("loja x --phi x --a y --curve 1,1;", "unexpected token 'x'", 5, 1),
+    ("loja --phi x --a y --curve 1,1 --ell 2;", "unknown flag 'ell'", 5, 1),
+    ("germ member;", "germ member wants one element", 5, 1),
+    ("germ member 5 7;", "unexpected token '7'", 5, 1),
+    ("germ member 5 power=2;", "unknown flag 'power'", 5, 1),
+    ("germ closure-member power=2;", "germ closure-member wants one element", 5, 1),
+    ("germ closure-member 5 7;", "unexpected token '7'", 5, 1),
+    ("germ closure-member 5 ell=2;", "unknown flag 'ell'", 5, 1),
+    ("\ngerm  bs-exponent mode=power;", "germ bs-exponent wants ell=N", 6, 1),
+    ("germ bs-exponent 1 ell=1;", "unexpected token '1'", 5, 1),
+    ("germ bs-exponent ell=1 power=2;", "unknown flag 'power'", 5, 1),
+    ("germ mu vmax=3;", "germ mu wants vmax=N lmax=N", 5, 1),
+    ("germ mu vmax=3 vmax=4;", "duplicate flag 'vmax'", 5, 1),
+    ("germ mu 3 vmax=3 lmax=2;", "unexpected token '3'", 5, 1),
+    ("germ mu vmax=3 lmax=2 ell=1;", "unknown flag 'ell'", 5, 1),
+])
+def test_command_word_errors_and_their_positions(statement, message, line, col):
+    e = err(WORDS_BASE + statement)
+    assert (str(e), e.line, e.col) == (message, line, col)
+
+
 def test_loja_csv_must_be_a_plain_file_name():
     base = "ring z, w weights 2, 5;\nloja --phi w --a z --curve 2,5 --csv "
     for bad in ("../escape.csv", "sub/pts.csv", "/tmp/pts.csv", ".", ".."):

@@ -90,3 +90,20 @@ def test_readme_python_blocks_print_what_their_comments_say():
                 want = comments[stmt.end_lineno].split(": ", 1)[0]
                 assert out.getvalue().rstrip("\n") == want, block.splitlines()[stmt.lineno - 1]
         assert printed
+
+
+def test_package_invariants_never_rest_on_assert():
+    # `python -O` strips assert statements, so an invariant raises a typed error
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/bsw/*.py"))):
+        tree = next(_trees(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], os.path.basename(path)
+
+
+def test_readme_session_block_shows_every_command_kind():
+    from bsw.session import _COMMANDS
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        (block,) = re.findall(r"```text\n(.*?)```", fh.read(), re.S)
+    keywords = {" ".join(m.group().split()) for line in block.splitlines()
+                if (m := re.match(r"germ\s+\S+|[^\s;]+", line))}
+    assert sorted(set(_COMMANDS) - keywords) == []
