@@ -7,7 +7,10 @@ routine and one budget meter serve both modules and ideals (groebner.py lifts
 ideal generators into O^1 under TopOrder).  Division works in place: it
 reduces one mutable term dict, adding each -c*x^a*g into it through
 poly.add_term, and builds a single VecPoly for the remainder; S-vectors are
-added into one dict the same way.  Terms are checked once, where they enter
+added into one dict the same way.  The dict's live terms wait in a list
+sorted by order key, each term keyed when it is queued, so a step pops
+its term instead of keying the whole dict again; since the keys are
+injective, the steps come in the order of a max-scan.  Terms are checked once, where they enter
 (poly.check_exponent); vectors the engine builds take VecPoly._of.  Pairs are picked by the
 normal strategy: each pair is pushed once, when it is formed, onto a heap
 keyed by (lcm key, index pair), so ties go to the smaller index pair.  The
@@ -32,6 +35,7 @@ only elimination; resolutions and ideal intersections use it.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from fractions import Fraction
 
 from .errors import BudgetExceededError, StructuralError, ValidationError
@@ -66,17 +70,22 @@ class VecPoly:
     @classmethod
     def _of(cls, ring: RingContext, ncomp: int, clean: dict) -> "VecPoly":
         """Unchecked: `clean` maps (component < ncomp, ring exponent) to nonzero Fractions."""
-        v = cls(ring, ncomp, {})
+        v = object.__new__(cls)
+        v.ring = ring
+        v.ncomp = ncomp
         v.terms = clean
+        v._lead = None
         return v
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def scale(self, c) -> "VecPoly":
-        """c * self.  A nonzero c keeps every term and the leading monomial,
-        so a cached leading term carries over."""
+        """c * self; self itself when c is 1.  A nonzero c keeps every term
+        and the leading monomial, so a cached leading term carries over."""
         c = Fraction(c)
+        if c == 1:
+            return self
         if not c:
             return VecPoly._of(self.ring, self.ncomp, {})
         out = VecPoly._of(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
@@ -85,10 +94,21 @@ class VecPoly:
             out._lead = (tag, (m, c * v))
         return out
 
-    def add_shifted_into(self, terms: dict, e: Exponent, c) -> None:
-        """terms += c * x^e * self, in place, on a ModMono -> Fraction dict."""
-        for (pos, e0), v in self.terms.items():
-            add_term(terms, (pos, exp_add(e0, e)), c * v)
+    def add_shifted_into(self, terms: dict, e: Exponent, c) -> list[ModMono]:
+        """terms += c * x^e * self, in place, on a ModMono -> Fraction dict;
+        returns the monomials that came in as new keys.  A c of 1 or -1
+        adds the coefficients, or their negatives, with no multiply."""
+        items = self.terms.items()
+        if c == -1:
+            items = ((m, -v) for m, v in items)
+        elif c != 1:
+            items = ((m, c * v) for m, v in items)
+        new = []
+        for (pos, e0), v in items:
+            m = (pos, exp_add(e0, e))
+            if add_term(terms, m, v):
+                new.append(m)
+        return new
 
     def component(self, pos: int) -> Polynomial:
         return Polynomial._of(self.ring, {e: c for (p, e), c in self.terms.items() if p == pos})
@@ -187,18 +207,33 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
            budget: Budget, quotients: dict | None = None) -> VecPoly:
     """Remainder of v on division by reducers, reduced in one mutable dict.
 
-    Deterministic: always cancels the largest reducible term, trying
-    reducers in list order; a term no reducer divides moves to the
-    remainder.  No term of the remainder is divisible by a
-    leading term of the reducers.  With a `quotients` dict, the quotient
-    of reducers[i] is recorded as quotients[i] = {exponent: coefficient},
-    so that v = sum quotients[i] * reducers[i] + remainder.
+    Deterministic: always cancels the largest term, trying reducers in
+    list order; a term no reducer divides moves to the remainder, one
+    budget unit per step either way.  No term of the remainder is
+    divisible by a leading term of the reducers.  With a `quotients`
+    dict, the quotient of reducers[i] is recorded as quotients[i] =
+    {exponent: coefficient}, so that v = sum quotients[i] * reducers[i] +
+    remainder.
+
+    The live terms are queued as (order.key(m), m), sorted ascending, each
+    keyed when it is queued: the queue starts from v, and every monomial a
+    reduction brings in as a new key is insorted.  A popped entry whose
+    monomial has since cancelled is skipped; a monomial that cancels and
+    comes back is queued again.  Every order here keys module monomials
+    injectively, so the largest queued monomial still in the dict is the
+    dict's maximum under the order, and the steps come in the order of
+    a max-scan over the dict.
     """
     lts = [order.leading(g) for g in reducers]
     rem: dict[ModMono, Fraction] = {}
     h = dict(v.terms)
-    while h:
-        pos, e = m = max(h, key=order.key)
+    key = order.key
+    queue = sorted((key(m), m) for m in h)
+    while queue:
+        m = queue.pop()[1]
+        if m not in h:
+            continue
+        pos, e = m
         hit = -1
         for i, ((gpos, ge), _) in enumerate(lts):
             if gpos == pos and exp_divides(ge, e):
@@ -212,7 +247,8 @@ def divide(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
             shift, factor = exp_sub(e, ge), h[m] / gc
             if quotients is not None:
                 quotients.setdefault(hit, {})[shift] = factor
-            reducers[hit].add_shifted_into(h, shift, -factor)
+            for a in reducers[hit].add_shifted_into(h, shift, -factor):
+                insort(queue, (key(a), a))
     return VecPoly._of(v.ring, v.ncomp, rem)
 
 

@@ -5,7 +5,10 @@ zero coefficients; the ring is a small immutable context carrying the
 variable names, positive integer weights and one of the monomial orders
 in RING_ORDERS.  Coefficients stay exact rationals end to end.
 Every sparse term dict, here and in modgb.py, is filled through
-add_term, which adds a coefficient in place and drops the key at 0.
+add_term, which adds a coefficient in place, drops the key at 0 and
+reports whether it inserted a key; mul_into adds a product p*q into one
+such dict, so a product, a cofactor sum or a dot product builds no
+Polynomial per partial sum.
 Terms are checked once, where they enter: check_exponent, in the Polynomial and
 modgb.VecPoly constructors; results the package builds take the unchecked `_of`.
 Representatives of germs are polynomials only; there is no
@@ -140,13 +143,34 @@ def minimalize_antichain(exps) -> tuple[Exponent, ...]:
     return tuple(sorted(kept))
 
 
-def add_term(terms: dict, key, c) -> None:
-    """terms[key] += c in place; the key is dropped when the sum is 0."""
-    s = terms.get(key, 0) + c
+def add_term(terms: dict, key, c) -> bool:
+    """terms[key] += c in place; the key is dropped when the sum is 0.
+
+    A new key stores c itself, and a zero c leaves a dict without the key
+    unchanged.  Returns True exactly when the key was new and is now in
+    terms, so a caller can queue the terms that a sum brings in."""
+    old = terms.get(key)
+    if old is None:
+        if c:
+            terms[key] = c
+            return True
+        return False
+    s = old + c
     if s:
         terms[key] = s
     else:
-        terms.pop(key, None)
+        del terms[key]
+    return False
+
+
+def mul_into(out: dict, p: "Polynomial", q: "Polynomial", sign: int = 1) -> None:
+    """out += sign * p * q in place, on an exponent -> Fraction dict, through add_term."""
+    qt = q._terms.items()
+    for e1, c1 in p._terms.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in qt:
+            add_term(out, exp_add(e1, e2), c1 * c2)
 
 
 def check_exponent(e, n: int) -> Exponent:
@@ -175,8 +199,10 @@ class Polynomial:
     @classmethod
     def _of(cls, ring: RingContext, clean: dict) -> "Polynomial":
         """Unchecked: `clean` maps exponent tuples of ring's arity to nonzero Fractions."""
-        p = cls(ring, {})
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "_terms", clean)
+        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, *a):
@@ -236,7 +262,7 @@ class Polynomial:
     def _check(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
             raise StructuralError("expected a Polynomial operand")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise StructuralError("operands live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -255,9 +281,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                add_term(out, exp_add(e1, e2), c1 * c2)
+        mul_into(out, self, other)
         return Polynomial._of(self.ring, out)
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -280,7 +304,8 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_term()[1])
+        lc = self.leading_term()[1]
+        return self if lc == 1 else self.scale(1 / lc)
 
     def __eq__(self, other) -> bool:
         return (

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension, monomial_dimension
 from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_columns
-from .poly import Polynomial, RingContext, weighted_degree_info
+from .poly import Polynomial, RingContext, mul_into, weighted_degree_info
 
 
 class PolyMatrix:
@@ -53,7 +53,7 @@ class PolyMatrix:
             if len(row) != ncols:
                 raise StructuralError("ragged matrix")
             for p in row:
-                if not isinstance(p, Polynomial) or p.ring != ring:
+                if not isinstance(p, Polynomial) or (p.ring is not ring and p.ring != ring):
                     raise StructuralError("matrix entry ring mismatch")
         self.ring = ring
         self.rows = len(rows)
@@ -66,14 +66,22 @@ class PolyMatrix:
         return cls(ring, ents, cols_hint=len(columns))
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self @ other (apply other first)."""
+        """self @ other (apply other first); each entry is summed in one
+        term dict, and zero factors are skipped."""
         if self.cols != other.rows:
             raise StructuralError("composition shape mismatch")
-        zero = Polynomial.zero(self.ring)
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise StructuralError("operands live in different rings")
         columns = [[row[j] for row in other.entries] for j in range(other.cols)]
-        return PolyMatrix(self.ring, [[sum((u * v for u, v in zip(row, col)), zero)
-                                       for col in columns] for row in self.entries],
-                          cols_hint=other.cols)
+        return PolyMatrix(self.ring, [[self._dot(row, col) for col in columns]
+                                      for row in self.entries], cols_hint=other.cols)
+
+    def _dot(self, row, col) -> Polynomial:
+        out: dict = {}
+        for u, v in zip(row, col):
+            if u._terms and v._terms:
+                mul_into(out, u, v)
+        return Polynomial._of(self.ring, out)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -86,7 +94,8 @@ class PolyMatrix:
 
 
 def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, ring) -> Polynomial:
-    """Determinant of the (rows x cols) submatrix by first-column expansion."""
+    """Determinant of the (rows x cols) submatrix by first-column
+    expansion, the cofactor sum accumulated in one term dict."""
     key = (rows, cols)
     got = memo.get(key)
     if got is not None:
@@ -94,7 +103,7 @@ def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, rin
     if len(rows) == 1:
         out = matrix_entries[rows[0]][cols[0]]
     else:
-        out = Polynomial.zero(ring)
+        acc: dict = {}
         c0 = cols[0]
         rest = cols[1:]
         for idx, r in enumerate(rows):
@@ -102,8 +111,8 @@ def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, rin
             if e.is_zero():
                 continue
             sub = _det(matrix_entries, rows[:idx] + rows[idx + 1:], rest, memo, ring)
-            term = e * sub
-            out = out + (term if idx % 2 == 0 else -term)
+            mul_into(acc, e, sub, -1 if idx % 2 else 1)
+        out = Polynomial._of(ring, acc)
     memo[key] = out
     return out
 

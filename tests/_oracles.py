@@ -10,7 +10,10 @@ full-box scans test every point of the box against the facets with
 `np_member`, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
-is the reference for the engine's pair heap.  `groebner_basis_buchberger`
+is the reference for the engine's pair heap.  `divide_by_max_scan` is the
+division that finds each step's term by a max over the whole dividend,
+the reference for the ordered term queue of `bsw.modgb.divide`.
+`groebner_basis_buchberger`
 is `groebner_basis` with every ideal sent through the pair loop, the
 reference for its monomial shortcut.  `monomial_key` is the
 order-tag if-chain that `RingContext.order_key` replaced, kept as the
@@ -45,7 +48,11 @@ is the reference for the one `read` of `bsw.poly`.
 every (rho_k+1)-minor, which `bsw.resolution` derives from the maps
 composing to zero instead; `minimalize_rescan` is graded minimalization
 that rescans from the first map and rechecks compositions at every pivot,
-the reference for the one sweep per map of `minimalize`; `rank_at` is the exact rank over Q of a
+the reference for the one sweep per map of `minimalize`; `minors_leibniz`
+takes each determinant as a sum over permutations, the reference for the
+memoized cofactor expansion of `minors`, and `compose_by_sum` sums each
+entry of a matrix product as Polynomials, the reference for the one term
+dict per entry of `PolyMatrix.compose`; `rank_at` is the exact rank over Q of a
 matrix evaluated at a rational point, by row echelon form.
 
 The rest are helpers that only the tests need, written as functions of
@@ -329,6 +336,33 @@ def buchberger_by_min(gens, order, budget) -> list:
     return G
 
 
+def divide_by_max_scan(v: VecPoly, reducers: list[VecPoly], order: TopOrder,
+                       budget: Budget, quotients: dict | None = None) -> VecPoly:
+    """`bsw.modgb.divide` with each step's term found by max(h, key=order.key)
+    over the whole dividend: same steps, same units, same remainder dict in
+    the same insertion order, same quotients."""
+    lts = [order.leading(g) for g in reducers]
+    rem: dict = {}
+    h = dict(v.terms)
+    while h:
+        pos, e = m = max(h, key=order.key)
+        hit = -1
+        for i, ((gpos, ge), _) in enumerate(lts):
+            if gpos == pos and exp_divides(ge, e):
+                hit = i
+                break
+        budget.spend(reducers)
+        if hit < 0:
+            rem[m] = h.pop(m)
+        else:
+            (_, ge), gc = lts[hit]
+            shift, factor = exp_sub(e, ge), h[m] / gc
+            if quotients is not None:
+                quotients.setdefault(hit, {})[shift] = factor
+            reducers[hit].add_shifted_into(h, shift, -factor)
+    return VecPoly(v.ring, v.ncomp, rem)
+
+
 def groebner_basis_buchberger(I: Ideal, budget: Budget | int | None = None) -> GroebnerBasis:
     """`bsw.groebner.groebner_basis` without its monomial shortcut: every
     ideal, monomial or not, goes through the pair loop and autoreduce."""
@@ -503,6 +537,36 @@ def minimalize_rescan(C: FreeComplex) -> FreeComplex:
     maps = [PolyMatrix(ring, M, cols_hint=ranks[k]) for k, M in enumerate(ents, start=1)]
     return FreeComplex(ring, tuple(ranks), tuple(maps), graded=True,
                        shifts=tuple(tuple(s) for s in shifts))
+
+
+def minors_leibniz(M: PolyMatrix, size: int) -> list[Polynomial]:
+    """`bsw.resolution.minors` with each determinant the sum over permutations
+    s of sign(s) * prod_i M[rows[i]][cols[s(i)]], made monic by `scale`:
+    deduplicated, zeros dropped, rows then columns in combination order."""
+    if size <= 0:
+        return [Polynomial.constant(M.ring, 1)]
+    out: list[Polynomial] = []
+    for rows in itertools.combinations(range(M.rows), size):
+        for cols in itertools.combinations(range(M.cols), size):
+            d = Polynomial.zero(M.ring)
+            for perm in itertools.permutations(range(size)):
+                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
+                term = Polynomial.constant(M.ring, (-1) ** inversions)
+                for i, j in enumerate(perm):
+                    term = term * M.entries[rows[i]][cols[j]]
+                d = d + term
+            if not d.is_zero():
+                d = d.scale(1 / d.leading_term()[1])
+                if d not in out:
+                    out.append(d)
+    return out
+
+
+def compose_by_sum(A: PolyMatrix, B: PolyMatrix) -> list[list[Polynomial]]:
+    """Entries of A @ B, each sum(u * v) over Polynomial + and *."""
+    zero = Polynomial.zero(A.ring)
+    return [[sum((A.entries[i][k] * B.entries[k][j] for k in range(A.cols)), zero)
+             for j in range(B.cols)] for i in range(A.rows)]
 
 
 def rank_at(M: PolyMatrix, point) -> int:

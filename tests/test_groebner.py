@@ -1,6 +1,8 @@
 """Buchberger, normal forms, ideal operations, dimension."""
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,21 +10,24 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import bsw.modgb
 import bsw.poly
+from bsw import session
 from bsw.errors import (BudgetExceededError, ResourceCapError, StructuralError,
                         ValidationError)
 from bsw.groebner import (Ideal, groebner_basis, ideal_combine, ideal_member,
                           ideal_power, krull_dimension, normal_form)
 from bsw.modgb import DEFAULT_BUDGET, Budget
-from bsw.modgb import TopOrder, VecPoly, _GraphOrder, run_buchberger
-from bsw.poly import (Polynomial, RingContext, exp_lcm, parse_polynomial,
+from bsw.modgb import TopOrder, VecPoly, _GraphOrder, divide, run_buchberger
+from bsw.poly import (Polynomial, RingContext, add_term, exp_lcm, parse_polynomial,
                       parse_polynomials)
 from bsw.poly import RING_ORDERS
 
 from _oracles import macaulay_member
-from _oracles import buchberger_by_min, groebner_basis_buchberger
+from _oracles import buchberger_by_min, divide_by_max_scan, groebner_basis_buchberger
 from _oracles import spoly  # exercised post-hoc on produced bases
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
 R4 = RingContext(("x", "y", "z", "w"))
@@ -372,6 +377,99 @@ def test_pair_heap_matches_min_scan(case):
     for units in range(1, spent + 1, max(1, spent // 16)):
         assert (_pair_loop_outcome(run_buchberger, gens, order, units)
                 == _pair_loop_outcome(buchberger_by_min, gens, order, units))
+
+
+# ---------------------------------------------------------------- the division queue
+
+DIV_COEFF = st.sampled_from((1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def division_input(draw):
+    """A dividend, reducers and an order: 1-3 variables under any ring
+    order, 1-3 components, TopOrder or (with 2-3 components) a graph order.
+    The dividend mixes multiples of the reducers with loose terms, so
+    terms cancel and come back; reducers need not be monic."""
+    n = draw(st.integers(1, 3))
+    ring = RingContext(("x", "y", "z")[:n], (2, 1, 3)[:n], draw(st.sampled_from(RING_ORDERS)))
+    ncomp = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def vec(r):
+        terms = draw(st.lists(st.tuples(st.tuples(st.integers(0, r - 1), exps), DIV_COEFF),
+                              min_size=1, max_size=5))
+        return VecPoly(ring, r, terms)
+
+    reducers = [g for g in (vec(ncomp) for _ in range(draw(st.integers(1, 4)))) if not g.is_zero()]
+    terms: dict = {}
+    for g in reducers:
+        if draw(st.booleans()):
+            g.add_shifted_into(terms, draw(exps), draw(DIV_COEFF))
+    for m, c in vec(ncomp).terms.items():
+        add_term(terms, m, c)
+    order = TopOrder(ring)
+    if ncomp > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, ncomp - 1))
+        columns = [vec(r) for _ in range(ncomp - r)]
+        if not any(c.is_zero() for c in columns):
+            order = _GraphOrder(ring, columns)
+    return VecPoly(ring, ncomp, terms), reducers, order
+
+
+def _division_outcome(div, v, reducers, order, units):
+    b, quotients = Budget(units), {}
+    try:
+        r = div(v, reducers, order, b, quotients)
+    except BudgetExceededError as e:
+        return "exhausted", e.spent
+    return "done", b.total - b.left, list(r.terms.items()), quotients
+
+
+# x^3 + x^2 + x by x^3 + x, then x^2 - x: the first step cancels x, the
+# second brings it back, and it ends in the remainder
+_LEX1 = RingContext(("x",), order="lex")
+
+
+@example((VecPoly(_LEX1, 1, {(0, (3,)): 1, (0, (2,)): 1, (0, (1,)): 1}),
+          [VecPoly(_LEX1, 1, {(0, (3,)): 1, (0, (1,)): 1}),
+           VecPoly(_LEX1, 1, {(0, (2,)): 1, (0, (1,)): -1})], TopOrder(_LEX1)))
+@given(division_input())
+def test_divide_matches_max_scan(case):
+    """The term queue takes the steps of the max-scan: same remainder
+    dict in the same insertion order, same quotients, same units spent,
+    same budget verdicts."""
+    v, reducers, order = case
+    done = _division_outcome(divide, v, reducers, order, DEFAULT_BUDGET)
+    assert done == _division_outcome(divide_by_max_scan, v, reducers, order, DEFAULT_BUDGET)
+    for units in range(1, done[1] + 1):
+        assert (_division_outcome(divide, v, reducers, order, units)
+                == _division_outcome(divide_by_max_scan, v, reducers, order, units))
+
+
+@pytest.mark.parametrize("workload", ["acceptance", "resolve"])
+def test_workload_commands_agree_with_max_scan_division(workload, monkeypatch, tmp_path):
+    """Every command of the benchmark workload gives the same block and
+    spends the same units with each module's `divide` swapped for the
+    max-scan oracle.  Each side parses the session afresh, so no cached
+    basis crosses over."""
+    with open(os.path.join(ROOT, "perfbench", "workloads", workload + ".bsw"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+
+    def outcomes():
+        out = []
+        for cmd in session.parse_session(text).commands:
+            meter = Budget(DEFAULT_BUDGET)
+            block = session.run_command(cmd, budget=meter, csv_dir=str(tmp_path))
+            out.append((block, meter.total - meter.left))
+        return out
+
+    want = outcomes()
+    assert all(block["status"] == "ok" for block, _ in want)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bsw.") and getattr(module, "divide", None) is bsw.modgb.divide:
+            monkeypatch.setattr(module, "divide", divide_by_max_scan)
+    assert outcomes() == want
 
 
 def test_leading_term_cached_per_order():

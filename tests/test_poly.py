@@ -13,7 +13,7 @@ import bsw.poly
 from bsw import closure, groebner, semigroup
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.modgb import VecPoly
-from bsw.poly import (RING_ORDERS, Polynomial, RingContext, check_exponent, exp_add,
+from bsw.poly import (RING_ORDERS, Polynomial, RingContext, add_term, check_exponent, exp_add,
                       exp_divides, exp_lcm, exp_sub, format_polynomial, parse_polynomial,
                       parse_polynomials, split_top_commas, weighted_degree_info)
 
@@ -126,6 +126,34 @@ def test_unchecked_results_are_clean(p, q, c, k, i):
             _assert_clean_terms(r.terms().items(), 3)
             assert Polynomial(R3, r.terms()) == r
     assert [v.component(0), v.component(1)] == [p, q]
+
+
+@given(st.dictionaries(exps2, coeffs, max_size=5), exps2, coeffs)
+def test_add_term_inserts_adds_and_drops(terms, e, c):
+    terms = {k: v for k, v in terms.items() if v}
+    before = dict(terms)
+    inserted = add_term(terms, e, c)
+    if e not in before:
+        # a new key stores c itself, at the end; a zero c changes nothing
+        assert inserted is bool(c)
+        assert list(terms.items()) == list(before.items()) + ([(e, c)] if c else [])
+        assert not c or terms[e] is c
+    else:
+        # an old key keeps its place, or leaves the dict when the sum is 0
+        s = before[e] + c
+        assert inserted is False
+        assert list(terms.items()) == [(k, s if k == e else v) for k, v in before.items()
+                                       if k != e or s]
+
+
+@given(st.dictionaries(exps2, coeffs, max_size=5))
+def test_unchecked_polynomial_equals_the_checked_one(terms):
+    p = Polynomial._of(R2, {e: c for e, c in terms.items() if c})
+    q = Polynomial(R2, terms)
+    assert p == q and hash(p) == hash(q) and p.ring is R2
+    for attr in ("ring", "_terms", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, None)
 
 
 # ---------------------------------------------------------------- orders

@@ -19,8 +19,8 @@ from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             minimalize, minors, normality_witness,
                             rank_locus_ideal, strata)
 
-from _oracles import (complex_from_json_dict, hilbert_function, minimalize_rescan, stratum,
-                      syzygies, to_json_dict)
+from _oracles import (complex_from_json_dict, compose_by_sum, hilbert_function,
+                      minimalize_rescan, minors_leibniz, stratum, syzygies, to_json_dict)
 
 R2 = RingContext(("x", "y"))
 R3 = RingContext(("x", "y", "z"))
@@ -604,3 +604,34 @@ def test_minors_helper():
     assert sorted(str(m) for m in minors(M, 1)) == ["x", "y"]
     two = minors(M, 2)
     assert [str(m) for m in two] == ["x^2 - y^2"]
+
+
+@st.composite
+def sparse_matrix(draw, rows=None):
+    """A 1-4 x 1-4 matrix over R3 whose entries are zero about one time in three."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeff = st.sampled_from((1, -1, 2, -3))
+    entry = st.one_of(st.just({}), st.dictionaries(exps, coeff, min_size=1, max_size=3),
+                      st.dictionaries(exps, coeff, min_size=1, max_size=3))
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4))
+    return PolyMatrix(R3, [[Polynomial(R3, draw(entry)) for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+@given(sparse_matrix(), st.integers(1, 4))
+def test_minors_match_permutation_sums(M, k):
+    assert minors(M, k) == minors_leibniz(M, k)
+
+
+@given(sparse_matrix().flatmap(lambda A: st.tuples(st.just(A), sparse_matrix(rows=A.cols))))
+def test_compose_matches_entrywise_sums(pair):
+    A, B = pair
+    AB = A.compose(B)
+    assert (AB.rows, AB.cols) == (A.rows, B.cols)
+    assert [list(row) for row in AB.entries] == compose_by_sum(A, B)
+
+
+def test_compose_refuses_a_factor_over_another_ring():
+    with pytest.raises(StructuralError, match="different rings"):
+        PM(R2, [["x", "0"]]).compose(PM(R3, [["0"], ["z"]]))

@@ -107,3 +107,20 @@ def test_readme_session_block_shows_every_command_kind():
     keywords = {" ".join(m.group().split()) for line in block.splitlines()
                 if (m := re.match(r"germ\s+\S+|[^\s;]+", line))}
     assert sorted(set(_COMMANDS) - keywords) == []
+
+
+def test_readme_session_block_names_every_flag_of_each_kind():
+    """The README's `text` lines of each kind name, as --flag or flag=,
+    every required and optional flag of its `_COMMANDS` row."""
+    from bsw.session import _COMMANDS
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        (block,) = re.findall(r"```text\n(.*?)```", fh.read(), re.S)
+    named: dict = {}
+    for line in block.splitlines():
+        stmt = line.split("#", 1)[0]
+        if m := re.match(r"germ\s+\S+|[^\s;]+", stmt):
+            flags = re.findall(r"--([\w-]+)|([\w-]+)=", stmt)
+            named.setdefault(" ".join(m.group().split()), set()).update(a or b for a, b in flags)
+    missing = {kind: sorted(set(row[2] + row[3]) - named.get(kind, set()))
+               for kind, row in _COMMANDS.items()}
+    assert {kind: flags for kind, flags in missing.items() if flags} == {}
