@@ -5,8 +5,22 @@ parametrized by t the parameter modulus is rho^(1/w) with w the lowest
 t-order among the components, and for a solved hypersurface each free
 coordinate gets modulus rho^(w_j / w_min) from the ring weights, so the
 sampled point sits at distance about rho from the origin.  Arguments
-are drawn uniformly per coordinate from a seeded PCG64 stream, so a
-fixed seed reproduces the exact same float data.
+are drawn uniformly per coordinate from a seeded PCG64 stream (O'Neill
+2014), so a fixed seed reproduces the exact same float data.  The
+stream is the one numpy's PCG64 Generator seeded with the seed gives
+through `uniform(0.0, 2*pi)`, bit for bit, written out here so that
+numpy's random package is never imported:
+- SeedSequence: the seed's 32-bit words, low word first, zero-padded to
+  a pool of 4, are hashed and mixed (hashmix constants 0x43b0d7e5 and
+  0x931e8875, mix constants 0xca01f9dd and 0x4973f715, each hash ending
+  in x ^= x >> 16), and `generate_state(4, uint64)` hashes the pool
+  again with 0x8b51f9dd and 0x58f38ded into words w0..w3;
+- PCG64 seeding: inc = (w2 << 64 | w3) << 1 | 1, then from state 0 a
+  step, + (w0 << 64 | w1), a step; a step is state * _PCG_MULT + inc
+  mod 2^128, with PCG's 128-bit multiplier _PCG_MULT;
+- each draw steps, then outputs XSL-RR, the 64-bit rotation of
+  hi ^ lo right by state >> 122, whose top 53 bits times 2^-53 are the
+  double d in [0, 1); the angle is 0.0 + 2*pi * d.
 
 The estimate regresses log|phi| against log sum|a_j| by ordinary least
 squares.  Values at or below the underflow floor (1e-300) are excluded,
@@ -50,6 +64,9 @@ RESIDUAL_THRESHOLD = 0.25
 RESIDUAL_TOLERANCE = 1e-9
 SAMPLE_CAP = 100_000
 BLOCK_POINTS = 4096  # bounds the arrays one evaluation holds
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -279,16 +296,81 @@ def _check_residuals(defining: list[_ComplexPoly], points: list) -> None:
             raise SamplingError("sampled point violates a defining equation")
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant moves on by `mult` at
+    each call."""
+    def hash_word(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64), seed >= 0."""
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 128), 32)]
+
+    def mix(x: int, y: int) -> int:
+        r = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return r ^ r >> 16
+
+    hashmix = _hasher(0x43b0d7e5, 0x931e8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hasher(0x8b51f9dd, 0x58f38ded)
+    halves = [generate(pool[i % 4]) for i in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+
+
+class _AngleStream:
+    """The angles numpy's PCG64 Generator draws from `uniform(0.0, 2*pi)`
+    when seeded with `seed`, bit for bit, by SeedSequence and PCG64 as the
+    module docstring writes them out.  The 128-bit steps are Python ints;
+    XSL-RR and the float conversion run in numpy over the packed states
+    of one call."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        w0, w1, w2, w3 = _seed_words(seed)
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
+
+    def angles(self, count: int):
+        """The next `count` angles as a float64 array."""
+        import numpy as np
+        state, inc = self.state, self.inc
+        states = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            states.append(state)
+        self.state = state
+        packed = b"".join(map(int.to_bytes, states, repeat(16), repeat("little")))
+        lo, hi = np.frombuffer(packed, dtype="<u8").reshape(count, 2).T
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # state >> 122
+        out = x >> rot | x << (-rot & np.uint64(63))
+        return 2.0 * math.pi * ((out >> np.uint64(11)).astype(float) * 2.0 ** -53)
+
+
 def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
     """Points ordered by (radius index, sample index); residual-checked;
-    at most SAMPLE_CAP of them.  The angles of one radius come from one
-    `uniform` call, the same PCG64 values in the same order as one call
-    per angle."""
+    at most SAMPLE_CAP of them.  Each block draws its points' angles from
+    one PCG64 stream in (radius, sample, coordinate) order: the values
+    numpy's Generator gives from `uniform(0.0, 2*pi, size=(per, k))`
+    radius by radius, drawn without importing numpy's random package."""
     import numpy as np
     total = len(sampler.radii) * sampler.samples_per_radius
     if total > SAMPLE_CAP:
         raise ResourceCapError(f"sampler needs {total} points (cap {SAMPLE_CAP})")
-    rng = np.random.default_rng(sampler.seed)
+    stream = _AngleStream(sampler.seed)
     ring, per = sampler.ring, sampler.samples_per_radius
     if sampler.kind == "parametrized":
         w = min(_lowest_order(c) for c in sampler.components)
@@ -302,14 +384,12 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
         solved = _ComplexPoly(sampler.solved_expr)
         moduli = [[rho ** (ring.weights[j] / w_min) for j in free] for rho in sampler.radii]
     # one row per point, one column per sampled coordinate (t, or the free ones)
-    thetas = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, size=(per, len(row)))
-                             for row in moduli])
     radii = np.repeat(np.array(moduli), per, axis=0)
     points: list[tuple[complex, ...]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, BLOCK_POINTS):
-            theta = thetas[start:start + BLOCK_POINTS].T
             r = radii[start:start + BLOCK_POINTS].T
+            theta = stream.angles(r.size).reshape(r.shape[::-1]).T
             cos = np.array(list(map(math.cos, theta.ravel().tolist()))).reshape(theta.shape)
             sin = np.array(list(map(math.sin, theta.ravel().tolist()))).reshape(theta.shape)
             # r * complex(cos, sin), r promoted to (r, 0.0)

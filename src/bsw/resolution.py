@@ -155,6 +155,8 @@ class FreeComplex:
         for k, M in enumerate(self.maps, start=1):
             if (M.rows, M.cols) != (self.ranks[k - 1], self.ranks[k]):
                 raise StructuralError(f"map {k} shape does not match ranks")
+            if M.ring is not self.ring and M.ring != self.ring:
+                raise StructuralError(f"map {k} lives in another ring than the complex")
         for k in range(len(self.maps) - 1):
             if not self.maps[k].compose(self.maps[k + 1]).is_zero():
                 raise StructuralError(f"composition f_{k+1} o f_{k+2} is nonzero")

@@ -30,15 +30,18 @@ helpers raise `ValidationError`; `parse_session` attaches the statement
 position once; they get the declared ring, germ semigroup or germ ideal from
 one `need(what)`.  Number lists are comma-separated, never space-separated;
 integers are ASCII digits with an optional sign, and floats finite ASCII
-decimals.  A float overflow in `loja` gives a `sampling` or `estimation`
-block with a fixed message, not the C library's.
+decimals.  A `loja` coefficient beyond the float range is refused at
+parse time; a float overflow while sampling or estimating gives a
+`sampling` or `estimation` block with a fixed message, not the C library's.
 
 In a session, numpy loads at parse time or not at all.  Importing bsw
 does not load it: `closure` and `loja` import it inside the functions
 that use it.  `parse_session` imports it when it meets a command of a kind in
 `_NUMPY_KINDS`, the kinds whose run functions use it, so a session that
 needs numpy pays for it before its first command runs, and one that does
-not (resolutions, strata, `check-*`, germ commands) never loads it.
+not (resolutions, strata, `check-*`, germ commands) never loads it.  No
+numpy module loads while a session runs: `loja` draws its angles from its
+own PCG64 stream, so numpy's random package is never imported.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .groebner import Ideal
 from .loja import (hypersurface_sampler, loja_exponent_estimate,
                    monomial_curve_sampler, sample_variety)
 from .modgb import DEFAULT_BUDGET, Budget
-from .poly import (Polynomial, RING_ORDERS, RingContext, parse_polynomial,
+from .poly import (Polynomial, RING_ORDERS, RingContext, format_monomial, parse_polynomial,
                    parse_polynomials, split_top_commas)
 from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
                          free_resolution, minimalize, normality_witness, strata)
@@ -284,6 +287,22 @@ def _poly_or_binding(text: str, st: _ParseState) -> list[Polynomial]:
     return parse_polynomials(text, st.need("ring"))
 
 
+def _in_float_range(polys: list[Polynomial], flag: str) -> list[Polynomial]:
+    """The polynomials of a `loja` flag, refused if a coefficient lies beyond
+    the float range, since sampling and estimation evaluate them in floats."""
+    for p in polys:
+        for e, c in p.terms().items():
+            try:
+                float(c)
+            except OverflowError:
+                from decimal import Decimal
+                term = format_monomial(e, p.ring.variable_names) or "1"
+                raise ValidationError(
+                    f"loja --{flag} coefficient {Decimal(c.numerator) / c.denominator:.3e} "
+                    f"of {term} lies outside the float range") from None
+    return polys
+
+
 def _gen_strings(I: Ideal) -> list[str]:
     return [str(g) for g in I.generators]
 
@@ -358,11 +377,11 @@ def _parse_germ_mu(pos: list[str], flags: dict, st: _ParseState):
 
 def _parse_loja(pos: list[str], flags: dict, st: _ParseState):
     ring = st.need("ring")
-    phi_list = _poly_or_binding(flags["phi"], st)
+    phi_list = _in_float_range(_poly_or_binding(flags["phi"], st), "phi")
     if len(phi_list) != 1:
         raise ValidationError("loja --phi wants a single polynomial")
     phi = phi_list[0]
-    a_polys = _poly_or_binding(flags["a"], st)
+    a_polys = _in_float_range(_poly_or_binding(flags["a"], st), "a")
     radii = _float_list(flags["radii"], "radii") if "radii" in flags else DEFAULT_RADII
     per_radius = (_int(flags["per-radius"], "per-radius")
                   if "per-radius" in flags else DEFAULT_PER_RADIUS)
@@ -385,7 +404,7 @@ def _parse_loja(pos: list[str], flags: dict, st: _ParseState):
         var = var.strip()
         if var not in ring.variable_names:
             raise ValidationError(f"{var!r} is not a ring variable")
-        expr = parse_polynomial(expr_text, ring)
+        [expr] = _in_float_range([parse_polynomial(expr_text, ring)], "solve")
         payload["solve"] = (ring.var_index(var), expr)
         inputs["solve"] = f"{var} = {expr}"
     if csv:

@@ -24,7 +24,9 @@ those; with `monomial_key` they are the reference for the order keys.
 `sample_variety_scalar` and
 `loja_exponent_estimate_scalar` are the loja sampler and estimator one
 point at a time with CPython's complex arithmetic, the reference for the
-block evaluation of `bsw.loja`.  `TableSemigroup` is the list-loop
+block evaluation of `bsw.loja`; the sampler draws its angles from
+`numpy.random.default_rng`, the reference for the package's own PCG64
+stream.  `TableSemigroup` is the list-loop
 membership table, `minimal_shifts_greedy` the greedy antichain
 minimalization and `containment_holds_scan` the element-by-element
 containment scan that the bit masks of `bsw.semigroup` replaced; with

@@ -396,6 +396,13 @@ def test_complex_property_enforced():
         FreeComplex(R2, (1, 2), (PM(R2, [["x"]]),), False, None)
 
 
+def test_complex_refuses_a_map_over_another_ring():
+    # read with R2's order key, the R3 minor [x] once certified as (True, ())
+    for entry in ("x", "z"):
+        with pytest.raises(StructuralError, match="map 1 lives in another ring"):
+            FreeComplex(R2, (1, 1), (PM(R3, [[entry]]),))
+
+
 def test_json_round_trip():
     C = resolve("x*z, x*w, y*z, y*w", R4)
     D = complex_from_json_dict(to_json_dict(C))

@@ -587,14 +587,39 @@ def test_unexpected_exception_becomes_internal_block(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("flags, kind", [
-    ("--phi w --a z --solve w=10^309*z", "sampling"),     # a coefficient beyond floats
-    ("--phi 10^309*w --a z --solve w=z", "estimation"),
+    # on the unit circle a modulus passes the float range while both parts stay in it
+    ("--phi w --a z --solve w=10^308*z+10^308*z^3 --radii 1", "sampling"),
+    ("--phi 10^308*w+10^308*w^3 --a z --solve w=z --radii 1", "estimation"),
     ("--phi w^2 --a z --solve w=10^300*z", "estimation"),  # the squared norm of a point
 ])
 def test_loja_overflow_gives_a_fixed_message(flags, kind):
     block = run_one(f"ring z, w;\nloja {flags};\n")
     message = f"{kind} overflows the float range"
     assert block["error"] == {"kind": kind, "message": message}
+
+
+@pytest.mark.parametrize("flags, flag, coefficient, term", [
+    ("--phi w --a z --solve w=10^309*z", "solve", "1.000e+309", "z"),
+    ("--phi w --a z --solve w=z^2-2*10^310", "solve", "-2.000e+310", "1"),
+    ("--phi 10^309*w --a z --solve w=z", "phi", "1.000e+309", "w"),
+    ("--phi w --a z, 18*10^307*w^2 --curve 1,1", "a", "1.800e+308", "w^2"),
+])
+def test_loja_coefficient_beyond_floats_is_refused_at_parse_time(tmp_path, capsys, flags,
+                                                                 flag, coefficient, term):
+    text = f"ring z, w;\n  loja {flags};\n"
+    e = err(text)
+    assert (str(e), e.line, e.col) == (
+        f"loja --{flag} coefficient {coefficient} of {term} lies outside the float range", 2, 3)
+    assert cli.main(["check", write(tmp_path, "s.bsw", text)]) == 2
+    capsys.readouterr()
+
+
+def test_loja_coefficient_bindings_are_checked_too():
+    e = err("ring z, w;\npoly f = 10^309*z;\nloja --phi w --a f --curve 1,1;\n")
+    assert (str(e), e.line) == (
+        "loja --a coefficient 1.000e+309 of z lies outside the float range", 3)
+    # the largest coefficients that round into the float range parse
+    parse("ring z, w;\nloja --phi 17976931348623157*10^292*w --a z --solve w=z;\n")
 
 
 def test_loja_block_and_csv(tmp_path):
@@ -791,6 +816,38 @@ def test_resolve_workload_never_loads_numpy(tmp_path):
         probe = _numpy_probe(fh.read(), tmp_path)
     assert probe["status"] and set(probe["status"]) == {"ok"}
     assert not (probe["imported"] or probe["parsed"] or probe["ran"])
+
+
+# the names of the loaded numpy modules after parsing and after running the
+# session file named on the command line
+NUMPY_MODULES_PROBE = """
+import json, sys
+from bsw.session import parse_session, run_session
+def numpy_modules():
+    return sorted(name for name in sys.modules if name.startswith("numpy"))
+with open(sys.argv[1], encoding="utf-8") as fh:
+    sess = parse_session(fh.read())
+parsed = numpy_modules()
+report = run_session(sess, csv_dir=sys.argv[2])
+print(json.dumps({"parsed": parsed, "ran": numpy_modules(),
+                  "kinds": [b.get("error", {}).get("kind", "ok") for b in report["blocks"]]}))
+"""
+
+
+@pytest.mark.parametrize("session", ["sessions/acceptance.bsw", "sessions/loja_blocks.bsw",
+                                     "perfbench/workloads/search.bsw"])
+def test_no_numpy_module_loads_while_a_session_runs(session, tmp_path):
+    # the loja sampler's angle stream needs no numpy.random, so whatever the
+    # parser loaded is all a run ever holds (a session without a kind in
+    # _NUMPY_KINDS holds none: test_resolve_workload_never_loads_numpy)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, "-c", NUMPY_MODULES_PROBE,
+                           os.path.join(ROOT, session), str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["kinds"] and "internal" not in probe["kinds"]
+    assert probe["parsed"] and probe["ran"] == probe["parsed"]
 
 
 def test_one_command_sessions_cover_every_kind():
