@@ -46,6 +46,13 @@ CPython's OverflowErrors are raised where it raises them, and a block
 that raises anything is evaluated again one point at a time, so the
 error is the one a point-by-point loop meets first.  numpy is imported
 by each function that uses it, so importing this module does not load it.
+
+One sampler, _sample_blocks, returns the sample as blocks, and one fit,
+_fit_blocks, reads blocks; a session hands the first's blocks to the
+second as they are.  Point tuples exist only at the public entry points,
+sample_variety (the sample as tuples) and loja_exponent_estimate (any
+iterable of points, made into blocks BLOCK_POINTS at a time), and when a
+block that raised is evaluated again point by point.
 """
 
 from __future__ import annotations
@@ -159,6 +166,14 @@ def _modulus(re, im):
     return m
 
 
+def _mapped(fn, a, *args):
+    """fn(x, *args) by CPython on each element x of the float64 array a,
+    taken as a Python float, as an array of a's shape."""
+    import numpy as np
+    values = map(fn, a.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, float, a.size).reshape(a.shape)
+
+
 def _row_sums(columns):
     """The builtin sum(row) of each row across the columns, arrays of
     floats >= +0 or NaN.  Up to two terms that is plain left-to-right
@@ -167,18 +182,20 @@ def _row_sums(columns):
     import numpy as np
     if len(columns) <= 2:
         return sum(columns[1:], columns[0])
-    return np.array(list(map(sum, zip(*(c.tolist() for c in columns)))))
+    return np.fromiter(map(sum, zip(*(c.tolist() for c in columns))), float, len(columns[0]))
 
 
-def _replayed(fn, points: list):
-    """fn(points); if that raises, fn([point]) for each point in turn, so
-    the error raised is the one a point-by-point loop meets first.  Every
-    step is per point, so some single point raises."""
+def _replayed(fn, block):
+    """fn on the block, a _Block or a list of points made into one; if that
+    raises, fn on a one-point block of each point in turn, so the error
+    raised is the one a point-by-point loop meets first.  Every step is per
+    point, so some single point raises.  Only this error path forms a
+    _Block's points."""
     try:
-        return fn(points)
+        return fn(block if isinstance(block, _Block) else _Block.of(block))
     except Exception:  # any error: only its order is at stake, and it is re-raised
-        for pt in points:
-            fn([pt])
+        for pt in block.points() if isinstance(block, _Block) else block:
+            fn(_Block.of([pt]))
         raise
 
 
@@ -240,11 +257,9 @@ class _Block:
 
     def modulus_power(self, j: int, k: int):
         """abs(z_j) ** k, k >= 1, by CPython's float power (libm pow)."""
-        import numpy as np
         key = ("abs", j, k)
         if key not in self._memo:
-            moduli = _modulus(self.re[j], self.im[j]).tolist()
-            self._memo[key] = np.array(list(map(pow, moduli, repeat(k))))
+            self._memo[key] = _mapped(pow, _modulus(self.re[j], self.im[j]), k)
         return self._memo[key]
 
 
@@ -277,12 +292,11 @@ class _ComplexPoly:
         return tr, ti
 
 
-def _check_residuals(defining: list[_ComplexPoly], points: list) -> None:
+def _check_residuals(defining: list[_ComplexPoly], block: _Block) -> None:
     """SamplingError unless |f| <= RESIDUAL_TOLERANCE times its scale
     sum_terms |c| * prod_j |z_j| ** k_j at every point, for every f."""
     import numpy as np
-    block = _Block.of(points)
-    m = len(points)
+    m = block.re.shape[1]
     for f in defining:
         value = _modulus(*f.evaluate(block))
         scale = np.zeros(m)
@@ -360,9 +374,10 @@ class _AngleStream:
         return 2.0 * math.pi * ((out >> np.uint64(11)).astype(float) * 2.0 ** -53)
 
 
-def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
-    """Points ordered by (radius index, sample index); residual-checked;
-    at most SAMPLE_CAP of them.  Each block draws its points' angles from
+def _sample_blocks(sampler: VarietySampler) -> list[_Block]:
+    """The sample as blocks of at most BLOCK_POINTS points, each with a
+    fresh memo, ordered by (radius index, sample index); residual-checked;
+    at most SAMPLE_CAP points.  Each block draws its points' angles from
     one PCG64 stream in (radius, sample, coordinate) order: the values
     numpy's Generator gives from `uniform(0.0, 2*pi, size=(per, k))`
     radius by radius, drawn without importing numpy's random package."""
@@ -385,13 +400,12 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
         moduli = [[rho ** (ring.weights[j] / w_min) for j in free] for rho in sampler.radii]
     # one row per point, one column per sampled coordinate (t, or the free ones)
     radii = np.repeat(np.array(moduli), per, axis=0)
-    points: list[tuple[complex, ...]] = []
+    parts = []  # (re, im) of each block
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, BLOCK_POINTS):
             r = radii[start:start + BLOCK_POINTS].T
             theta = stream.angles(r.size).reshape(r.shape[::-1]).T
-            cos = np.array(list(map(math.cos, theta.ravel().tolist()))).reshape(theta.shape)
-            sin = np.array(list(map(math.sin, theta.ravel().tolist()))).reshape(theta.shape)
+            cos, sin = _mapped(math.cos, theta), _mapped(math.sin, theta)
             # r * complex(cos, sin), r promoted to (r, 0.0)
             fre, fim = r * cos - 0.0 * sin, r * sin + 0.0 * cos
             if sampler.kind == "parametrized":
@@ -403,13 +417,19 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
                 re, im = np.zeros((ring.n, fre.shape[1])), np.zeros((ring.n, fre.shape[1]))
                 re[free], im[free] = fre, fim
                 re[sampler.solved_var], im[sampler.solved_var] = solved.evaluate(_Block(re, im))
-            points += _Block(re, im).points()
+            parts.append((re, im))
         # every point is formed before any is checked, as one at a time would
         defining = [_ComplexPoly(f) for f in sampler.defining]
         if defining:
-            for start in range(0, total, BLOCK_POINTS):
-                _replayed(partial(_check_residuals, defining), points[start:start + BLOCK_POINTS])
-    return points
+            for re, im in parts:
+                _replayed(partial(_check_residuals, defining), _Block(re, im))
+    return [_Block(re, im) for re, im in parts]
+
+
+def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
+    """The points of the sample, as tuples of complex coordinates in
+    (radius index, sample index) order; see _sample_blocks."""
+    return [pt for block in _sample_blocks(sampler) for pt in block.points()]
 
 
 @dataclass(frozen=True)
@@ -424,40 +444,40 @@ class LojaEstimate:
     log_phi: tuple[float, ...]  # ... and log |phi|, in sample order
 
 
-def loja_exponent_estimate(phi: Polynomial, a_polys, points) -> LojaEstimate:
-    """OLS fit of log|phi| against log sum_j |a_j| over the points, any
-    iterable of sequences of complex coordinates, read BLOCK_POINTS at a
-    time; reliable when the residual is at most RESIDUAL_THRESHOLD."""
+def _fit_blocks(phi: Polynomial, a_polys, blocks) -> LojaEstimate:
+    """OLS fit of log|phi| against log sum_j |a_j| over the points of
+    `blocks`, an iterable of _Blocks or of lists of points, in order;
+    reliable when the residual is at most RESIDUAL_THRESHOLD."""
     import numpy as np
     a_polys = [_ComplexPoly(g) for g in a_polys]
     if not a_polys:
         raise ValidationError("need at least one ideal generator")
     phi = _ComplexPoly(phi)
 
-    def fit_block(pts):
+    def fit_block(block):
         """log sum|a_j| and log|phi| of the kept points, the dropped count
         and the kept points' norms."""
-        block = _Block.of(pts)
         va = _row_sums([_modulus(*g.evaluate(block)) for g in a_polys])
         vp = _modulus(*phi.evaluate(block))
         kept = ~((va <= UNDERFLOW_FLOOR) | (vp <= UNDERFLOW_FLOOR))
-        squares = [np.array(list(map(pow, _modulus(re[kept], im[kept]).tolist(), repeat(2))))
+        squares = [_mapped(pow, _modulus(re[kept], im[kept]), 2)
                    for re, im in zip(block.re, block.im)]
         return (list(map(math.log, va[kept].tolist())), list(map(math.log, vp[kept].tolist())),
-                len(pts) - int(kept.sum()), np.sqrt(_row_sums(squares)).tolist())
+                len(kept) - int(kept.sum()), np.sqrt(_row_sums(squares)))
 
     xs: list[float] = []
     ys: list[float] = []
     lo, hi = math.inf, 0.0  # range of the kept points' norms
     dropped = 0
-    points = iter(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        while chunk := list(islice(points, BLOCK_POINTS)):
-            bx, by, bd, norms = _replayed(fit_block, chunk)
+        for block in blocks:
+            bx, by, bd, norms = _replayed(fit_block, block)
             xs += bx
             ys += by
             dropped += bd
-            lo, hi = min((lo, *norms)), max((hi, *norms))
+            # min and max from (inf, 0.0), where a NaN norm never wins
+            lo = float(np.fmin.reduce(norms, initial=lo))
+            hi = float(np.fmax.reduce(norms, initial=hi))
     total = len(xs) + dropped
     if len(xs) < 20:
         raise EstimationError(f"only {len(xs)} usable points (need 20)")
@@ -480,3 +500,13 @@ def loja_exponent_estimate(phi: Polynomial, a_polys, points) -> LojaEstimate:
         log_a=tuple(xs),
         log_phi=tuple(ys),
     )
+
+
+def loja_exponent_estimate(phi: Polynomial, a_polys, points) -> LojaEstimate:
+    """The fit of _fit_blocks over the points, any iterable of sequences
+    of complex coordinates, read BLOCK_POINTS at a time."""
+    def chunks():
+        it = iter(points)
+        while chunk := list(islice(it, BLOCK_POINTS)):
+            yield chunk
+    return _fit_blocks(phi, a_polys, chunks())

@@ -172,7 +172,8 @@ class _GraphOrder(TopOrder):
 
 
 class Budget:
-    """The one work meter: a unit per pair treated and per reduction step.
+    """The one work meter: a unit per pair treated, per reduction step and
+    per sub-determinant that `resolution.minors` builds.
 
     A session command passes one meter to all of its steps; Budget.of
     gives a library call with an int or None (DEFAULT_BUDGET) a fresh

@@ -27,7 +27,6 @@ strata are measured inside Z.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,13 +92,16 @@ class PolyMatrix:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
 
 
-def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, ring) -> Polynomial:
+def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, ring,
+         budget: Budget) -> Polynomial:
     """Determinant of the (rows x cols) submatrix by first-column
-    expansion, the cofactor sum accumulated in one term dict."""
+    expansion, the cofactor sum accumulated in one term dict; each
+    sub-determinant new to the memo costs one unit of the budget."""
     key = (rows, cols)
     got = memo.get(key)
     if got is not None:
         return got
+    budget.spend(())
     if len(rows) == 1:
         out = matrix_entries[rows[0]][cols[0]]
     else:
@@ -110,25 +112,28 @@ def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, rin
             e = matrix_entries[r][c0]
             if e.is_zero():
                 continue
-            sub = _det(matrix_entries, rows[:idx] + rows[idx + 1:], rest, memo, ring)
+            sub = _det(matrix_entries, rows[:idx] + rows[idx + 1:], rest, memo, ring, budget)
             mul_into(acc, e, sub, -1 if idx % 2 else 1)
         out = Polynomial._of(ring, acc)
     memo[key] = out
     return out
 
 
-def minors(M: PolyMatrix, size: int) -> list[Polynomial]:
-    """All size x size minors, deduplicated, zeros dropped, fixed order; [1] if size <= 0."""
+def minors(M: PolyMatrix, size: int, budget: Budget | int | None = None) -> list[Polynomial]:
+    """All size x size minors, deduplicated, zeros dropped, fixed order; [1] if size <= 0.
+    Each sub-determinant built, 1 x 1 ones included, costs one unit of
+    Budget.of(budget)."""
     if size <= 0:
         return [Polynomial.constant(M.ring, 1)]
     if size > min(M.rows, M.cols):
         return []
+    budget = Budget.of(budget)
     memo: dict = {}
     out: list[Polynomial] = []
     seen = set()
     for rows in itertools.combinations(range(M.rows), size):
         for cols in itertools.combinations(range(M.cols), size):
-            d = _det(M.entries, rows, cols, memo, M.ring)
+            d = _det(M.entries, rows, cols, memo, M.ring, budget)
             if d.is_zero():
                 continue
             d = d.monic()
@@ -183,10 +188,22 @@ class FreeComplex:
     def length(self) -> int:
         return len(self.maps)
 
-    @functools.cached_property
+    @property
     def rank_minors(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """The rho_k-minors of each f_k, computed once per complex."""
-        return tuple(tuple(minors(M, r)) for M, r in zip(self.maps, expected_ranks(self)))
+        """The rho_k-minors of each f_k; see rank_minors_on."""
+        return self.rank_minors_on(None)
+
+    def rank_minors_on(self, budget: Budget | int | None) -> tuple[tuple[Polynomial, ...], ...]:
+        """The rho_k-minors of each f_k, computed once per complex: the first
+        read builds them on Budget.of(budget), a unit per sub-determinant,
+        and later reads cost nothing.  Within a command, the first caller
+        (check_acyclicity or rank_locus_ideal) passes the command's meter."""
+        if "_rank_minors" not in self.__dict__:
+            budget = Budget.of(budget)
+            # a cache beside the frozen fields, not one of them
+            self.__dict__["_rank_minors"] = tuple(
+                tuple(minors(M, r, budget)) for M, r in zip(self.maps, expected_ranks(self)))
+        return self.__dict__["_rank_minors"]
 
 
 def expected_ranks(C: FreeComplex) -> tuple[int, ...]:
@@ -207,11 +224,14 @@ def _prune_generators(cols: list[VecPoly], ctx: RingContext, sort_keys,
     order = TopOrder(ctx)
     kept: list[int] = []
     kept_gb: list[VecPoly] = []
+    built = 0  # kept_gb is the basis of kept[:built]; it is rebuilt only for a test
     for j in sorted(range(len(cols)), key=lambda j: sort_keys[j]):
+        if built < len(kept):
+            kept_gb = module_groebner([cols[i] for i in kept], order, budget)
+            built = len(kept)
         if kept_gb and divide(cols[j], kept_gb, order, budget).is_zero():
             continue
         kept.append(j)
-        kept_gb = module_groebner([cols[i] for i in kept], order, budget)
     return kept
 
 
@@ -373,19 +393,20 @@ def koszul_complex(elems: list[Polynomial]) -> FreeComplex:
     return FreeComplex(ring, ranks, tuple(maps), graded=graded, shifts=shifts)
 
 
-def rank_locus_ideal(C: FreeComplex, k: int, ambient: Ideal) -> tuple[Ideal, bool]:
+def rank_locus_ideal(C: FreeComplex, k: int, ambient: Ideal,
+                     budget: Budget | int | None = None) -> tuple[Ideal, bool]:
     """Ideal cutting out Z_k = {rank f_k < rho_k} inside V(ambient).
 
     Returns (ideal, degenerate); degenerate=True means rho_k exceeds the
     matrix size, the rank can never be attained, and the locus is all of
-    V(ambient)."""
+    V(ambient).  Minors not yet built for C draw on Budget.of(budget)."""
     if not 1 <= k <= C.length:
         raise ValidationError(f"no map f_{k} in a length-{C.length} complex")
     if ambient.ring != C.ring:
         raise StructuralError("ambient ideal ring mismatch")
     M = C.maps[k - 1]
     degenerate = expected_ranks(C)[k - 1] > min(M.rows, M.cols)
-    return Ideal(C.ring, C.rank_minors[k - 1] + ambient.generators), degenerate
+    return Ideal(C.ring, C.rank_minors_on(budget)[k - 1] + ambient.generators), degenerate
 
 
 def _leading_codim_reaches(mins, ring: RingContext, k: int) -> bool:
@@ -404,12 +425,13 @@ def check_acyclicity(C: FreeComplex, budget: Budget | int | None = None):
 
     Returns (acyclic, failures); each failure is (k, reason).  The test
     is exact over a polynomial ring: codimension equals grade there.
-    Levels that _leading_codim_reaches passes spend nothing; the exact
-    codims of the others draw on one Budget.of(budget)."""
+    The minors, when not yet built for C, and the exact codims of the
+    levels that _leading_codim_reaches does not pass draw on one
+    Budget.of(budget)."""
     ring = C.ring
     budget = Budget.of(budget)
     failures = []
-    levels = zip(C.maps, expected_ranks(C), C.rank_minors)
+    levels = zip(C.maps, expected_ranks(C), C.rank_minors_on(budget))
     for k, (M, r, mins) in enumerate(levels, start=1):
         if r > min(M.rows, M.cols):
             failures.append((k, f"expected rank {r} exceeds matrix size"))
@@ -456,8 +478,8 @@ class StrataReport:
 
 def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:
     """Rank-drop strata of the resolving complex C of O/I, plus the
-    Jacobian singular stratum Z^0; codims, measured inside Z, draw on
-    one Budget.of(budget)."""
+    Jacobian singular stratum Z^0; minors and codims, measured inside Z,
+    draw on one Budget.of(budget)."""
     ring = I.ring
     if C.ring != ring:
         raise StructuralError("complex and ideal rings differ")
@@ -470,13 +492,13 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
     degenerate: list[str] = []
 
     jac = jacobian_matrix(I)
-    z0_ideal = Ideal(ring, tuple(minors(jac, p)) + I.generators)
+    z0_ideal = Ideal(ring, tuple(minors(jac, p, budget)) + I.generators)
     if p > min(jac.rows, jac.cols):
         degenerate.append("jacobian smaller than expected codim; Z^0 = Z")
 
     zk: dict[int, Ideal] = {}
     for k in range(1, C.length + 1):
-        ideal_k, degen = rank_locus_ideal(C, k, I)
+        ideal_k, degen = rank_locus_ideal(C, k, I, budget)
         zk[k] = ideal_k
         if degen:
             degenerate.append(f"rho_{k} exceeds the size of f_{k}; Z_{k} = Z")

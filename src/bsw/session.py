@@ -58,8 +58,7 @@ from .closure import MonomialIdeal, bs_exponent, bs_verify_monomial, newton_clos
 from .errors import (BudgetExceededError, EstimationError, ResourceCapError,
                      SamplingError, StructuralError, ValidationError)
 from .groebner import Ideal
-from .loja import (hypersurface_sampler, loja_exponent_estimate,
-                   monomial_curve_sampler, sample_variety)
+from .loja import _fit_blocks, _sample_blocks, hypersurface_sampler, monomial_curve_sampler
 from .modgb import DEFAULT_BUDGET, Budget
 from .poly import (Polynomial, RING_ORDERS, RingContext, format_monomial, parse_polynomial,
                    parse_polynomials, split_top_commas)
@@ -554,12 +553,13 @@ def _run_loja(p: dict, seed: int, csv_dir: str, **_):
         var, expr = p["solve"]
         sampler = hypersurface_sampler(ring, var, expr, p["radii"],
                                        p["per_radius"], seed)
+    # the sampler's blocks go to the fit as they are: no point tuple is formed
     try:  # CPython's OverflowError text is the C library's; a block's is fixed
-        points = iter(sample_variety(sampler))  # the list is freed once the fit has read it
+        blocks = _sample_blocks(sampler)
     except OverflowError:
         raise SamplingError("sampling overflows the float range") from None
-    try:
-        est = loja_exponent_estimate(p["phi"], p["a"], points)
+    try:  # each block leaves the list as the fit takes it, so it is freed once fit
+        est = _fit_blocks(p["phi"], p["a"], (blocks.pop(0) for _ in range(len(blocks))))
     except OverflowError:
         raise EstimationError("estimation overflows the float range") from None
     result = {"slope": est.slope, "intercept": est.intercept,

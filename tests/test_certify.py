@@ -1,11 +1,13 @@
 """Exactness certificate from the rho_k-minors alone, and the minors it shares with strata."""
 
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsw import resolution
-from bsw.errors import ResourceCapError, ValidationError
+from bsw.errors import BudgetExceededError, ResourceCapError, ValidationError
 from bsw.groebner import Ideal, monomial_dimension
 from bsw.modgb import Budget
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
@@ -67,9 +69,9 @@ def test_strata_reuses_the_certified_minors(monkeypatch):
     sizes = []
     real = resolution.minors
 
-    def counted(M, size):
+    def counted(M, size, budget=None):
         sizes.append(size)
-        return real(M, size)
+        return real(M, size, budget)
 
     monkeypatch.setattr(resolution, "minors", counted)
     C = free_resolution(I)
@@ -87,8 +89,67 @@ def units_spent(ring, text, certify):
 
 @pytest.mark.parametrize("ring, text", [(R4, TC), (R5, RNC4)])
 def test_leading_monomials_certify_graded_resolutions_for_free(ring, text):
-    # every level passes on its minors' leading monomials, with no Buchberger run
-    assert units_spent(ring, text, True) == units_spent(ring, text, False)
+    # every level passes on its minors' leading monomials, with no Buchberger run:
+    # certifying costs only the sub-determinants its minors are built from
+    C = free_resolution(Ideal(ring, tuple(parse_polynomials(text, ring))), certify=False)
+    meter = Budget(10**6)
+    C.rank_minors_on(meter)
+    minors_units = meter.total - meter.left
+    assert minors_units > 0
+    assert units_spent(ring, text, True) == units_spent(ring, text, False) + minors_units
+
+
+K5 = "a^2, b^2, c^2, d^2, e^2"
+
+
+def test_certification_spends_a_unit_per_distinct_sub_determinant(monkeypatch):
+    C = free_resolution(Ideal(R5, tuple(parse_polynomials(K5, R5))), certify=False)
+    built, memos = set(), []
+    real = resolution._det
+
+    def recorded(entries, rows, cols, memo, ring, budget):
+        if not any(m is memo for m in memos):
+            memos.append(memo)  # kept alive, so no two memos share an id
+        built.add((id(memo), rows, cols))
+        return real(entries, rows, cols, memo, ring, budget)
+
+    monkeypatch.setattr(resolution, "_det", recorded)
+    meter = Budget(10**6)
+    assert check_acyclicity(C, budget=meter) == (True, ())
+    assert meter.total - meter.left >= len(built) > 90_000
+    # a second read of the same complex's minors costs nothing
+    again = Budget(10**6)
+    assert check_acyclicity(C, budget=again) == (True, ())
+    assert again.left == again.total
+
+
+def test_budget_bounds_the_minors_of_a_certified_resolution():
+    # K6 certified builds more than 500,000 sub-determinants; unmetered, they
+    # ran on past any budget
+    R6 = RingContext(tuple("abcdef"))
+    I = Ideal(R6, tuple(parse_polynomials("a^2, b^2, c^2, d^2, e^2, f^2", R6)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        free_resolution(I, budget=20_000)
+    assert exc.value.spent == 20_001
+    assert time.perf_counter() - start < 5.0
+
+
+def test_strata_builds_the_jacobian_minors_on_its_meter(monkeypatch):
+    I = Ideal(R4, tuple(parse_polynomials(TC, R4)))
+    C = free_resolution(I)
+    meters = []
+    real = resolution.minors
+
+    def recorded(M, size, budget=None):
+        meters.append(budget)
+        return real(M, size, budget)
+
+    monkeypatch.setattr(resolution, "minors", recorded)
+    meter = Budget(10**6)
+    strata(C, I, budget=meter)
+    # the rank minors were built while certifying; only the Jacobian's are new
+    assert meters == [meter]
 
 
 def test_fallback_runs_only_where_no_order_reaches_the_level(monkeypatch):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from bsw import cli
+from bsw import cli, loja
 from bsw.errors import StructuralError, ValidationError
 from bsw.groebner import Ideal, krull_dimension
+from bsw.loja import hypersurface_sampler, monomial_curve_sampler
 from bsw.poly import RingContext, parse_polynomials
 from bsw.resolution import free_resolution, strata
 from bsw.semigroup import semigroup_build, semigroup_ideal
@@ -21,7 +22,8 @@ from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, _statement
                          parse_session, report_exit_code, run_command, run_session)
 from bsw.session import _DECLARATIONS, _ParseState
 
-from _oracles import germ_list_joined, parse_ring_joined, statements_two_pass
+from _oracles import (germ_list_joined, loja_exponent_estimate_scalar, parse_ring_joined,
+                      sample_variety_scalar, statements_two_pass)
 
 CUSP = "ring z, w weights 2, 5;\nideal C = z^5 - w^2;\n"
 
@@ -596,6 +598,76 @@ def test_loja_overflow_gives_a_fixed_message(flags, kind):
     block = run_one(f"ring z, w;\nloja {flags};\n")
     message = f"{kind} overflows the float range"
     assert block["error"] == {"kind": kind, "message": message}
+
+
+LOJA_SESSIONS = (
+    "ring z, w weights 2, 5;\nloja --phi z^3 + w --a z, w --curve 2,5 --per-radius 6;\n",
+    "ring x, y, z weights 1, 2, 3;\nloja --phi z^2 + x*y --a x, y --solve z=x*y - 2*y^2 "
+    "--per-radius 6;\n",
+)
+
+
+def _scalar_loja(p: dict, seed: int):
+    """The command's estimate by the one-point-at-a-time oracles."""
+    if "curve" in p:
+        sampler = monomial_curve_sampler(p["ring"], p["curve"], p["radii"], p["per_radius"], seed)
+    else:
+        var, expr = p["solve"]
+        sampler = hypersurface_sampler(p["ring"], var, expr, p["radii"], p["per_radius"], seed)
+    return loja_exponent_estimate_scalar(p["phi"], p["a"], sample_variety_scalar(sampler))
+
+
+@pytest.mark.parametrize("text", LOJA_SESSIONS)
+@pytest.mark.parametrize("seed", [0, 3, 2**128 + 1])
+@pytest.mark.parametrize("block_points", [1, 64, loja.BLOCK_POINTS])
+def test_loja_command_passes_blocks_without_point_tuples(monkeypatch, text, seed, block_points):
+    def forbidden(*args):
+        raise AssertionError("a clean loja command formed point tuples")
+
+    monkeypatch.setattr(loja, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(loja._Block, "points", forbidden)
+    monkeypatch.setattr(loja._Block, "of", forbidden)
+    (cmd,) = parse(text).commands
+    block = run_command(cmd, seed=seed)
+    assert block["status"] == "ok"
+    monkeypatch.undo()
+    est = _scalar_loja(cmd.payload, seed)
+    got = block["result"]
+    assert [x.hex() for x in (got["slope"], got["intercept"], got["residual"],
+                              *got["radii_range"])] == \
+        [x.hex() for x in (est.slope, est.intercept, est.residual, *est.radii_range)]
+    assert (got["n_points"], got["reliable"]) == (est.n_points, est.reliable)
+
+
+def test_loja_sampling_overflow_in_a_later_block_beats_an_earlier_estimation_overflow(
+        monkeypatch):
+    # on the unit circle w = 10^308 (z + z^3) overflows its modulus at some
+    # angles, and phi = w^2 overflows at every point; at seed 3 the first block
+    # of four points samples cleanly
+    text = "ring z, w;\nloja --phi w^2 --a z --solve w=10^308*z+10^308*z^3 --radii 1 "
+    monkeypatch.setattr(loja, "BLOCK_POINTS", 4)
+    first_block = run_one(text + "--per-radius 4;\n", seed=3)
+    assert first_block["error"] == {"kind": "estimation",
+                                    "message": "estimation overflows the float range"}
+    later_blocks = run_one(text + "--per-radius 40;\n", seed=3)
+    assert later_blocks["error"] == {"kind": "sampling",
+                                     "message": "sampling overflows the float range"}
+
+
+def test_loja_failing_residual_check_reports_the_first_failing_point(monkeypatch):
+    # the first defining equation overflows at some later point of the block,
+    # not at point 0; the second fails at every point, so point 0's error wins
+    import bsw.session
+    ring = RingContext(("z", "w"))
+    defining = tuple(parse_polynomials("10^308*z + 10^308*z^3, z", ring))
+    with pytest.raises(OverflowError):
+        sample_variety_scalar(monomial_curve_sampler(ring, (1, 1), (1.0,), 30, 0, defining[:1]))
+    sample_variety_scalar(monomial_curve_sampler(ring, (1, 1), (1.0,), 1, 0, defining[:1]))
+    monkeypatch.setattr(bsw.session, "monomial_curve_sampler",
+                        lambda *args: monomial_curve_sampler(*args, defining=defining))
+    block = run_one("ring z, w;\nloja --phi w --a z --curve 1,1 --radii 1 --per-radius 30;\n")
+    assert block["error"] == {"kind": "sampling",
+                              "message": "sampled point violates a defining equation"}
 
 
 @pytest.mark.parametrize("flags, flag, coefficient, term", [
