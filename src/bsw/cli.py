@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 an unreadable session file, an unwritable
 an `internal` error block (an unexpected exception inside a command, i.e.
 a bug), 3 budget or resource-cap exhaustion (3 wins when both kinds of
 block are present).
-`--budget N` caps each command's Groebner work at N units (S-pairs and
-reduction steps); the default is DEFAULT_BUDGET.
+`--budget N` caps each command's work at N units (S-pairs, reduction
+steps and minors); the default is DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     run_p.add_argument("session", help="session file path")
     run_p.add_argument("--out", help="report destination (default: stdout)")
     run_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="work units (S-pairs and reduction steps) per command")
+                       help="work units (S-pairs, reduction steps and minors) per command")
     run_p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     check_p = sub.add_parser("check", help="parse a session file without running it")

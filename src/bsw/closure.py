@@ -17,12 +17,11 @@ generators and containment counterexamples live in a finite box.
 
 NP(M) and monomial ideals are upward closed, so on each line of that box
 along the last coordinate only the first point of NP(M) can be a minimal
-generator or the first counterexample: one walk over those points (the
-staircase), each read off the facets, serves both the closure and the
-containment check.  The walk evaluates the facets with numpy on blocks
-of lines, in int64 where that is provably exact and in Python ints
-otherwise.  numpy is imported by the two functions that use it, so
-importing this module does not load it.
+generator or the first counterexample.  One grid holds that point's last
+coordinate for every line (the staircase); the closure keeps the points
+that a neighbour test on the grid finds minimal, and the containment check
+compares the grid with the target's in one array comparison.  numpy is
+imported inside functions, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -61,6 +60,14 @@ class MonomialIdeal:
         object.__setattr__(self, "exponents", minimalize_antichain(exps))
         if not self.exponents:
             raise ValidationError("monomial ideal needs at least one generator")
+
+    @classmethod
+    def _of(cls, nvars: int, exponents: tuple[Exponent, ...]) -> "MonomialIdeal":
+        """Unchecked: `exponents` is a nonempty sorted antichain of int tuples."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "nvars", nvars)
+        object.__setattr__(M, "exponents", exponents)
+        return M
 
     @classmethod
     def from_polynomials(cls, polys: list[Polynomial]) -> "MonomialIdeal":
@@ -139,20 +146,18 @@ def _box_sides(M: MonomialIdeal, scale: int) -> list[int]:
     return sides
 
 
-def _staircase_blocks(M: MonomialIdeal, scale: int, sides: list[int]):
-    """The least point of scale * NP(M) on each line, along the last
-    coordinate, of the box with these sides, in blocks of lines in
-    lexicographic order of their prefixes.
+def _staircase_grid(M: MonomialIdeal, scale: int, sides: list[int]):
+    """The int64 grid t over the line prefixes p of the box with these
+    sides, with a trailing axis of length 1: t[p] is the least last
+    coordinate of scale * NP(M) on the line over p, or sides[-1] + 1 if the
+    line misses NP inside the box.
 
-    Yields (lines, points): the flat indices of the block's lines that meet
-    NP inside the box, and an int64 array with one row prefix + (t,) each.
     Every facet has c >= 0, so on the line over `prefix` a facet with
     gap = scale * r - c' . prefix > 0 asks for t >= ceil(gap / c_n), and
     excludes the whole line if c_n = 0; the least t is the largest ask.
-    A block holds at most BLOCK_EVALS facet evaluations.  The arithmetic is
-    in int64 when no entry or partial sum can reach EXACT_INT64, and in
-    Python ints (dtype object) otherwise, so it is exact either way.
-    """
+    A block of lines holds at most BLOCK_EVALS facet evaluations, in int64
+    when no entry or partial sum can reach EXACT_INT64 and in Python ints
+    (dtype object) otherwise, so the grid is exact either way."""
     import numpy as np
     facets = newton_facets(M)
     bound = max(scale * abs(r) + sum(cj * max(b, 1) for cj, b in zip(c, sides))
@@ -162,34 +167,42 @@ def _staircase_blocks(M: MonomialIdeal, scale: int, sides: list[int]):
     rhs = np.array([scale * r for _, r in facets], dtype=dtype)
     asks = C[:, -1] > 0
     divisor = np.where(asks, C[:, -1], 1)
-    # a trailing axis of length 1 stands for t, so a point row's last entry
-    # is 0 while the gaps are formed, and 1-variable ideals need no case
+    # a prefix row ends in a 0 for t, so 1-variable ideals need no case
     shape = tuple(b + 1 for b in sides[:-1]) + (1,)
-    size = prod(shape)
+    t = np.empty(prod(shape), dtype=np.int64)
     step = max(1, BLOCK_EVALS // len(facets))
-    for start in range(0, size, step):
-        lines = np.arange(start, min(start + step, size))
-        points = np.stack(np.unravel_index(lines, shape), axis=1)
-        gap = rhs - points.astype(dtype) @ C.T
+    for start in range(0, t.size, step):
+        lines = np.arange(start, min(start + step, t.size))
+        gap = rhs - np.stack(np.unravel_index(lines, shape), axis=1).astype(dtype) @ C.T
         short = gap > 0
-        t = np.where(short & asks, -(-gap // divisor), 0).max(axis=1, initial=0)
-        keep = ~(short & ~asks).any(axis=1) & (t <= sides[-1])
-        points = points[keep]
-        points[:, -1] = t[keep]
-        yield lines[keep], points
+        least = np.where(short & asks, -(-gap // divisor), 0).max(axis=1, initial=0)
+        miss = (short & ~asks).any(axis=1) | (least > sides[-1])
+        t[lines] = np.where(miss, sides[-1] + 1, least)
+    return t.reshape(shape)
 
 
-def _staircase(M: MonomialIdeal, scale: int = 1):
-    """The least point of scale * NP(M) on each line, along the last
-    coordinate, of the box [0, scale * max_g g_j] (at most BOX_CAP points),
-    prefixes in lexicographic order, as int tuples."""
-    for _, points in _staircase_blocks(M, scale, _box_sides(M, scale)):
-        yield from map(tuple, points.tolist())
+def _grid_points(t, mask) -> list[Exponent]:
+    """The points prefix + (t[prefix],) where mask holds, prefixes in
+    lexicographic order, as int tuples."""
+    *prefix, _ = mask.nonzero()
+    return list(zip(*(p.tolist() for p in prefix), t[mask].tolist()))
 
 
 def newton_closure(M: MonomialIdeal) -> MonomialIdeal:
-    """Integral closure: minimal generators of the lattice points of NP(M)."""
-    return MonomialIdeal(M.nvars, tuple(_staircase(M)))
+    """Integral closure: minimal generators of the lattice points of NP(M).
+
+    NP is upward closed, so t is non-increasing along each prefix axis, and
+    a divisor (q, t[q]) of (p, t[p]) with q != p gives an i with
+    q <= p - e_i and t[p - e_i] <= t[q] <= t[p]: (p, t[p]) is minimal
+    exactly when t[p] < t[p - e_i] for every i with p_i > 0."""
+    sides = _box_sides(M, 1)
+    t = _staircase_grid(M, 1, sides)
+    keep = t <= sides[-1]
+    for axis in range(M.nvars - 1):
+        here = (slice(None),) * axis + (slice(1, None),)
+        before = (slice(None),) * axis + (slice(-1),)
+        keep[here] &= t[here] < t[before]
+    return MonomialIdeal._of(M.nvars, tuple(_grid_points(t, keep)))
 
 
 def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
@@ -197,17 +210,16 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
     """First lattice point of NP(M^e) outside `target`, or None.
 
     A containment failure is always witnessed by a minimal generator of the
-    closure of M^e, and the staircase walk passes all of them in order.  On
-    the line over `prefix` the target starts at the least g_n over its
-    generators g with g' <= prefix: each generator's g_n is put in its
-    prefix cell, and a running minimum along every prefix axis spreads it
-    upwards.  A staircase point below that start is outside the target.
-    """
+    closure of M^e, a point of the staircase grid.  On the line over
+    `prefix` the target starts at the least g_n over its generators g with
+    g' <= prefix: each g_n is put in its prefix cell, and a running minimum
+    along every prefix axis spreads it upwards."""
     import numpy as np
     if target.nvars != M.nvars:
         raise StructuralError("monomial ideals in different variable counts")
     sides = _box_sides(M, e)
-    least = np.full(tuple(b + 1 for b in sides[:-1]) + (1,), sides[-1] + 1, dtype=np.int64)
+    t = _staircase_grid(M, e, sides)
+    least = np.full(t.shape, sides[-1] + 1, dtype=np.int64)
     cells = [(*g[:-1], 0, min(g[-1], sides[-1] + 1)) for g in target.exponents
              if all(a <= b for a, b in zip(g[:-1], sides))]
     if cells:
@@ -215,12 +227,7 @@ def closure_containment_witness(M: MonomialIdeal, e: int, target: MonomialIdeal
         np.minimum.at(least, tuple(cells[:, :-1].T), cells[:, -1])
     for axis in range(M.nvars - 1):
         np.minimum.accumulate(least, axis=axis, out=least)
-    least = least.ravel()
-    for lines, points in _staircase_blocks(M, e, sides):
-        below = np.flatnonzero(points[:, -1] < least[lines])
-        if below.size:
-            return tuple(points[below[0]].tolist())
-    return None
+    return next(iter(_grid_points(t, t < least)), None)
 
 
 def bs_exponent(M: MonomialIdeal, ell: int, d: int | None = None) -> tuple[int, int]:

@@ -502,7 +502,7 @@ def _run_bs_verify(p: dict, **_):
     names = I.ring.variable_names
     result = {"holds": holds, "ell": p["ell"], "d": d, "exponent": exponent,
               "counterexample": None if witness is None
-              else MonomialIdeal(M.nvars, (witness,)).strings(names)[0]}
+              else format_monomial(witness, names) or "1"}
     if holds:
         return result, f"closure of power {exponent} inside power {p['ell']}"
     return result, f"containment fails: {result['counterexample']}"

@@ -7,7 +7,11 @@ machinery under test.  `newton_facets_fraction` eliminates over
 `Fraction` rows and scales back to integers only at the end, so it is
 the reference for the integer elimination of `bsw.closure`.  The
 full-box scans test every point of the box against the facets with
-`np_member`, so they are the reference for its staircase walk.  `buchberger_by_min` shares the
+`np_member`, so they are the reference for its staircase grid.
+`staircase_points` reads the grid's points (p, t[p]) on every line that
+meets NP, and `newton_closure_minimalized` passes them through
+`minimalize_antichain`, as `newton_closure` did before its neighbour test;
+it is the reference for that test.  `buchberger_by_min` shares the
 division routine of `bsw.modgb` but picks each pair by a minimum over
 the pending set and leads vectors without the leading-term cache, so it
 is the reference for the engine's pair heap.  `divide_by_max_scan` is the
@@ -75,7 +79,8 @@ from math import gcd
 
 import numpy as np
 
-from bsw.closure import FM_ROW_CAP, MonomialIdeal
+from bsw.closure import (FM_ROW_CAP, MonomialIdeal, _box_sides, _grid_points,
+                         _staircase_grid)
 from bsw.errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
                         ValidationError)
 from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
@@ -83,7 +88,8 @@ from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERF
 from bsw.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension
 from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide, syzygy_columns
 from bsw.poly import (RING_ORDERS, Polynomial, RingContext, exp_add, exp_divides, exp_lcm,
-                      exp_sub, parse_polynomial, power_combinations, split_top_commas)
+                      exp_sub, minimalize_antichain, parse_polynomial, power_combinations,
+                      split_top_commas)
 from bsw.resolution import (FreeComplex, PolyMatrix, StrataReport, StratumInfo, expected_ranks,
                             minors)
 from bsw.semigroup import (NumericalSemigroup, SemigroupIdeal, _bits, _powers,
@@ -282,6 +288,21 @@ def newton_closure_fullbox(exponents, facets) -> tuple:
     return tuple(sorted(v for v in inside
                         if not any(u != v and all(a <= b for a, b in zip(u, v))
                                    for u in inside)))
+
+
+def staircase_points(M: MonomialIdeal, scale: int) -> list:
+    """The least point of scale * NP(M) on each line, along the last
+    coordinate, of the box [0, scale * max_g g_j] that meets NP, prefixes
+    in lexicographic order, read off `bsw.closure`'s staircase grid."""
+    sides = _box_sides(M, scale)
+    t = _staircase_grid(M, scale, sides)
+    return _grid_points(t, t <= sides[-1])
+
+
+def newton_closure_minimalized(M: MonomialIdeal) -> tuple:
+    """Minimal generators of the closure: every staircase point of the
+    box, minimalized by divisibility."""
+    return minimalize_antichain(staircase_points(M, 1))
 
 
 def containment_witness_fullbox(exponents, facets, scale: int, target_member):

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (containment_witness_fullbox, member, newton_closure_fullbox,
-                      newton_facets_fraction, np_member, np_member_bruteforce,
-                      staircase_fullbox)
+                      newton_closure_minimalized, newton_facets_fraction, np_member,
+                      np_member_bruteforce, staircase_fullbox, staircase_points)
 import bsw.poly
 from bsw import closure
-from bsw.closure import (MonomialIdeal, _staircase, bs_exponent, bs_verify_monomial,
+from bsw.closure import (MonomialIdeal, bs_exponent, bs_verify_monomial,
                          closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
@@ -256,7 +256,7 @@ def walk_cases(draw):
 def test_staircase_walk_matches_full_box_scan(case):
     M, e, target = case
     facets = newton_facets(M)
-    assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
+    assert staircase_points(M, e) == staircase_fullbox(M.exponents, facets, e)
     assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
     assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
         M.exponents, facets, e, lambda v: member(target, v))
@@ -281,14 +281,14 @@ def walk_cases_4d(draw):
 def test_staircase_walk_matches_full_box_scan_4d(case):
     M, e, target = case
     facets = newton_facets(M)
-    assert list(_staircase(M, e)) == staircase_fullbox(M.exponents, facets, e)
+    assert staircase_points(M, e) == staircase_fullbox(M.exponents, facets, e)
     assert newton_closure(M).exponents == newton_closure_fullbox(M.exponents, facets)
     assert closure_containment_witness(M, e, target) == containment_witness_fullbox(
         M.exponents, facets, e, lambda v: member(target, v))
 
 
 def _walk_outputs(M, e, target):
-    return list(_staircase(M, e)), newton_closure(M), closure_containment_witness(M, e, target)
+    return staircase_points(M, e), newton_closure(M), closure_containment_witness(M, e, target)
 
 
 @given(walk_cases())
@@ -304,13 +304,39 @@ def test_staircase_object_dtype_matches_int64(case):
 
 def test_one_variable_closure_and_witness():
     M = MonomialIdeal(1, ((3,),))
-    assert list(_staircase(M, 2)) == [(6,)]
+    assert staircase_points(M, 2) == [(6,)]
     assert newton_closure(M).exponents == ((3,),)
     assert closure_containment_witness(M, 1, MonomialIdeal(1, ((4,),))) == (3,)
     assert closure_containment_witness(M, 2, MonomialIdeal(1, ((6,),))) is None
     rep = run_session(parse_session("ring t;\nideal T = t^3;\nnewton-closure T;\n"))
     assert rep["blocks"][0]["status"] == "ok"
     assert rep["blocks"][0]["result"]["closure"] == ["t^3"]
+
+
+@st.composite
+def closure_cases(draw):
+    """An ideal in 1-4 variables whose generators may lie on the axes
+    and may repeat."""
+    n = draw(st.integers(1, 4))
+    anywhere = st.tuples(*[st.integers(0, 6)] * n)
+    on_axis = st.builds(lambda i, k: tuple(k * (j == i) for j in range(n)),
+                        st.integers(0, n - 1), st.integers(0, 6))
+    gens = draw(st.lists(anywhere | on_axis, min_size=1, max_size=6))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return MonomialIdeal(n, tuple(gens))
+
+
+@settings(max_examples=200)
+@given(closure_cases())
+def test_neighbour_test_matches_minimalized_staircase(M):
+    assert newton_closure(M).exponents == newton_closure_minimalized(M)
+
+
+def test_closure_does_not_minimalize_its_own_output():
+    M = MonomialIdeal(4, ((36, 0, 0, 0), (0, 36, 0, 0), (0, 0, 36, 0), (0, 0, 0, 36),
+                          (1, 2, 3, 5)))
+    with mock.patch.object(closure, "minimalize_antichain", side_effect=AssertionError):
+        assert len(newton_closure(M).exponents) == 3_914
 
 
 def test_bs_exponent_is_min_m_d_plus_ell_minus_one():

@@ -29,7 +29,10 @@ def test_runs_come_from_header_lines_or_the_default_seeds():
     acceptance = [flags for session, flags in RUNS if session == os.path.join("sessions", "acceptance.bsw")]
     assert ["--seed", "0", "--budget", "48"] in acceptance and len(acceptance) == 8
     witness = [flags for session, flags in RUNS if session == os.path.join("sessions", "witness.bsw")]
-    assert witness == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
+    assert witness == [["--seed", "0"]]
+    search = [flags for session, flags in RUNS
+              if session == os.path.join("perfbench", "workloads", "search.bsw")]
+    assert search == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
 
 
 def test_two_runs_without_a_report_differ(tmp_path):
