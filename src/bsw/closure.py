@@ -18,7 +18,8 @@ generators and containment counterexamples live in a finite box.
 NP(M) and monomial ideals are upward closed, so on each line of that box
 along the last coordinate only the first point of NP(M) can be a minimal
 generator or the first counterexample.  One grid holds that point's last
-coordinate for every line (the staircase); the closure keeps the points
+coordinate for every line (the staircase), read off the facets by numpy
+broadcasting each facet's gaps over the grid; the closure keeps the points
 that a neighbour test on the grid finds minimal, and the containment check
 compares the grid with the target's in one array comparison.  numpy is
 imported inside functions, so importing this module does not load it.
@@ -154,31 +155,46 @@ def _staircase_grid(M: MonomialIdeal, scale: int, sides: list[int]):
 
     Every facet has c >= 0, so on the line over `prefix` a facet with
     gap = scale * r - c' . prefix > 0 asks for t >= ceil(gap / c_n), and
-    excludes the whole line if c_n = 0; the least t is the largest ask.
-    A block of lines holds at most BLOCK_EVALS facet evaluations, in int64
-    when no entry or partial sum can reach EXACT_INT64 and in Python ints
-    (dtype object) otherwise, so the grid is exact either way."""
+    excludes the whole line if c_n = 0; the least t is the largest ask, and
+    a facet with gap <= 0 asks for a t <= 0, so it needs no mask.  A facet's
+    gaps are scale * r less its c_j * arange(sides[j] + 1) broadcast over
+    the grid, for a chunk of max(1, BLOCK_EVALS // grid size) facets at a
+    time, so no array of gaps holds more than max(grid size, BLOCK_EVALS)
+    entries.  They are int64 when no entry or partial sum can reach
+    EXACT_INT64 and Python ints (dtype object) otherwise, so the grid is
+    exact either way."""
     import numpy as np
     facets = newton_facets(M)
     bound = max(scale * abs(r) + sum(cj * max(b, 1) for cj, b in zip(c, sides))
                 for c, r in facets)
     dtype = np.int64 if bound < EXACT_INT64 else object
-    C = np.array([c for c, _ in facets], dtype=dtype)
-    rhs = np.array([scale * r for _, r in facets], dtype=dtype)
-    asks = C[:, -1] > 0
-    divisor = np.where(asks, C[:, -1], 1)
     # a prefix row ends in a 0 for t, so 1-variable ideals need no case
     shape = tuple(b + 1 for b in sides[:-1]) + (1,)
-    t = np.empty(prod(shape), dtype=np.int64)
-    step = max(1, BLOCK_EVALS // len(facets))
-    for start in range(0, t.size, step):
-        lines = np.arange(start, min(start + step, t.size))
-        gap = rhs - np.stack(np.unravel_index(lines, shape), axis=1).astype(dtype) @ C.T
-        short = gap > 0
-        least = np.where(short & asks, -(-gap // divisor), 0).max(axis=1, initial=0)
-        miss = (short & ~asks).any(axis=1) | (least > sides[-1])
-        t[lines] = np.where(miss, sides[-1] + 1, least)
-    return t.reshape(shape)
+    step = max(1, BLOCK_EVALS // prod(shape))
+    ndim = len(shape)
+    column = (-1,) + (1,) * ndim  # one facet per row of a chunk
+    axes = [np.arange(b + 1).astype(dtype).reshape([-1 if i == j else 1 for i in range(ndim)])
+            for j, b in enumerate(sides[:-1])]
+
+    def minus_gaps(group):
+        """-gap over the grid and c_n, for each chunk of the facets in group."""
+        C = np.array([c for c, _ in group], dtype=dtype).reshape(-1, len(sides))
+        rhs = np.array([-scale * r for _, r in group], dtype=dtype)
+        for start in range(0, len(group), step):
+            chunk = C[start:start + step]
+            neg = rhs[start:start + step].reshape(column)
+            for j, axis in enumerate(axes):
+                neg = neg + chunk[:, j].reshape(column) * axis
+            yield neg, chunk[:, -1].reshape(column)
+
+    least = np.zeros(shape, dtype=dtype)
+    for neg, cn in minus_gaps([f for f in facets if f[0][-1] > 0]):
+        # ceil(gap / c_n) = -(-gap // c_n)
+        np.maximum(least, -np.floor_divide(neg, cn, out=neg).min(axis=0), out=least)
+    miss = least > sides[-1]
+    for neg, _ in minus_gaps([f for f in facets if f[0][-1] == 0]):
+        miss |= (neg < 0).any(axis=0)
+    return np.where(miss, sides[-1] + 1, least).astype(np.int64)
 
 
 def _grid_points(t, mask) -> list[Exponent]:

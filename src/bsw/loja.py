@@ -74,6 +74,8 @@ BLOCK_POINTS = 4096  # bounds the arrays one evaluation holds
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
+_JUMP = 64  # states one _AngleStream.angles call steps in Python ints
+_JUMP_MULT = pow(_PCG_MULT, _JUMP, 1 << 128)
 
 
 @dataclass(frozen=True)
@@ -347,9 +349,12 @@ def _seed_words(seed: int) -> list[int]:
 class _AngleStream:
     """The angles numpy's PCG64 Generator draws from `uniform(0.0, 2*pi)`
     when seeded with `seed`, bit for bit, by SeedSequence and PCG64 as the
-    module docstring writes them out.  The 128-bit steps are Python ints;
-    XSL-RR and the float conversion run in numpy over the packed states
-    of one call."""
+    module docstring writes them out.  One call steps the state in Python
+    ints only _JUMP times, to s_1..s_L (L = _JUMP), and reaches the rest by
+    the LCG's jump-ahead (Brown 1994): s_{jL+i} = A_j * s_i + C_j mod 2^128,
+    where (A_j, C_j) is the affine map of jL steps, one numpy pass over a
+    table of j by i on the states' 64-bit words.  XSL-RR and the float
+    conversion run in numpy over that table."""
 
     __slots__ = ("state", "inc")
 
@@ -362,16 +367,42 @@ class _AngleStream:
         """The next `count` angles as a float64 array."""
         import numpy as np
         state, inc = self.state, self.inc
-        states = []
-        for _ in range(count):
+        heads = []
+        for _ in range(min(count, _JUMP)):
             state = (state * _PCG_MULT + inc) & _MASK128
-            states.append(state)
-        self.state = state
-        packed = b"".join(map(int.to_bytes, states, repeat(16), repeat("little")))
-        lo, hi = np.frombuffer(packed, dtype="<u8").reshape(count, 2).T
+            heads.append(state)
+        maps = [(1, 0)]
+        if count > _JUMP:
+            shift = (state - _JUMP_MULT * self.state) & _MASK128  # C_1
+            while len(maps) * _JUMP < count:
+                a, c = maps[-1]
+                maps.append((a * _JUMP_MULT & _MASK128, (c * _JUMP_MULT + shift) & _MASK128))
+        al, ah = (w[:, None] for w in _words(a for a, _ in maps))
+        cl, ch = (w[:, None] for w in _words(c for _, c in maps))
+        sl, sh = _words(heads)
+        # A * s mod 2^128 on words: lo = al * sl, and hi = ah * sl + al * sh
+        # plus the high word of al * sl, from 32-bit limbs
+        k32, m32 = np.uint64(32), np.uint64(_MASK32)
+        a0, a1, b0, b1 = al & m32, al >> k32, sl & m32, sl >> k32
+        mid = a1 * b0 + (a0 * b0 >> k32)
+        hi = a1 * b1 + (mid >> k32) + (((mid & m32) + a0 * b1) >> k32) + ah * sl + al * sh
+        lo = al * sl
+        lo += cl
+        hi += ch + (lo < cl)  # + C, carrying out of the low word
+        lo, hi = lo.ravel()[:count], hi.ravel()[:count]
+        if count:
+            self.state = int(hi[-1]) << 64 | int(lo[-1])
         x, rot = hi ^ lo, hi >> np.uint64(58)  # state >> 122
         out = x >> rot | x << (-rot & np.uint64(63))
         return 2.0 * math.pi * ((out >> np.uint64(11)).astype(float) * 2.0 ** -53)
+
+
+def _words(values):
+    """The low and the high 64-bit words of some 128-bit ints, as two uint64
+    arrays."""
+    import numpy as np
+    packed = b"".join(map(int.to_bytes, values, repeat(16), repeat("little")))
+    return np.frombuffer(packed, dtype="<u8").reshape(-1, 2).T
 
 
 def _sample_blocks(sampler: VarietySampler) -> list[_Block]:

@@ -8,6 +8,9 @@ machinery under test.  `newton_facets_fraction` eliminates over
 the reference for the integer elimination of `bsw.closure`.  The
 full-box scans test every point of the box against the facets with
 `np_member`, so they are the reference for its staircase grid.
+`staircase_grid_blocked` is that grid computed by blocks of lines, each
+block's prefixes unravelled from flat line indices and its facet gaps one
+matrix product, the reference for the facet-broadcast grid.
 `staircase_points` reads the grid's points (p, t[p]) on every line that
 meets NP, and `newton_closure_minimalized` passes them through
 `minimalize_antichain`, as `newton_closure` did before its neighbour test;
@@ -30,7 +33,8 @@ those; with `monomial_key` they are the reference for the order keys.
 point at a time with CPython's complex arithmetic, the reference for the
 block evaluation of `bsw.loja`; the sampler draws its angles from
 `numpy.random.default_rng`, the reference for the package's own PCG64
-stream.  `TableSemigroup` is the list-loop
+stream.  `angles_stepwise` steps that stream's 128-bit state once per
+angle in Python ints, the reference for its jump-ahead table.  `TableSemigroup` is the list-loop
 membership table, `minimal_shifts_greedy` the greedy antichain
 minimalization and `containment_holds_scan` the element-by-element
 containment scan that the bit masks of `bsw.semigroup` replaced; with
@@ -79,12 +83,13 @@ from math import gcd
 
 import numpy as np
 
-from bsw.closure import (FM_ROW_CAP, MonomialIdeal, _box_sides, _grid_points,
-                         _staircase_grid)
+from bsw.closure import (BLOCK_EVALS, EXACT_INT64, FM_ROW_CAP, MonomialIdeal, _box_sides,
+                         _grid_points, _staircase_grid, newton_facets)
 from bsw.errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
                         ValidationError)
-from bsw.loja import (RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP, UNDERFLOW_FLOOR,
-                      LojaEstimate, VarietySampler, _Block, _ComplexPoly)
+from bsw.loja import (_MASK128, _PCG_MULT, RESIDUAL_THRESHOLD, RESIDUAL_TOLERANCE, SAMPLE_CAP,
+                      UNDERFLOW_FLOOR, LojaEstimate, VarietySampler, _AngleStream, _Block,
+                      _ComplexPoly)
 from bsw.groebner import GroebnerBasis, Ideal, buchberger, krull_dimension
 from bsw.modgb import Budget, TopOrder, VecPoly, autoreduce, divide, syzygy_columns
 from bsw.poly import (RING_ORDERS, Polynomial, RingContext, exp_add, exp_divides, exp_lcm,
@@ -297,6 +302,32 @@ def staircase_points(M: MonomialIdeal, scale: int) -> list:
     sides = _box_sides(M, scale)
     t = _staircase_grid(M, scale, sides)
     return _grid_points(t, t <= sides[-1])
+
+
+def staircase_grid_blocked(M: MonomialIdeal, scale: int, sides: list[int]):
+    """`bsw.closure._staircase_grid` as blocks of lines: each block's line
+    prefixes come from flat indices by `np.unravel_index`, and its facet
+    gaps from one matrix product with the facets' coefficients, at most
+    BLOCK_EVALS evaluations a block, int64 or dtype object as there."""
+    facets = newton_facets(M)
+    bound = max(scale * abs(r) + sum(cj * max(b, 1) for cj, b in zip(c, sides))
+                for c, r in facets)
+    dtype = np.int64 if bound < EXACT_INT64 else object
+    C = np.array([c for c, _ in facets], dtype=dtype)
+    rhs = np.array([scale * r for _, r in facets], dtype=dtype)
+    asks = C[:, -1] > 0
+    divisor = np.where(asks, C[:, -1], 1)
+    shape = tuple(b + 1 for b in sides[:-1]) + (1,)
+    t = np.empty(math.prod(shape), dtype=np.int64)
+    step = max(1, BLOCK_EVALS // len(facets))
+    for start in range(0, t.size, step):
+        lines = np.arange(start, min(start + step, t.size))
+        gap = rhs - np.stack(np.unravel_index(lines, shape), axis=1).astype(dtype) @ C.T
+        short = gap > 0
+        least = np.where(short & asks, -(-gap // divisor), 0).max(axis=1, initial=0)
+        miss = (short & ~asks).any(axis=1) | (least > sides[-1])
+        t[lines] = np.where(miss, sides[-1] + 1, least)
+    return t.reshape(shape)
 
 
 def newton_closure_minimalized(M: MonomialIdeal) -> tuple:
@@ -668,6 +699,23 @@ def _residual_ok_scalar(f: Polynomial, point) -> bool:
                 mono *= abs(z) ** k
         scale += abs(complex(c)) * mono
     return value <= RESIDUAL_TOLERANCE * max(scale, UNDERFLOW_FLOOR)
+
+
+def angles_stepwise(stream: _AngleStream, count: int):
+    """`bsw.loja._AngleStream.angles` with every 128-bit step a Python int:
+    the next `count` angles of the stream as a float64 array, leaving its
+    state at the last one."""
+    state, inc = stream.state, stream.inc
+    states = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        states.append(state)
+    stream.state = state
+    packed = b"".join(s.to_bytes(16, "little") for s in states)
+    lo, hi = np.frombuffer(packed, dtype="<u8").reshape(count, 2).T
+    x, rot = hi ^ lo, hi >> np.uint64(58)  # state >> 122
+    out = x >> rot | x << (-rot & np.uint64(63))
+    return 2.0 * math.pi * ((out >> np.uint64(11)).astype(float) * 2.0 ** -53)
 
 
 def sample_variety_scalar(sampler: VarietySampler) -> list[tuple[complex, ...]]:

@@ -3,17 +3,19 @@
 import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (containment_witness_fullbox, member, newton_closure_fullbox,
                       newton_closure_minimalized, newton_facets_fraction, np_member,
-                      np_member_bruteforce, staircase_fullbox, staircase_points)
+                      np_member_bruteforce, staircase_fullbox, staircase_grid_blocked,
+                      staircase_points)
 import bsw.poly
 from bsw import closure
-from bsw.closure import (MonomialIdeal, bs_exponent, bs_verify_monomial,
-                         closure_containment_witness, minimalize_antichain,
+from bsw.closure import (MonomialIdeal, _box_sides, _staircase_grid, bs_exponent,
+                         bs_verify_monomial, closure_containment_witness, minimalize_antichain,
                          newton_closure, newton_facets)
 from bsw.errors import ResourceCapError, StructuralError, ValidationError
 from bsw.poly import RingContext, parse_polynomials
@@ -300,6 +302,42 @@ def test_staircase_object_dtype_matches_int64(case):
     assert exact == int64
     points = exact[0] + ([exact[2]] if exact[2] else [])
     assert all(type(x) is int for v in points for x in v)
+
+
+@st.composite
+def grid_cases(draw):
+    """An ideal in 1-4 variables whose generators may lie on an axis or
+    repeat, and a scale in 1-3."""
+    n = draw(st.integers(1, 4))
+    top = 6 if n < 4 else 3
+    on_axis = st.builds(lambda j, a: tuple(a * (i == j) for i in range(n)),
+                        st.integers(0, n - 1), st.integers(1, top))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * n) | on_axis, min_size=1, max_size=5))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return MonomialIdeal(n, tuple(gens)), draw(st.integers(1, 3))
+
+
+def _assert_grid_matches_blocked(M, e):
+    sides = _box_sides(M, e)
+    want = staircase_grid_blocked(M, e, sides)
+    got = _staircase_grid(M, e, sides)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@given(grid_cases())
+def test_facet_broadcast_grid_matches_blocked_grid(case):
+    _assert_grid_matches_blocked(*case)
+    with mock.patch.object(closure, "EXACT_INT64", 0):
+        _assert_grid_matches_blocked(*case)
+
+
+def test_facet_broadcast_grid_over_many_redundant_facets():
+    # Fourier-Motzkin leaves 18,709 inequalities here, 18 of them facets of NP
+    M = MonomialIdeal(4, ((1, 3, 4, 0), (1, 6, 2, 6), (2, 0, 0, 6), (2, 0, 4, 3), (5, 0, 5, 1),
+                          (6, 1, 1, 2)))
+    assert len(newton_facets(M)) == 18_709
+    _assert_grid_matches_blocked(M, 1)
 
 
 def test_one_variable_closure_and_witness():

@@ -17,8 +17,8 @@ from bsw.loja import (VarietySampler, _ComplexPoly, hypersurface_sampler,
                       sample_variety)
 from bsw.poly import Polynomial, RingContext, parse_polynomial
 
-from _oracles import (complex_poly_at, eval_complex, loja_exponent_estimate_scalar,
-                      sample_variety_scalar)
+from _oracles import (angles_stepwise, complex_poly_at, eval_complex,
+                      loja_exponent_estimate_scalar, sample_variety_scalar)
 
 RW = RingContext(("z", "w"), (2, 5))
 RADII = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
@@ -56,6 +56,30 @@ def test_angle_stream_is_numpy_pcg64_bit_for_bit(seed, data):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**128 + 1, 2**200])
 def test_angle_stream_at_word_boundaries(seed):
     assert loja._AngleStream(seed).angles(50).tolist() == _numpy_angles(seed, 50)
+
+
+JUMP = loja._JUMP
+STREAM_COUNTS = sorted({0, 1, JUMP - 1, JUMP, JUMP + 1, JUMP * JUMP, 4096, 4097})
+
+
+def _assert_stream_matches_stepwise(seed, counts):
+    fast, slow = loja._AngleStream(seed), loja._AngleStream(seed)
+    for count in counts:
+        assert fast.angles(count).tolist() == angles_stepwise(slow, count).tolist()
+        assert fast.state == slow.state
+
+
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**200))
+def test_jump_ahead_matches_the_stepwise_stream_at_edge_counts(count, seed):
+    _assert_stream_matches_stepwise(seed, [count, count])
+
+
+@given(st.integers(0, 2**200),
+       st.lists(st.sampled_from(STREAM_COUNTS) | st.integers(0, 5000), max_size=4))
+def test_jump_ahead_matches_the_stepwise_stream_under_cuts(seed, counts):
+    _assert_stream_matches_stepwise(seed, counts)
 
 
 def test_seed_0_angles_are_pinned():

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+from bsw.session import _statements
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SPEC = importlib.util.spec_from_file_location(
     "same_reports", os.path.join(ROOT, "tools", "same_reports.py"))
@@ -27,12 +29,25 @@ def test_no_run_repeats():
 
 def test_runs_come_from_header_lines_or_the_default_seeds():
     acceptance = [flags for session, flags in RUNS if session == os.path.join("sessions", "acceptance.bsw")]
-    assert ["--seed", "0", "--budget", "48"] in acceptance and len(acceptance) == 8
+    assert ["--seed", "0", "--budget", "48"] in acceptance and len(acceptance) == 5
+    workload = [flags for session, flags in RUNS
+                if session == os.path.join("perfbench", "workloads", "acceptance.bsw")]
+    assert workload == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
     witness = [flags for session, flags in RUNS if session == os.path.join("sessions", "witness.bsw")]
     assert witness == [["--seed", "0"]]
     search = [flags for session, flags in RUNS
               if session == os.path.join("perfbench", "workloads", "search.bsw")]
     assert search == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
+
+
+def test_acceptance_session_and_workload_hold_the_same_statements():
+    # the corpus runs the workload file at the default seeds and the session
+    # file at its budgets, so together they cover the acceptance statements
+    statements = []
+    for d in ("sessions", os.path.join("perfbench", "workloads")):
+        with open(os.path.join(ROOT, d, "acceptance.bsw"), encoding="utf-8") as fh:
+            statements.append([raw for raw, _, _ in _statements(fh.read())])
+    assert statements[0] == statements[1]
 
 
 def test_two_runs_without_a_report_differ(tmp_path):
