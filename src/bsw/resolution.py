@@ -188,11 +188,6 @@ class FreeComplex:
     def length(self) -> int:
         return len(self.maps)
 
-    @property
-    def rank_minors(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """The rho_k-minors of each f_k; see rank_minors_on."""
-        return self.rank_minors_on(None)
-
     def rank_minors_on(self, budget: Budget | int | None) -> tuple[tuple[Polynomial, ...], ...]:
         """The rho_k-minors of each f_k, computed once per complex: the first
         read builds them on Budget.of(budget), a unit per sub-determinant,

@@ -236,18 +236,20 @@ def enumerate_ideals(S: NumericalSemigroup, v_max: int):
     """
     if v_max < 1:
         raise ValidationError("v_max must be at least 1")
+    members = S.window(0, S.conductor)
+
+    def rec(shifts: tuple[int, ...], rest: int):
+        # rest: bit i for each later candidate shifts[0] + i that no shift covers
+        yield SemigroupIdeal(shifts)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            yield from rec(shifts + (shifts[0] + i,), rest & ~(members << i))
+
     for v in range(1, v_max + 1):
-        if not S.contains(v):
-            continue
-        ground = [v + i for i in _bits(S.window(v, S.conductor) & S.gap_mask)]  # s - v a gap
-
-        def rec(chosen: tuple[int, ...], rest: list[int]):
-            # rest: the later members of ground that no chosen shift covers
-            yield SemigroupIdeal((v,) + chosen)
-            for i, c in enumerate(rest):
-                yield from rec(chosen + (c,), [d for d in rest[i + 1:] if not S.contains(d - c)])
-
-        yield from rec((), ground)
+        if S.contains(v):
+            yield from rec((v,), S.window(v, S.conductor) & S.gap_mask)  # s - v a gap
 
 
 def huneke_mu(S: NumericalSemigroup, v_max: int, ell_max: int) -> tuple[int, SemigroupIdeal, int]:

@@ -1,12 +1,14 @@
 """Batch session language: declarations, commands, JSON report blocks.
 
 A session file is a sequence of semicolon-terminated statements; `#`
-comments run to end of line and read as spaces in the one pass over the
-text that splits the statements.  Declarations bind state (`ring`, `ideal`,
-`poly`, `germ semigroup`, `germ ideal`) and produce no output; every
-other statement is a command producing one report block, in file order.
-Commands snapshot the bindings in force where they appear, so state may
-be re-declared mid-session (a new germ semigroup, a new ambient ring).
+comments run to end of line and are blanked to spaces by one regex before
+the text is cut at each `;`, and a statement's line and column come from
+a list of line starts, so positions survive.  Declarations bind state
+(`ring`, `ideal`, `poly`, `germ semigroup`, `germ ideal`) and produce no
+output; every other statement is a command producing one report block, in
+file order.  Commands snapshot the bindings in force where they appear, so
+state may be re-declared mid-session (a new germ semigroup, a new ambient
+ring).
 
 Reports are plain dicts ready for json.dumps.  Rerunning a session with
 the same seed and budget reproduces the report byte for byte; only the
@@ -50,6 +52,7 @@ import math
 import os
 import re
 import traceback
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -98,36 +101,25 @@ class Session:
 
 
 def _statements(text: str):
-    """Yield (raw, line, col) per ';'-terminated statement, in one pass over
-    text; a `#` comment reads as spaces up to its newline, so positions and
-    the raw text's interior spacing survive."""
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
-    line, col = 1, 1
-    in_comment = False
-    for ch in text:
-        if ch == "\n":
-            in_comment = False
-        elif in_comment or ch == "#":
-            in_comment, ch = True, " "
-        if ch == ";":
-            raw = "".join(buf).strip()
-            if not raw:
-                raise SessionSyntaxError("empty statement", *(start or (line, col)))
-            yield raw, start[0], start[1]
-            buf = []
-            start = None
-        else:
-            if not ch.isspace() and start is None:
-                start = (line, col)
-            buf.append(ch)
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    if start is not None:
-        raise SessionSyntaxError("statement missing ';'", start[0], start[1])
+    """Yield (raw, line, col) per ';'-terminated statement; each `#` comment is
+    first blanked to spaces up to its newline, so positions and the raw text's
+    interior spacing survive, and a position's line is found among the line starts."""
+    text = re.sub(r"#[^\n]*", lambda m: " " * len(m[0]), text)
+    line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def at(i: int) -> tuple[int, int]:
+        line = bisect_right(line_starts, i)
+        return line, i - line_starts[line - 1] + 1
+
+    start = 0
+    while (end := text.find(";", start)) >= 0:
+        part = text[start:end]
+        if not (raw := part.strip()):
+            raise SessionSyntaxError("empty statement", *at(end))
+        yield (raw, *at(end - len(part.lstrip())))
+        start = end + 1
+    if rest := text[start:].lstrip():
+        raise SessionSyntaxError("statement missing ';'", *at(len(text) - len(rest)))
 
 
 def _parse_flags(tokens: list[str], kind: str, usage: str, n_pos: int,
@@ -140,24 +132,20 @@ def _parse_flags(tokens: list[str], kind: str, usage: str, n_pos: int,
     i = 0
     while i < len(tokens):
         tok = tokens[i]
+        i += 1
         if tok.startswith("--"):
-            key = tok[2:]
-            vals = []
-            i += 1
+            key, first = tok[2:], i
             while i < len(tokens) and not tokens[i].startswith("--"):
-                vals.append(tokens[i])
                 i += 1
-            if not vals:
+            if i == first:
                 raise ValidationError(f"flag --{key} needs a value")
-            value = " ".join(vals)
+            value = " ".join(tokens[first:i])
         elif "=" in tok:
             key, value = tok.split("=", 1)
-            i += 1
         else:
             if len(positionals) >= n_pos:
                 raise ValidationError(f"unexpected token {tok!r}")
             positionals.append(tok)
-            i += 1
             continue
         if key not in required and key not in optional:
             raise ValidationError(f"unknown flag {key!r}")

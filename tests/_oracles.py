@@ -44,7 +44,11 @@ reference for its windows and its closed-form exponent.
 `huneke_mu_scan` that search for each of its ideals and each ell, the
 reference for the mu search over powers built once per ideal.
 `statements_two_pass` blanks the comments in one pass and splits the
-statements in a second, the reference for the one pass of `bsw.session`.
+statements in a second, and `statements_charwise` is the splitter that walked
+the text one character at a time with its comment state, the two references
+for the regex blanking, `str.find` cuts and line-start lookup of
+`bsw.session`; `parse_flags_stepwise` reads a `--key`'s values one token at a
+time, the reference for the slice of its flag reader.
 `parse_ring_joined` and `germ_list_joined` read a `ring` declaration and
 a germ declaration's number list as `bsw.session` did when it joined the
 words of a list with no separator and read integers with `int()`; apart
@@ -945,6 +949,78 @@ def statements_two_pass(text: str) -> list[tuple[str, int, int]]:
     if start is not None:
         raise SessionSyntaxError("statement missing ';'", start[0], start[1])
     return out
+
+
+def statements_charwise(text: str):
+    """Yield (raw, line, col) per ';'-terminated statement, in one pass over
+    text; a `#` comment reads as spaces up to its newline, so positions and
+    the raw text's interior spacing survive."""
+    buf: list[str] = []
+    start: tuple[int, int] | None = None
+    line, col = 1, 1
+    in_comment = False
+    for ch in text:
+        if ch == "\n":
+            in_comment = False
+        elif in_comment or ch == "#":
+            in_comment, ch = True, " "
+        if ch == ";":
+            raw = "".join(buf).strip()
+            if not raw:
+                raise SessionSyntaxError("empty statement", *(start or (line, col)))
+            yield raw, start[0], start[1]
+            buf = []
+            start = None
+        else:
+            if not ch.isspace() and start is None:
+                start = (line, col)
+            buf.append(ch)
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+    if start is not None:
+        raise SessionSyntaxError("statement missing ';'", start[0], start[1])
+
+
+def parse_flags_stepwise(tokens: list[str], kind: str, usage: str, n_pos: int,
+                         required: tuple[str, ...], optional: tuple[str, ...]):
+    """A command's tokens as up to n_pos positional words, then --key value... /
+    key=value flags among required + optional; once every token is read, a
+    missing word or required flag gives `{kind} wants {usage}`."""
+    positionals: list[str] = []
+    flags: dict[str, str] = {}
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok.startswith("--"):
+            key = tok[2:]
+            vals = []
+            i += 1
+            while i < len(tokens) and not tokens[i].startswith("--"):
+                vals.append(tokens[i])
+                i += 1
+            if not vals:
+                raise ValidationError(f"flag --{key} needs a value")
+            value = " ".join(vals)
+        elif "=" in tok:
+            key, value = tok.split("=", 1)
+            i += 1
+        else:
+            if len(positionals) >= n_pos:
+                raise ValidationError(f"unexpected token {tok!r}")
+            positionals.append(tok)
+            i += 1
+            continue
+        if key not in required and key not in optional:
+            raise ValidationError(f"unknown flag {key!r}")
+        if key in flags:
+            raise ValidationError(f"duplicate flag {key!r}")
+        flags[key] = value
+    if len(positionals) < n_pos or any(k not in flags for k in required):
+        raise ValidationError(f"{kind} wants {usage}")
+    return positionals, flags
 
 
 class _IsdigitTokens:

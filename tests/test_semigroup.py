@@ -243,6 +243,14 @@ def test_enumerate_matches_the_scan(gens, v_max):
             == [A.shifts for A in enumerate_ideals_scan(TableSemigroup(gens), v_max)])
 
 
+@pytest.mark.parametrize("gens, v_max", [((5, 7, 9), 20), ((4, 6, 9), 20), ((1,), 20)])
+def test_enumerate_pins_the_search_semigroups_to_the_scan(gens, v_max):
+    # the two `germ mu` semigroups of the search workload at its gauge, and <1>,
+    # whose conductor 0 leaves every valuation a single-shift ideal
+    assert ([A.shifts for A in enumerate_ideals(semigroup_build(gens), v_max)]
+            == [A.shifts for A in enumerate_ideals_scan(TableSemigroup(gens), v_max)])
+
+
 def test_enumerate_validation():
     with pytest.raises(ValidationError):
         list(enumerate_ideals(S25, 0))

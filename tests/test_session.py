@@ -18,12 +18,13 @@ from bsw.loja import hypersurface_sampler, monomial_curve_sampler
 from bsw.poly import RingContext, parse_polynomials
 from bsw.resolution import free_resolution, strata
 from bsw.semigroup import semigroup_build, semigroup_ideal
-from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, _statements,
+from bsw.session import (_COMMANDS, _NUMPY_KINDS, SessionSyntaxError, _parse_flags, _statements,
                          parse_session, report_exit_code, run_command, run_session)
 from bsw.session import _DECLARATIONS, _ParseState
 
-from _oracles import (germ_list_joined, loja_exponent_estimate_scalar, parse_ring_joined,
-                      sample_variety_scalar, statements_two_pass)
+from _oracles import (germ_list_joined, loja_exponent_estimate_scalar, parse_flags_stepwise,
+                      parse_ring_joined, sample_variety_scalar, statements_charwise,
+                      statements_two_pass)
 
 CUSP = "ring z, w weights 2, 5;\nideal C = z^5 - w^2;\n"
 
@@ -79,6 +80,30 @@ def _split(splitter, text):
 @given(hst.text(alphabet="x ;#\n", max_size=40))
 def test_statements_match_the_two_pass_splitter(text):
     assert _split(_statements, text) == _split(statements_two_pass, text)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: its result or yields as a tuple, or its exception's
+    type, message and position."""
+    try:
+        return tuple(fn(*args))
+    except (SessionSyntaxError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@settings(max_examples=500)
+@given(hst.text(alphabet=";#\n\r\t abxyz=", max_size=60))
+def test_statements_match_the_charwise_splitter(text):
+    assert _outcome(_statements, text) == _outcome(statements_charwise, text)
+
+
+@settings(max_examples=500)
+@given(hst.lists(hst.sampled_from(["--a", "--b", "--", "a=1", "b=2", "=", "--a=1", "x", "y"]),
+                 max_size=8),
+       hst.integers(0, 2), hst.sampled_from([(), ("a",), ("a", "b")]))
+def test_flags_match_the_stepwise_reader(tokens, n_pos, required):
+    args = (tokens, "cmd", "<usage>", n_pos, required, ("b", "", "a=1"))
+    assert _outcome(_parse_flags, *args) == _outcome(parse_flags_stepwise, *args)
 
 
 def test_empty_statement_position():

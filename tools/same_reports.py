@@ -15,9 +15,9 @@ of this checkout, so only the code differs.  Each run writes into its own
 directory; the reports are compared with the "timestamp" value blanked, every
 other file (the loja CSVs) byte for byte, and the exit codes too.  A run that
 writes no report is a difference even when both sides fail alike, since every
-corpus session parses.  Prints one line per run and the number of runs
-identical, and exits 1 on any difference.  Standard library only; nothing is
-written inside either tree.
+corpus session parses.  Prints one line per run, then the number of runs
+identical and the seconds the comparison took, and exits 1 on any
+difference.  Standard library only; nothing is written inside either tree.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = ("sessions/*.bsw", "perfbench/workloads/*.bsw")
@@ -89,6 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     rev = parser.parse_args(argv).rev
     runs = corpus_runs()
+    began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
         other = os.path.join(tmp, "rev")
         os.makedirs(other)
@@ -108,7 +110,8 @@ def main(argv=None) -> int:
             n_diff += bool(diffs)
             print(f"{'DIFF' if diffs else 'same'}  {session} {' '.join(flags)}"
                   + (f": {', '.join(diffs)}" if diffs else ""))
-        print(f"{len(runs) - n_diff} of {len(runs)} runs identical to {rev}")
+        print(f"{len(runs) - n_diff} of {len(runs)} runs identical to {rev}"
+              f" in {time.perf_counter() - began:.1f} s")
     return 1 if n_diff else 0
 
 
