@@ -39,9 +39,11 @@ and power round differently):
   from (1, 0); above 100 CPython switches to a polar formula, so those
   powers call `**` per element;
 - moduli come from np.hypot, the libm hypot that abs(complex) calls;
-- cos, sin, log, the residual scale's abs(z) ** k and the sums over
-  generators and coordinates stay CPython's (libm and the builtin `sum`),
-  mapped over lists.
+- cos, sin, log and the residual scale's abs(z) ** k stay libm's, mapped
+  over lists;
+- the sums over generators and coordinates add left to right, as a
+  CPython loop does (the builtin `sum` of floats rounds otherwise since
+  3.12).
 CPython's OverflowErrors are raised where it raises them, and a block
 that raises anything is evaluated again one point at a time, so the
 error is the one a point-by-point loop meets first.  numpy is imported
@@ -177,14 +179,10 @@ def _mapped(fn, a, *args):
 
 
 def _row_sums(columns):
-    """The builtin sum(row) of each row across the columns, arrays of
-    floats >= +0 or NaN.  Up to two terms that is plain left-to-right
-    addition from 0 on every CPython; longer sums go through the builtin,
-    whose rounding changed in 3.12."""
-    import numpy as np
-    if len(columns) <= 2:
-        return sum(columns[1:], columns[0])
-    return np.fromiter(map(sum, zip(*(c.tolist() for c in columns))), float, len(columns[0]))
+    """Each row's sum across the columns, arrays of floats >= +0 or NaN,
+    added left to right: on every CPython the value of a loop `s += x`
+    from 0, which the builtin `sum` of floats has not been since 3.12."""
+    return sum(columns[1:], columns[0])
 
 
 def _replayed(fn, block):

@@ -486,10 +486,8 @@ def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> Stra
     rho = expected_ranks(C)
     degenerate: list[str] = []
 
-    jac = jacobian_matrix(I)
-    z0_ideal = Ideal(ring, tuple(minors(jac, p, budget)) + I.generators)
-    if p > min(jac.rows, jac.cols):
-        degenerate.append("jacobian smaller than expected codim; Z^0 = Z")
+    # p <= n, the columns, and p <= the generators, the rows, by Krull's height theorem
+    z0_ideal = Ideal(ring, tuple(minors(jacobian_matrix(I), p, budget)) + I.generators)
 
     zk: dict[int, Ideal] = {}
     for k in range(1, C.length + 1):

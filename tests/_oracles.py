@@ -82,7 +82,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import numpy as np
@@ -767,14 +769,15 @@ def loja_exponent_estimate_scalar(phi: Polynomial, a_polys, points) -> LojaEstim
     lo, hi = math.inf, 0.0
     dropped = 0
     for pt in points:
-        va = sum(abs(eval_complex(g, pt)) for g in a_polys)
+        # left to right: the builtin sum of floats rounds otherwise since 3.12
+        va = reduce(operator.add, (abs(eval_complex(g, pt)) for g in a_polys))
         vp = abs(eval_complex(phi, pt))
         if va <= UNDERFLOW_FLOOR or vp <= UNDERFLOW_FLOOR:
             dropped += 1
             continue
         xs.append(math.log(va))
         ys.append(math.log(vp))
-        norm = math.sqrt(sum(abs(z) ** 2 for z in pt))
+        norm = math.sqrt(reduce(operator.add, (abs(z) ** 2 for z in pt)))
         lo, hi = min(lo, norm), max(hi, norm)
     total = len(xs) + dropped
     if len(xs) < 20:

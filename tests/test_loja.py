@@ -359,6 +359,13 @@ def test_norms_square_by_cpython_float_power():
         _outcome(loja_exponent_estimate_scalar, P("w"), [P("z")], pts)
 
 
+def test_row_sums_add_left_to_right():
+    # the builtin sum of floats, Neumaier-compensated since CPython 3.12,
+    # gives 1.0000000000000002 here
+    columns = [np.array([1.0]), np.array([1e-16]), np.array([1e-16])]
+    assert loja._row_sums(columns).tolist() == [(1.0 + 1e-16) + 1e-16] == [1.0]
+
+
 POW, ABS, SHORT = (1e200 + 0j, 1e200 + 0j), (1.7e308 + 1.7e308j, 0.5 + 0j), (0.5 + 0j,)
 
 

@@ -1,5 +1,6 @@
 """tools/same_reports.py: the runs it builds from the session corpus and the way
-it compares two output directories.  No corpus session is run here."""
+it compares two output directories and two units probes.  No corpus session is
+run here."""
 
 import importlib.util
 import json
@@ -29,7 +30,7 @@ def test_no_run_repeats():
 
 def test_runs_come_from_header_lines_or_the_default_seeds():
     acceptance = [flags for session, flags in RUNS if session == os.path.join("sessions", "acceptance.bsw")]
-    assert ["--seed", "0", "--budget", "48"] in acceptance and len(acceptance) == 5
+    assert acceptance == [["--seed", "0", "--budget", "1"]]
     workload = [flags for session, flags in RUNS
                 if session == os.path.join("perfbench", "workloads", "acceptance.bsw")]
     assert workload == [["--seed", "0"], ["--seed", "3"], ["--seed", "11"]]
@@ -64,3 +65,12 @@ def test_reports_compare_with_the_timestamp_blanked(tmp_path):
     assert same_reports._differences(str(tmp_path / "a"), str(tmp_path / "b")) == []
     (tmp_path / "b" / "report.json").write_text(json.dumps({"timestamp": "", "x": 2}))
     assert same_reports._differences(str(tmp_path / "a"), str(tmp_path / "b")) == ["report.json"]
+
+
+def test_units_name_each_command_that_draws_differently():
+    rev = {"s.bsw strata@3:1": 11, "s.bsw check-bs@4:1": 20, "s.bsw loja@5:1": 0}
+    here = {"s.bsw strata@3:1": 11, "s.bsw check-bs@4:1": 21, "s.bsw loja@5:1": 0}
+    assert same_reports._units_differences(here, rev) == ["units s.bsw check-bs@4:1 20 -> 21"]
+    assert same_reports._units_differences(rev, rev) == []
+    del here["s.bsw loja@5:1"]
+    assert same_reports._units_differences(here, rev)[-1] == "units s.bsw loja@5:1 0 -> -"

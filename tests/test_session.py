@@ -15,6 +15,7 @@ from bsw import cli, loja
 from bsw.errors import StructuralError, ValidationError
 from bsw.groebner import Ideal, krull_dimension
 from bsw.loja import hypersurface_sampler, monomial_curve_sampler
+from bsw.modgb import DEFAULT_BUDGET, Budget
 from bsw.poly import RingContext, parse_polynomials
 from bsw.resolution import free_resolution, strata
 from bsw.semigroup import semigroup_build, semigroup_ideal
@@ -211,6 +212,11 @@ WORDS_BASE = "ring x, y;\nideal I = x^2, y^2;\ngerm semigroup 2, 5;\ngerm ideal 
     ("germ mu vmax=3 vmax=4;", "duplicate flag 'vmax'", 5, 1),
     ("germ mu 3 vmax=3 lmax=2;", "unexpected token '3'", 5, 1),
     ("germ mu vmax=3 lmax=2 ell=1;", "unknown flag 'ell'", 5, 1),
+    ("resolve I --certify maybe;", "certify wants true/false, got 'maybe'", 5, 1),
+    ("ideal 1x = x;", "bad name '1x'", 5, 1),
+    ("ideal I x, y;", "ideal wants NAME = ...", 5, 1),
+    ("loja --phi y --a x --solve x^2;", "--solve wants var=expression", 5, 1),
+    ("germ;", "germ wants a subcommand", 5, 1),
 ])
 def test_command_word_errors_and_their_positions(statement, message, line, col):
     e = err(WORDS_BASE + statement)
@@ -1087,6 +1093,28 @@ def test_corpus_sessions_yield_no_internal_block(path, tmp_path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         report = run_session(parse_session(fh.read()), csv_dir=str(tmp_path))
     assert [b for b in report["blocks"] if b["status"] != "ok" and b["error"]["kind"] == "internal"] == []
+
+
+@pytest.mark.parametrize("path", CORPUS)
+def test_a_fresh_command_passes_exactly_at_the_units_it_draws(path, tmp_path):
+    # tools/same_reports.py compares units in place of budget runs: nothing
+    # but Budget.spend reads the meter, so a freshly parsed command that
+    # draws u units gives its default-budget block at budget u and a budget
+    # block at u - 1
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        text = fh.read()
+
+    def fresh(i, budget):
+        return run_command(parse_session(text).commands[i], budget=budget, csv_dir=str(tmp_path))
+
+    for i in range(len(parse_session(text).commands)):
+        meter = Budget(DEFAULT_BUDGET)
+        block = fresh(i, meter)
+        units = meter.total - max(meter.left, 0)
+        if units >= 1:
+            assert fresh(i, units) == block
+        if units >= 2:
+            assert fresh(i, units - 1)["error"]["kind"] == "budget"
 
 
 @settings(max_examples=60, deadline=None)
