@@ -20,14 +20,18 @@ import sys
 from .modgb import DEFAULT_BUDGET
 from .session import SessionSyntaxError, parse_session, report_exit_code, run_session
 
-def _open(path: str, mode: str):
-    """path opened for reading ("r") or writing ("w"); exit 2 if it cannot be."""
+def _cannot(verb: str, path: str, exc: Exception):
+    """Exit 2, saying why `path` cannot be read or written."""
+    print(f"bsw: cannot {verb} {path}: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
+def _open_out(path: str):
+    """path opened for writing; exit 2 if it cannot be."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"bsw: cannot {'read' if mode == 'r' else 'write'} {path}: {exc}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
+        _cannot("write", path, exc)
 
 
 def main(argv=None) -> int:
@@ -46,8 +50,11 @@ def main(argv=None) -> int:
     check_p.add_argument("session", help="session file path")
 
     args = parser.parse_args(argv)
-    with _open(args.session, "r") as fh:
-        text = fh.read()
+    try:
+        with open(args.session, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        _cannot("read", args.session, exc)
     try:
         sess = parse_session(text)
     except SessionSyntaxError as exc:
@@ -63,7 +70,7 @@ def main(argv=None) -> int:
         return 2
     # the report file is opened before the session runs, so an unwritable
     # --out stops bsw before any command (or loja CSV) has run
-    out = _open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    out = _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     csv_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
     with out as fh:
         report = run_session(sess, seed=args.seed, budget=args.budget, csv_dir=csv_dir)

@@ -117,10 +117,14 @@ def newton_facets(M: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
              + tuple(int(jj == j) for jj in range(n)) for j in range(n)]
     for k in range(m - 1):
         new_rows = [p for p in rows if p[k] == 0]
-        new_rows += [_primitive(tuple(-q[k] * x + p[k] * y for x, y in zip(p, q)))
-                     for p in rows if p[k] > 0 for q in rows if q[k] < 0]
-        if len(new_rows) > FM_ROW_CAP:
+        upper = [p for p in rows if p[k] > 0]
+        lower = [q for q in rows if q[k] < 0]
+        # the step forms every row before merging equal ones, so its count
+        # is known, and refused, before any is built
+        if len(new_rows) + len(upper) * len(lower) > FM_ROW_CAP:
             raise ResourceCapError("Newton projection exceeded the row cap")
+        new_rows += [_primitive(tuple(-q[k] * x + p[k] * y for x, y in zip(p, q)))
+                     for p in upper for q in lower]
         rows = list(dict.fromkeys(r for r in new_rows if any(r)))
     facets = set()
     for row in rows:
@@ -262,8 +266,12 @@ def bs_exponent(M: MonomialIdeal, ell: int, d: int | None = None) -> tuple[int, 
 def bs_verify_monomial(M: MonomialIdeal, ell: int, d: int | None = None
                        ) -> tuple[bool, Exponent | None]:
     """Classical containment check: closure(M^e) inside M^ell, e from
-    bs_exponent.  Returns (holds, counterexample_exponent_or_None)."""
+    bs_exponent.  Returns (holds, counterexample_exponent_or_None).
+    M^ell's product count and the box for e are capped before M^ell is built."""
     e = bs_exponent(M, ell, d)[1]
+    if ell > 1:
+        power_combinations(M.exponents, ell)
+    _box_sides(M, e)
     target = M.power(ell) if ell > 1 else M
     witness = closure_containment_witness(M, e, target)
     return (witness is None, witness)

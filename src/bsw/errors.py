@@ -1,8 +1,9 @@
 """Shared exception types.
 
 Structural errors signal ill-formed in-process calls (mixed rings, bad
-shapes); validation errors signal bad user-level input; the resource
-errors carry enough state to report partial progress.
+shapes); validation errors signal bad user-level input; a budget error
+carries the engine's state and the units spent when its meter ran out,
+and a resource-cap error carries only its message.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ class ValidationError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A budget meter (modgb.Budget) ran out of work units.
 
-    `partial` is the engine's state when it ran out, a tuple of VecPoly
-    (e.g. the basis so far); `spent` counts all units drawn on the meter.
+    `partial` is the tuple the engine handed the meter when it ran out: the
+    basis so far or a division's reducers, as VecPoly, or () from a minor's
+    determinant; `spent` counts all units drawn on the meter.
     """
 
     def __init__(self, message: str, partial=None, spent: int | None = None):
@@ -30,8 +32,10 @@ class BudgetExceededError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """A guarded enumeration (ideal power, mu search) exceeded its cap,
-    or a resolution did not terminate within its max_len."""
+    """A guarded enumeration exceeded its cap (an ideal power, the Newton
+    projection's rows, a Newton box scan, the loja sampler's points, an
+    exponent search's bound, the mu search), or a resolution did not
+    terminate within its max_len."""
 
 
 class SamplingError(RuntimeError):

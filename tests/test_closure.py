@@ -174,11 +174,22 @@ def test_integer_facets_match_fraction_elimination(M):
     assert newton_facets(M) == newton_facets_fraction(M.exponents)
 
 
-def test_newton_projection_row_cap():
-    M = MonomialIdeal(4, ((1, 5, 9, 0), (2, 3, 5, 7), (2, 9, 0, 7), (4, 5, 8, 4), (5, 2, 7, 5),
-                          (5, 4, 5, 6), (5, 8, 2, 8), (7, 4, 4, 5), (8, 4, 5, 4)))
-    with pytest.raises(ResourceCapError, match="^Newton projection exceeded the row cap$"):
-        newton_facets(M)
+def test_newton_projection_row_cap(monkeypatch):
+    primitive, calls = closure._primitive, []
+    monkeypatch.setattr(closure, "_primitive", lambda row: calls.append(1) or primitive(row))
+    for M in (MonomialIdeal(4, ((1, 5, 9, 0), (2, 3, 5, 7), (2, 9, 0, 7), (4, 5, 8, 4),
+                                (5, 2, 7, 5), (5, 4, 5, 6), (5, 8, 2, 8), (7, 4, 4, 5),
+                                (8, 4, 5, 4))),
+              # a step over the cap would form 1.77 million rows if they were built first
+              MonomialIdeal(4, ((1, 1, 4, 8), (1, 9, 1, 9), (2, 3, 3, 7), (3, 8, 2, 1),
+                                (5, 0, 7, 4), (5, 4, 5, 6), (6, 4, 0, 8), (6, 6, 0, 7),
+                                (7, 4, 4, 3)))):
+        calls.clear()
+        with pytest.raises(ResourceCapError, match="^Newton projection exceeded the row cap$"):
+            newton_facets(M)
+        # the cap is checked before a step forms its rows
+        assert len(calls) <= (len(M.exponents) - 1) * closure.FM_ROW_CAP
+    monkeypatch.undo()
     # just under the cap: the largest step forms 19,891 rows, and would
     # form 24,289 if equal rows were not merged after each step
     M = MonomialIdeal(4, ((1, 3, 4, 0), (1, 6, 2, 6), (2, 0, 0, 6), (2, 0, 4, 3), (5, 0, 5, 1),

@@ -1,10 +1,12 @@
-"""tools/same_reports.py: the runs it builds from the session corpus and the way
-it compares two output directories and two units probes.  No corpus session is
-run here."""
+"""tools/same_reports.py: the runs it builds from the session corpus, its driver
+on hand-written sessions, and the way it compares two output directories and
+two units probes.  No corpus session is run here."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 from bsw.session import _statements
 
@@ -74,3 +76,27 @@ def test_units_name_each_command_that_draws_differently():
     assert same_reports._units_differences(rev, rev) == []
     del here["s.bsw loja@5:1"]
     assert same_reports._units_differences(here, rev)[-1] == "units s.bsw loja@5:1 0 -> -"
+
+
+def test_the_driver_records_what_a_process_per_run_gives(tmp_path):
+    clean = tmp_path / "clean.bsw"
+    clean.write_text("ring x, y;\nideal I = x^2, x*y;\nresolve I;\n")
+    syntax = tmp_path / "syntax.bsw"
+    syntax.write_text("ring x;;\n")
+    strata = tmp_path / "strata.bsw"
+    strata.write_text("ring x, y, z;\nideal I = x*y, y*z, x*z;\nstrata I;\n")
+    runs = [(str(clean), ["--seed", "0"]), (str(syntax), []), (str(clean), ["--sed", "0"]),
+            (str(strata), ["--budget", "1"])]
+    codes, units = same_reports._drive(ROOT, runs, [str(clean)], str(tmp_path / "driver"))
+    assert codes == [0, 2, 2, 3]
+    assert list(units) == [f"{clean} resolve@3:1"] and units[f"{clean} resolve@3:1"] > 0
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    for i, (session, flags) in enumerate(runs):
+        out = tmp_path / "cli" / str(i)
+        out.mkdir(parents=True)
+        done = subprocess.run([sys.executable, "-m", "bsw.cli", "run", session,
+                               "--out", str(out / "report.json"), *flags],
+                              cwd=out, env=env, capture_output=True)
+        assert done.returncode == codes[i]
+        assert same_reports._differences(str(tmp_path / "driver" / str(i)), str(out)) == (
+            ["no report"] if i in (1, 2) else [])

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from bsw import cli, loja
+from bsw.closure import MonomialIdeal
 from bsw.errors import StructuralError, ValidationError
 from bsw.groebner import Ideal, krull_dimension
 from bsw.loja import hypersurface_sampler, monomial_curve_sampler
@@ -506,12 +507,20 @@ def test_budget_verdict_does_not_depend_on_command_order():
     assert verdicts == {"ok", "error"}
 
 
-def test_newton_box_scans_are_capped():
+def test_newton_box_scans_are_capped(monkeypatch):
     rep = run_session(parse("ring x, y;\nideal B = x^100000, y^100000;\n"
                             "newton-closure B;\nbs-verify-monomial B --ell 1;\n"))
     assert [b["error"]["kind"] for b in rep["blocks"]] == ["resource-cap"] * 2
     assert "10000200001 lattice points" in rep["blocks"][0]["error"]["message"]
     assert report_exit_code(rep) == 3
+    # the box for e is refused before M^ell, with its 20,001 products, is built
+    def power(self, ell):
+        raise AssertionError("M^ell built before the box cap")
+    monkeypatch.setattr(MonomialIdeal, "power", power)
+    rep = run_session(parse("ring x, y;\nideal P = x^2, y^2;\nbs-verify-monomial P --ell 20000;\n"))
+    assert rep["blocks"][0]["error"] == {
+        "kind": "resource-cap",
+        "message": "Newton box scan needs 1600240009 lattice points (cap 2000000)"}
 
 
 def test_non_graded_resolution_longer_than_the_ring_needs_max_len():
@@ -804,11 +813,17 @@ def test_cli_syntax_error_position(tmp_path, capsys):
     assert f"{spath}:1:8:" in capsys.readouterr().err
 
 
-def test_cli_missing_file(tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["run", str(tmp_path / "absent.bsw")])
-    assert info.value.code == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("text", [None, b"ring x;\nideal I = x\xff;\nresolve I;\n"],
+                         ids=["absent", "not-utf8"])
+def test_cli_missing_file(tmp_path, capsys, text):
+    path = tmp_path / "s.bsw"
+    if text is not None:
+        path.write_bytes(text)
+    for command in ("run", "check"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, str(path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith(f"bsw: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("text", ["x^²", "3/²", "²*x"])

@@ -2,37 +2,38 @@
 
     python3 tools/same_reports.py REV
 
-`git archive`s REV into a temporary directory, then runs
-`bsw.cli.main(["run", SESSION, "--out", REPORT, *FLAGS])` with the code of
-each tree, once for each run of each session in sessions/*.bsw and
-perfbench/workloads/*.bsw.  A session declares its runs with comment lines
+`git archive`s REV into a temporary directory, then runs a driver, one Python
+process, on each tree in turn with that tree's src on PYTHONPATH.  It calls
+`bsw.cli.main(["run", SESSION, "--out", REPORT, *FLAGS])` for each run of each
+session in sessions/*.bsw and perfbench/workloads/*.bsw, in its own directory
+with stdout and stderr sent to os.devnull, and records the exit code that a
+process would have had: `main`'s value, a SystemExit's code (None read as 0),
+or 1 for any other exception.  A session declares its runs with comment lines
 
     # same-reports: FLAGS
 
 one line per run, whose FLAGS go to `bsw run` as they stand; a session with
 no such line runs at `--seed` 0, 3 and 11.  Both trees read the session files
-of this checkout, so only the code differs.  Each run writes into its own
-directory; the reports are compared with the "timestamp" value blanked, every
-other file (the loja CSVs) byte for byte, and the exit codes too.  A run that
-writes no report is a difference even when both sides fail alike, since every
-corpus session parses.
+of this checkout, so only the code differs.  The reports are compared with
+the "timestamp" value blanked, every other file (the loja CSVs) byte for
+byte, and the exit codes too.  A run that writes no report is a difference
+even when both sides fail alike, since every corpus session parses.
 
-Budget verdicts are compared by units, not by runs.  One probe per tree
-parses each corpus session and runs every command in order through
+Budget verdicts are compared by units, not by runs.  After the runs the
+driver parses each corpus session and runs every command in order through
 `bsw.session.run_command`, each on its own `Budget(DEFAULT_BUDGET)` at seed 0,
 and records the units it drew.  Nothing but `Budget.spend` reads the meter,
-so as long as the earlier commands of its session complete, a command is `ok`
-at `--budget b` exactly when it draws at most b units at the default budget:
-equal units on both sides give equal verdicts at every such budget, and the
-`--budget 1` run of sessions/acceptance.bsw still compares the text of budget
-blocks.  Each command whose units differ is one difference, printed as
-`units SESSION COMMAND@LINE:COL A -> B` with REV's units A and this
-checkout's B.
+so while the earlier commands of its session complete, a command is `ok` at
+`--budget b` exactly when it draws at most b units at the default budget:
+equal units give equal verdicts at every such budget, and the `--budget 1`
+run of sessions/acceptance.bsw still compares the text of budget blocks.
+Each command whose units differ is printed as `units SESSION
+COMMAND@LINE:COL A -> B`, with REV's units A and this checkout's B.
 
 Prints one line per run and per units difference, then the number of runs
 identical, the number of commands whose units are equal and the seconds the
-comparison took, and exits 1 on any difference.  Standard library only;
-nothing is written inside either tree.
+comparison took, and exits 1 on any difference; a dying driver stops the tool
+with its traceback.  Standard library only; nothing is written in either tree.
 """
 
 from __future__ import annotations
@@ -51,15 +52,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = ("sessions/*.bsw", "perfbench/workloads/*.bsw")
 DEFAULT_FLAGS = ("--seed 0", "--seed 3", "--seed 11")
 HEADER = re.compile(r"^# same-reports:(.*)$", re.MULTILINE)
-RUN = "import sys; from bsw.cli import main; sys.exit(main(sys.argv[1:]))"
-# argv: the JSON file to write, then the corpus sessions relative to the cwd
-PROBE = """
-import json, sys, tempfile
+# argv: the result file, the runs as JSON [[SESSION, FLAGS, OUT_DIR], ...], the sessions to probe
+DRIVER = """
+import json, os, sys, tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from bsw.cli import main
 from bsw.modgb import DEFAULT_BUDGET, Budget
 from bsw.session import parse_session, run_command
-units = {}
+codes, units, home = [], {}, os.getcwd()
+for session, flags, out_dir in json.loads(sys.argv[2]):
+    os.makedirs(out_dir)
+    os.chdir(out_dir)
+    argv = ["run", os.path.join(home, session), "--out", os.path.join(out_dir, "report.json")]
+    with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(null):
+        try:
+            codes.append(main(argv + flags))
+        except SystemExit as exc:
+            codes.append(0 if exc.code is None else exc.code)
+        except Exception:
+            codes.append(1)
+os.chdir(home)
 with tempfile.TemporaryDirectory() as csv_dir:
-    for session in sys.argv[2:]:
+    for session in sys.argv[3:]:
         with open(session, encoding="utf-8") as fh:
             commands = parse_session(fh.read()).commands
         for cmd in commands:
@@ -67,7 +81,7 @@ with tempfile.TemporaryDirectory() as csv_dir:
             run_command(cmd, budget=budget, csv_dir=csv_dir)
             units[f"{session} {cmd.kind}@{cmd.line}:{cmd.col}"] = budget.total - max(budget.left, 0)
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    json.dump(units, fh)
+    json.dump([codes, units], fh)
 """
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
@@ -84,26 +98,16 @@ def corpus_runs() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def _env(tree: str) -> dict:
-    return {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-
-
-def _run(tree: str, session: str, flags: list[str], out_dir: str) -> int:
-    os.makedirs(out_dir)
-    report = os.path.join(out_dir, "report.json")
-    proc = subprocess.run([sys.executable, "-c", RUN, "run", session, "--out", report, *flags],
-                          cwd=out_dir, env=_env(tree), stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    return proc.returncode
-
-
-def _units(tree: str, sessions: list[str], out: str) -> dict:
-    """{"SESSION COMMAND@LINE:COL": units} from the probe on `tree`; a failing probe
-    raises, with its traceback on stderr."""
-    subprocess.run([sys.executable, "-c", PROBE, out, *sessions], cwd=ROOT, env=_env(tree),
+def _drive(tree: str, runs: list[tuple[str, list[str]]], sessions: list[str],
+           out: str) -> tuple[list, dict]:
+    """The driver on `tree`, run i writing into out/i: the runs' exit codes and
+    {"SESSION COMMAND@LINE:COL": units} over `sessions`; a dying driver raises."""
+    spec = [(session, flags, os.path.join(out, str(i))) for i, (session, flags) in enumerate(runs)]
+    subprocess.run([sys.executable, "-c", DRIVER, f"{out}.json", json.dumps(spec), *sessions],
+                   cwd=ROOT, env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")},
                    check=True, stdout=subprocess.DEVNULL)
-    with open(out, encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(f"{out}.json", encoding="utf-8") as fh:
+        return tuple(json.load(fh))
 
 
 def _units_differences(here: dict, rev: dict) -> list[str]:
@@ -143,22 +147,18 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", other], input=archive, check=True)
+        here, there = os.path.join(tmp, "here"), os.path.join(tmp, "rev-out")
+        sessions = list(dict.fromkeys(session for session, _ in runs))
+        codes_here, units_here = _drive(ROOT, runs, sessions, here)
+        codes_rev, units_rev = _drive(other, runs, sessions, there)
         n_diff = 0
         for i, (session, flags) in enumerate(runs):
-            out_here = os.path.join(tmp, "here", str(i))
-            out_rev = os.path.join(tmp, "rev-out", str(i))
-            path = os.path.join(ROOT, session)
-            code_here = _run(ROOT, path, flags, out_here)
-            code_rev = _run(other, path, flags, out_rev)
-            diffs = _differences(out_here, out_rev)
-            if code_here != code_rev:
-                diffs.append(f"exit code {code_here} vs {code_rev}")
+            diffs = _differences(os.path.join(here, str(i)), os.path.join(there, str(i)))
+            if codes_here[i] != codes_rev[i]:
+                diffs.append(f"exit code {codes_here[i]} vs {codes_rev[i]}")
             n_diff += bool(diffs)
             print(f"{'DIFF' if diffs else 'same'}  {session} {' '.join(flags)}"
                   + (f": {', '.join(diffs)}" if diffs else ""))
-        sessions = list(dict.fromkeys(session for session, _ in runs))
-        units_here = _units(ROOT, sessions, os.path.join(tmp, "units-here.json"))
-        units_rev = _units(other, sessions, os.path.join(tmp, "units-rev.json"))
         unit_diffs = _units_differences(units_here, units_rev)
         for line in unit_diffs:
             print(f"DIFF  {line}")
