@@ -46,9 +46,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].constant_value() == 1
 
-    def __str__(self):
-        return "{" + ", ".join(str(g) for g in self.elements) + "}"
-
 
 class Ideal:
     """Finitely generated ideal; caches its reduced basis once computed."""

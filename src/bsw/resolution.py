@@ -88,9 +88,6 @@ class PolyMatrix:
     def to_strings(self) -> list[list[str]]:
         return [[str(p) for p in row] for row in self.entries]
 
-    def __str__(self):
-        return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
-
 
 def _det(matrix_entries, rows: tuple[int, ...], cols: tuple[int, ...], memo, ring,
          budget: Budget) -> Polynomial:

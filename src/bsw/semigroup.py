@@ -91,9 +91,6 @@ class SemigroupIdeal:
     def valuation(self) -> int:
         return self.shifts[0]
 
-    def __str__(self):
-        return "(" + ", ".join(str(s) for s in self.shifts) + ")"
-
 
 def semigroup_ideal(S: NumericalSemigroup, shifts) -> SemigroupIdeal:
     """The minimal shifts: s is kept iff s is in no t + (S minus 0), t a shift."""

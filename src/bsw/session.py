@@ -19,6 +19,17 @@ syntax errors, unknown keywords, duplicate names, and references to
 names that were never bound or that live in another ring than the one
 the command works in, all raised at parse time with positions.
 
+Each bound ideal has one session memo, a dict made at parse time and put
+in the payload of every command that names the binding, so every run of
+the parsed session shares it.  Per (max_len, certify) it keeps the
+resolution that `resolve` builds and the resolution with its strata that
+`strata` and the `check-*` commands read.  A hit is charged the units that
+its first build drew, and only when they fit on the command's meter; when
+they do not, the command builds afresh and fails as on a fresh parse.  A
+failed build stores nothing.  `run_command` gives each run fresh copies of
+the payload's ideals, so no basis cached by an earlier run lowers a build's
+units: a command's block and units never depend on what ran before it.
+
 A statement's keyword, its first word or `germ` and the next, selects one
 `_DECLARATIONS` entry, a parse function (kind, text after the keyword, parse
 state) that binds state, or one `_COMMANDS` row, which states the command's
@@ -192,6 +203,7 @@ class _ParseState:
         self.bindings: dict[str, tuple[str, object]] = {}
         self.germ_semigroup: NumericalSemigroup | None = None
         self.germ_ideal: SemigroupIdeal | None = None
+        self.memos: dict[Ideal, dict] = {}  # a bound ideal -> its session memo
 
     def need(self, what: str):
         """The declared "ring", "germ semigroup" or "germ ideal"."""
@@ -298,10 +310,12 @@ def _gen_strings(I: Ideal) -> list[str]:
 
 def _named_ideal(pos: list[str], flags: dict, st: _ParseState):
     """The bound ideal that the one positional word names, as (inputs, payload).
-    The payload holds a fresh copy of the Ideal, so no command reuses a basis
-    cached by another and no budget verdict depends on command order."""
+    The payload holds the bound Ideal itself, which run_command copies before
+    each run, and the binding's memo, one dict that every command naming this
+    binding shares (see `_memoized`)."""
     I = st.lookup(pos[0], "ideal")
-    return {"ideal": pos[0], "generators": _gen_strings(I)}, {"ideal": Ideal(I.ring, I.generators)}
+    return ({"ideal": pos[0], "generators": _gen_strings(I)},
+            {"ideal": I, "memo": st.memos.setdefault(I, {})})
 
 
 def _parse_resolution(pos: list[str], flags: dict, st: _ParseState):
@@ -406,9 +420,26 @@ def _parse_loja(pos: list[str], flags: dict, st: _ParseState):
 # seed and csv_dir, and return (result, summary).  Library calls go through
 # this module's globals, so a wrapper rebound on those names sees them.
 
+def _memoized(p: dict, stage: str, budget: Budget, build):
+    """build() for the payload's binding, done once per (stage, max_len, certify)
+    in the binding's memo.  A hit is charged the units that the first build drew,
+    and only when they fit on the meter; when they do not, the command builds
+    afresh on its own copy of the ideal, so it fails as on a fresh parse.  A
+    build that raises stores nothing."""
+    key = (stage, p.get("max_len"), p.get("certify", True))
+    hit = p["memo"].get(key)
+    if hit is not None and hit[1] <= budget.left:
+        budget.left -= hit[1]
+        return hit[0]
+    left = budget.left
+    value = build()
+    p["memo"][key] = (value, left - budget.left)
+    return value
+
+
 def _run_resolve(p: dict, budget: Budget, **_):
-    C = free_resolution(p["ideal"], max_len=p["max_len"], certify=p["certify"],
-                        budget=budget)
+    C = _memoized(p, "resolve", budget, lambda: free_resolution(
+        p["ideal"], max_len=p["max_len"], certify=p["certify"], budget=budget))
     result = {"ranks": list(C.ranks), "graded": C.graded,
               "expected_ranks": list(expected_ranks(C)),
               "certified": bool(p["certify"])}
@@ -422,10 +453,12 @@ def _run_resolve(p: dict, budget: Budget, **_):
 
 
 def _strata_for(p: dict, budget: Budget):
-    I: Ideal = p["ideal"]
-    C = free_resolution(I, max_len=p.get("max_len"),
-                        certify=p.get("certify", True), budget=budget)
-    return strata(C, I, budget=budget)
+    def build():
+        I: Ideal = p["ideal"]
+        C = free_resolution(I, max_len=p.get("max_len"),
+                            certify=p.get("certify", True), budget=budget)
+        return strata(C, I, budget=budget)
+    return _memoized(p, "strata", budget, build)
 
 
 def _run_strata(p: dict, budget: Budget, **_):
@@ -645,8 +678,9 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
              "inputs": cmd.inputs}
     try:
         run = _COMMANDS[cmd.kind][-1]
-        result, summary = run(cmd.payload, budget=Budget.of(budget), seed=seed,
-                              csv_dir=csv_dir)
+        payload = {k: Ideal(v.ring, v.generators) if isinstance(v, Ideal) else v
+                   for k, v in cmd.payload.items()}
+        result, summary = run(payload, budget=Budget.of(budget), seed=seed, csv_dir=csv_dir)
     except Exception as exc:
         kind = _error_kind(exc)
         message = str(exc)

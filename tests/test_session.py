@@ -1153,3 +1153,94 @@ def test_one_variable_ideal_with_redundant_generators_resolves():
     assert [b["status"] for b in rep["blocks"]] == ["ok"] * 5
     resolved = rep["blocks"][0]["result"]
     assert (resolved["ranks"], resolved["minimal_betti"]) == ([1, 2, 1], [1, 1])
+
+
+# ---------------------------------------------------------------- session memo
+
+SESSIONS = [path for path in CORPUS if path.startswith("sessions" + os.sep)]
+MEMO_HEAD = ("ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nideal A = x;\n"
+             "ideal N = x*y - z, x^2 - z^3;\n")
+
+
+def _drawn(cmd, csv_dir, budget=DEFAULT_BUDGET):
+    """(block, units drawn) of one run of cmd on a fresh meter of `budget` units."""
+    meter = Budget(budget)
+    block = run_command(cmd, budget=meter, csv_dir=csv_dir)
+    return block, meter.total - max(meter.left, 0)
+
+
+def _session_text(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("path", SESSIONS)
+def test_each_command_in_session_order_gives_what_it_gives_alone(path, tmp_path):
+    # alone: on a fresh parse, after its declarations only, every other command
+    # skipped; in order, a command may hit the memo an earlier one filled
+    text = _session_text(path)
+    in_order = [_drawn(cmd, str(tmp_path)) for cmd in parse_session(text).commands]
+    alone = [_drawn(parse_session(text).commands[i], str(tmp_path))
+             for i in range(len(in_order))]
+    assert in_order == alone
+
+
+@pytest.mark.parametrize("commands", [
+    "resolve T;\nresolve T;\n",
+    "strata T;\ncheck-cm T;\n",
+    "check-normal N;\nstrata N;\n",
+    "check-cm N;\ncheck-bs N --ideal A;\n",
+    "resolve N --certify false;\nresolve N --certify false;\n",
+])
+def test_a_hit_that_does_not_fit_fails_as_on_a_fresh_parse(commands, tmp_path):
+    csv_dir = str(tmp_path)
+    text = MEMO_HEAD + commands
+    fresh_block, units = _drawn(parse(text).commands[1], csv_dir)
+    sess = parse(text)
+    # a failed build stores nothing, so the next one builds and draws in full
+    assert run_command(sess.commands[0], budget=1)["error"]["kind"] == "budget"
+    assert _drawn(sess.commands[0], csv_dir) == _drawn(parse(text).commands[0], csv_dir)
+    assert _drawn(sess.commands[1], csv_dir) == (fresh_block, units)  # a hit
+    for budget in (units - 1, units):
+        block = run_command(sess.commands[1], budget=budget, csv_dir=csv_dir)
+        assert block == run_command(parse(text).commands[1], budget=budget, csv_dir=csv_dir)
+        assert block["status"] == ("ok" if budget == units else "error")
+    assert block == fresh_block
+
+
+def test_a_name_bound_again_in_a_new_parse_gets_a_fresh_memo():
+    # one session refuses a second binding of a name, so only two parses bind
+    # T twice; the second resolve T must not reuse the first's resolution
+    assert "duplicate binding" in str(err("ring x, y;\nideal T = x, y;\nresolve T;\n"
+                                          "ideal T = x^2, y;\nresolve T;\n"))
+    texts = ["ring x, y;\nideal T = x, y;\nresolve T;\n",
+             "ring x, y;\nideal T = x^2, y;\nresolve T;\n"]
+    first, second = (run_command(parse(text).commands[0]) for text in texts)
+    assert first["result"]["maps"] != second["result"]["maps"]
+    assert second == run_one(texts[1])
+
+
+@pytest.mark.parametrize("path", SESSIONS)
+def test_a_parsed_session_reruns_alike(path, tmp_path):
+    sess = parse_session(_session_text(path))
+    passes = [[_drawn(cmd, str(tmp_path)) for cmd in sess.commands] for _ in range(2)]
+    assert passes[0] == passes[1]
+    reports = [run_session(sess, csv_dir=str(tmp_path)) for _ in range(2)]
+    for report in reports:
+        report.pop("timestamp")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("text", [
+    "ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nstrata T;\n",
+    "ring a, b, c;\nideal CONE = a*c - b^2;\ncheck-cm CONE;\nstrata CONE;\n",
+    CUSP + "strata C;\ncheck-bs C --ideal C;\n",
+])
+def test_a_rerun_at_the_budget_edge_keeps_every_verdict(text):
+    # one parse run twice: each run's blocks are a fresh parse's, at a budget
+    # the last command just fits in, one unit short of it, and at 285
+    units = _drawn(parse(text).commands[-1], ".")[1]
+    for budget in (units - 1, units, 285):
+        sess = parse(text)
+        fresh = run_session(parse(text), budget=budget)["blocks"]
+        assert [run_session(sess, budget=budget)["blocks"] for _ in range(2)] == [fresh, fresh]

@@ -22,13 +22,17 @@ even when both sides fail alike, since every corpus session parses.
 Budget verdicts are compared by units, not by runs.  After the runs the
 driver parses each corpus session and runs every command in order through
 `bsw.session.run_command`, each on its own `Budget(DEFAULT_BUDGET)` at seed 0,
-and records the units it drew.  Nothing but `Budget.spend` reads the meter,
-so while the earlier commands of its session complete, a command is `ok` at
-`--budget b` exactly when it draws at most b units at the default budget:
-equal units give equal verdicts at every such budget, and the `--budget 1`
-run of sessions/acceptance.bsw still compares the text of budget blocks.
-Each command whose units differ is printed as `units SESSION
-COMMAND@LINE:COL A -> B`, with REV's units A and this checkout's B.
+and records the units it drew.  A command is `ok` at `--budget b` exactly
+when it draws at most b units at the default budget, whatever ran before it
+(a memo hit is charged the units of the build it reuses, and only when they
+fit): equal units give equal verdicts at every such budget, and the
+`--budget 1` run of sessions/acceptance.bsw still compares the text of budget
+blocks.  The driver then runs every command of the same parse a second time,
+so a parsed session that reruns must draw what it drew the first time.  A
+command gives at most one line: `units SESSION COMMAND@LINE:COL A -> B` when
+REV's units A differ from this checkout's B, else `rerun SESSION
+COMMAND@LINE:COL A -> B` when this checkout's second pass draws B after A.
+Either counts the command as unequal; REV's reruns are not checked.
 
 Prints one line per run and per units difference, then the number of runs
 identical, the number of commands whose units are equal and the seconds the
@@ -52,7 +56,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = ("sessions/*.bsw", "perfbench/workloads/*.bsw")
 DEFAULT_FLAGS = ("--seed 0", "--seed 3", "--seed 11")
 HEADER = re.compile(r"^# same-reports:(.*)$", re.MULTILINE)
-# argv: the result file, the runs as JSON [[SESSION, FLAGS, OUT_DIR], ...], the sessions to probe
+# argv: the result file, the runs as JSON [[SESSION, FLAGS, OUT_DIR], ...], the sessions to probe;
+# a command's units are an int, or [FIRST, SECOND] when its rerun draws differently
 DRIVER = """
 import json, os, sys, tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -76,10 +81,16 @@ with tempfile.TemporaryDirectory() as csv_dir:
     for session in sys.argv[3:]:
         with open(session, encoding="utf-8") as fh:
             commands = parse_session(fh.read()).commands
-        for cmd in commands:
-            budget = Budget(DEFAULT_BUDGET)
-            run_command(cmd, budget=budget, csv_dir=csv_dir)
-            units[f"{session} {cmd.kind}@{cmd.line}:{cmd.col}"] = budget.total - max(budget.left, 0)
+        for rerun in (False, True):
+            for cmd in commands:
+                budget = Budget(DEFAULT_BUDGET)
+                run_command(cmd, budget=budget, csv_dir=csv_dir)
+                key = f"{session} {cmd.kind}@{cmd.line}:{cmd.col}"
+                drawn = budget.total - max(budget.left, 0)
+                if not rerun:
+                    units[key] = drawn
+                elif drawn != units[key]:
+                    units[key] = [units[key], drawn]
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump([codes, units], fh)
 """
@@ -111,10 +122,20 @@ def _drive(tree: str, runs: list[tuple[str, list[str]]], sessions: list[str],
 
 
 def _units_differences(here: dict, rev: dict) -> list[str]:
-    """One `units SESSION COMMAND@LINE:COL A -> B` line per command whose units
-    differ, A from REV and B from this checkout; `-` where a side has none."""
-    return [f"units {key} {rev.get(key, '-')} -> {here.get(key, '-')}"
-            for key in dict.fromkeys([*rev, *here]) if rev.get(key) != here.get(key)]
+    """At most one line per command: `units SESSION COMMAND@LINE:COL A -> B` when
+    its first-pass units differ, A from REV and B from this checkout (`-` where a
+    side has none), else `rerun SESSION COMMAND@LINE:COL A -> B` when this
+    checkout's second pass drew B after A."""
+    def first(units):
+        return units[0] if isinstance(units, list) else units
+    lines = []
+    for key in dict.fromkeys([*rev, *here]):
+        a, b = first(rev.get(key, "-")), first(here.get(key, "-"))
+        if a != b:
+            lines.append(f"units {key} {a} -> {b}")
+        elif isinstance(here[key], list):
+            lines.append(f"rerun {key} {here[key][0]} -> {here[key][1]}")
+    return lines
 
 
 def _read(path: str) -> bytes:
