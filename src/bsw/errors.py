@@ -22,7 +22,7 @@ class BudgetExceededError(RuntimeError):
 
     `partial` is the tuple the engine handed the meter when it ran out: the
     basis so far or a division's reducers, as VecPoly, or () from a minor's
-    determinant; `spent` counts all units drawn on the meter.
+    determinant or a memo hit; `spent` counts all units drawn on the meter.
     """
 
     def __init__(self, message: str, partial=None, spent: int | None = None):

@@ -177,9 +177,11 @@ class Budget:
 
     A session command passes one meter to all of its steps; Budget.of
     gives a library call with an int or None (DEFAULT_BUDGET) a fresh
-    one.  Each spend charges one unit; running out raises
-    BudgetExceededError, "Groebner budget of N work units exhausted",
-    carrying the engine state passed to spend and the units spent.
+    one.  Each spend charges one unit, or `units` (a memo hit: the units
+    its first build drew); running out raises BudgetExceededError,
+    "Groebner budget of N work units exhausted", carrying the engine state
+    passed to spend and the units spent.  Only spend reads the meter to
+    stop work.
     """
 
     __slots__ = ("left", "total")
@@ -195,8 +197,8 @@ class Budget:
             return budget
         return cls(DEFAULT_BUDGET if budget is None else budget)
 
-    def spend(self, partial):
-        self.left -= 1
+    def spend(self, partial, units: int = 1):
+        self.left -= units
         if self.left < 0:
             raise BudgetExceededError(
                 f"Groebner budget of {self.total} work units exhausted",
@@ -345,8 +347,6 @@ def syzygy_columns(columns: list[VecPoly], ctx: RingContext,
     nonzero VecPoly in O^c, c = len(columns): the e_j first, then the
     rest sorted by the Schreyer order.
     """
-    if not columns:
-        return []
     c, one = len(columns), (0,) * ctx.n
     live = [j for j, m in enumerate(columns) if not m.is_zero()]
     out = [VecPoly(ctx, c, {(j, one): 1}) for j, m in enumerate(columns) if m.is_zero()]

@@ -23,12 +23,12 @@ Each bound ideal has one session memo, a dict made at parse time and put
 in the payload of every command that names the binding, so every run of
 the parsed session shares it.  Per (max_len, certify) it keeps the
 resolution that `resolve` builds and the resolution with its strata that
-`strata` and the `check-*` commands read.  A hit is charged the units that
-its first build drew, and only when they fit on the command's meter; when
-they do not, the command builds afresh and fails as on a fresh parse.  A
-failed build stores nothing.  `run_command` gives each run fresh copies of
-the payload's ideals, so no basis cached by an earlier run lowers a build's
-units: a command's block and units never depend on what ran before it.
+`strata` and the `check-*` commands read.  A hit spends the units that its
+first build drew through `Budget.spend`, like any other work; a failed build
+stores nothing.  `run_command` gives each run fresh copies of the payload's
+ideals, so no cached basis lowers a build's units: a hit that runs out gives
+the block a fresh parse gives, and a command's block and units never depend
+on what ran before it.
 
 A statement's keyword, its first word or `germ` and the next, selects one
 `_DECLARATIONS` entry, a parse function (kind, text after the keyword, parse
@@ -422,14 +422,14 @@ def _parse_loja(pos: list[str], flags: dict, st: _ParseState):
 
 def _memoized(p: dict, stage: str, budget: Budget, build):
     """build() for the payload's binding, done once per (stage, max_len, certify)
-    in the binding's memo.  A hit is charged the units that the first build drew,
-    and only when they fit on the meter; when they do not, the command builds
-    afresh on its own copy of the ideal, so it fails as on a fresh parse.  A
-    build that raises stores nothing."""
+    in the binding's memo.  A hit spends the units that the first build drew
+    through `Budget.spend`; every build starts from the run's fresh copy of the
+    ideal, so a hit that runs out gives the block that building afresh would.
+    A build that raises stores nothing."""
     key = (stage, p.get("max_len"), p.get("certify", True))
     hit = p["memo"].get(key)
-    if hit is not None and hit[1] <= budget.left:
-        budget.left -= hit[1]
+    if hit is not None:
+        budget.spend((), hit[1])
         return hit[0]
     left = budget.left
     value = build()

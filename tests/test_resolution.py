@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bsw import resolution
 from bsw.errors import BudgetExceededError, ResourceCapError, StructuralError, ValidationError
 from bsw.groebner import Ideal, ideal_member, krull_dimension
-from bsw.modgb import Budget
+from bsw.modgb import Budget, VecPoly, syzygy_columns
 from bsw.poly import Polynomial, RingContext, parse_polynomial, parse_polynomials
 from bsw.resolution import (FreeComplex, PolyMatrix, check_acyclicity,
                             check_bs_condition, check_cm_depth,
@@ -88,6 +88,13 @@ def test_syzygy_of_unit():
     M = PM(R2, [["1"]])
     S = syzygies(M)
     assert len(S.entries[0]) == 0
+
+
+def test_syzygies_of_no_columns_and_of_zero_columns():
+    # no columns have no syzygies; each zero column j has the unit syzygy e_j
+    assert syzygy_columns([], R2) == []
+    S = syzygy_columns([VecPoly(R2, 2, {})] * 3, R2)
+    assert [(s.ncomp, s.terms) for s in S] == [(3, {(j, (0, 0)): 1}) for j in range(3)]
 
 
 # ---------------------------------------------------------------- resolutions

@@ -101,12 +101,3 @@ def test_the_driver_records_what_a_process_per_run_gives(tmp_path):
         assert same_reports._differences(str(tmp_path / "driver" / str(i)), str(out)) == (
             ["no report"] if i in (1, 2) else [])
 
-
-def test_a_rerun_that_draws_differently_is_named_once():
-    # the driver records [FIRST, SECOND] for a command whose second pass over
-    # the same parse draws differently; only this checkout's reruns count
-    rev = {"s.bsw strata@3:1": [11, 9], "s.bsw check-cm@4:1": 11}
-    here = {"s.bsw strata@3:1": 11, "s.bsw check-cm@4:1": [11, 9]}
-    assert same_reports._units_differences(here, rev) == ["rerun s.bsw check-cm@4:1 11 -> 9"]
-    here["s.bsw check-cm@4:1"] = [12, 9]
-    assert same_reports._units_differences(here, rev) == ["units s.bsw check-cm@4:1 11 -> 12"]

@@ -1157,7 +1157,6 @@ def test_one_variable_ideal_with_redundant_generators_resolves():
 
 # ---------------------------------------------------------------- session memo
 
-SESSIONS = [path for path in CORPUS if path.startswith("sessions" + os.sep)]
 MEMO_HEAD = ("ring x, y, z, w;\nideal T = x*z, x*w, y*z, y*w;\nideal A = x;\n"
              "ideal N = x*y - z, x^2 - z^3;\n")
 
@@ -1174,7 +1173,7 @@ def _session_text(path):
         return fh.read()
 
 
-@pytest.mark.parametrize("path", SESSIONS)
+@pytest.mark.parametrize("path", CORPUS)
 def test_each_command_in_session_order_gives_what_it_gives_alone(path, tmp_path):
     # alone: on a fresh parse, after its declarations only, every other command
     # skipped; in order, a command may hit the memo an earlier one filled
@@ -1208,6 +1207,24 @@ def test_a_hit_that_does_not_fit_fails_as_on_a_fresh_parse(commands, tmp_path):
     assert block == fresh_block
 
 
+@pytest.mark.parametrize("commands", ["resolve T;\nresolve T;\n", "strata T;\ncheck-cm T;\n"])
+def test_a_hit_that_runs_out_builds_no_resolution(commands, monkeypatch, tmp_path):
+    # the hit spends its recorded units on the meter and fails there, as a
+    # fresh parse fails one unit short, without building anything again
+    csv_dir = str(tmp_path)
+    text = MEMO_HEAD + commands
+    units = _drawn(parse(text).commands[1], csv_dir)[1]
+    fresh = run_command(parse(text).commands[1], budget=units - 1, csv_dir=csv_dir)
+    sess = parse(text)
+    run_command(sess.commands[0], csv_dir=csv_dir)
+    calls = []
+    monkeypatch.setattr("bsw.session.free_resolution",
+                        lambda *args, **kw: calls.append(args) or free_resolution(*args, **kw))
+    block = run_command(sess.commands[1], budget=units - 1, csv_dir=csv_dir)
+    assert (len(calls), block) == (0, fresh)
+    assert block["error"]["kind"] == "budget"
+
+
 def test_a_name_bound_again_in_a_new_parse_gets_a_fresh_memo():
     # one session refuses a second binding of a name, so only two parses bind
     # T twice; the second resolve T must not reuse the first's resolution
@@ -1220,7 +1237,7 @@ def test_a_name_bound_again_in_a_new_parse_gets_a_fresh_memo():
     assert second == run_one(texts[1])
 
 
-@pytest.mark.parametrize("path", SESSIONS)
+@pytest.mark.parametrize("path", CORPUS)
 def test_a_parsed_session_reruns_alike(path, tmp_path):
     sess = parse_session(_session_text(path))
     passes = [[_drawn(cmd, str(tmp_path)) for cmd in sess.commands] for _ in range(2)]
