@@ -181,12 +181,15 @@ class Budget:
     its first build drew); running out raises BudgetExceededError,
     "Groebner budget of N work units exhausted", carrying the engine state
     passed to spend and the units spent.  Only spend reads the meter to
-    stop work.
+    stop work; `session.run_command` also reads it once, after the command,
+    to report the units drawn.  A meter holds at least 0 units.
     """
 
     __slots__ = ("left", "total")
 
     def __init__(self, units: int):
+        if units < 0:
+            raise ValidationError("budget must be non-negative")
         self.left = units
         self.total = units
 

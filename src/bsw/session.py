@@ -10,8 +10,10 @@ file order.  Commands snapshot the bindings in force where they appear, so
 state may be re-declared mid-session (a new germ semigroup, a new ambient
 ring).
 
-Reports are plain dicts ready for json.dumps.  Rerunning a session with
-the same seed and budget reproduces the report byte for byte; only the
+Reports are plain dicts ready for json.dumps.  Every block ends with
+`units`, what its command drew on the meter that `run_command` makes for it,
+ok or not, so a `budget` block shows the whole budget.  Rerunning a session
+with the same seed and budget reproduces the report byte for byte; only the
 timestamp field differs.  Command failures (validation, budget) become
 structured error blocks, never process aborts (any other exception
 becomes an `internal` error block); the only hard stops are
@@ -676,11 +678,12 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
     """Execute one command on one budget meter into a report block; failures become blocks."""
     block = {"command": cmd.kind, "line": cmd.line, "col": cmd.col,
              "inputs": cmd.inputs}
+    meter = Budget.of(budget)
     try:
         run = _COMMANDS[cmd.kind][-1]
         payload = {k: Ideal(v.ring, v.generators) if isinstance(v, Ideal) else v
                    for k, v in cmd.payload.items()}
-        result, summary = run(payload, budget=Budget.of(budget), seed=seed, csv_dir=csv_dir)
+        result, summary = run(payload, budget=meter, seed=seed, csv_dir=csv_dir)
     except Exception as exc:
         kind = _error_kind(exc)
         message = str(exc)
@@ -693,6 +696,7 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
                      summary=f"{kind} error: {message}")
     else:
         block.update(status="ok", result=result, summary=summary)
+    block["units"] = meter.total - max(meter.left, 0)
     return block
 
 

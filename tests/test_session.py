@@ -1225,6 +1225,32 @@ def test_a_hit_that_runs_out_builds_no_resolution(commands, monkeypatch, tmp_pat
     assert block["error"]["kind"] == "budget"
 
 
+def test_each_block_reports_the_units_its_meter_drew(tmp_path):
+    csv_dir = str(tmp_path)
+    text = MEMO_HEAD + "resolve T;\nresolve T;\n"
+    block, units = _drawn(parse(text).commands[1], csv_dir)
+    assert (block["status"], block["units"]) == ("ok", units) and units > 1
+    short = run_command(parse(text).commands[1], budget=units - 1, csv_dir=csv_dir)
+    assert (short["error"]["kind"], short["units"]) == ("budget", units - 1)
+    sess = parse(text)
+    assert _drawn(sess.commands[0], csv_dir)[0]["units"] == units
+    assert _drawn(sess.commands[1], csv_dir) == (block, units)  # a hit
+    short = run_command(sess.commands[1], budget=units - 1, csv_dir=csv_dir)
+    assert (short["error"]["kind"], short["units"]) == ("budget", units - 1)
+    unmetered = run_session(parse("germ semigroup 2, 5;\ngerm ideal 2;\ngerm member 5;\n"
+                                  "ring z, w;\nloja --phi w --a z --curve 1,1;\n"),
+                            csv_dir=csv_dir)
+    assert [(b["status"], b["units"]) for b in unmetered["blocks"]] == [("ok", 0), ("ok", 0)]
+
+
+def test_a_negative_budget_is_refused():
+    with pytest.raises(ValidationError, match="budget must be non-negative"):
+        Budget(-1)
+    with pytest.raises(ValidationError, match="budget must be non-negative"):
+        run_session(parse("germ semigroup 2, 5;\ngerm ideal 2;\ngerm member 5;\n"), budget=-5)
+    assert run_one("germ semigroup 2, 5;\ngerm ideal 2;\ngerm member 5;\n", budget=0)["units"] == 0
+
+
 def test_a_name_bound_again_in_a_new_parse_gets_a_fresh_memo():
     # one session refuses a second binding of a name, so only two parses bind
     # T twice; the second resolve T must not reuse the first's resolution

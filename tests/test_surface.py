@@ -1,12 +1,14 @@
 """Package-surface guard: every function, class and method that `src/bsw`
 defines is used by the package, the benchmark harness, the tools or the
 code of the README, so code that only the tests need lives in
-`tests/_oracles.py`.  The README's Python blocks run as written."""
+`tests/_oracles.py`.  The README's Python blocks run as written, and its
+report example is a real run's."""
 
 import ast
 import contextlib
 import glob
 import io
+import json
 import os
 import re
 import tokenize
@@ -124,3 +126,18 @@ def test_readme_session_block_names_every_flag_of_each_kind():
     missing = {kind: sorted(set(row[2] + row[3]) - named.get(kind, set()))
                for kind, row in _COMMANDS.items()}
     assert {kind: flags for kind, flags in missing.items() if flags} == {}
+
+
+def test_readme_report_example_is_from_the_acceptance_run(tmp_path):
+    """The README's ```json report has the header of `bsw run
+    sessions/acceptance.bsw`, timestamp aside, and one of its blocks."""
+    from bsw.session import parse_session, run_session
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        (example,) = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
+    with open(os.path.join(ROOT, "sessions", "acceptance.bsw"), encoding="utf-8") as fh:
+        report = run_session(parse_session(fh.read()), csv_dir=str(tmp_path))
+    (block,) = example.pop("blocks")
+    assert block in report["blocks"]
+    for header in (example, report):
+        del header["timestamp"]
+    assert example == {key: value for key, value in report.items() if key != "blocks"}
