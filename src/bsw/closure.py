@@ -27,11 +27,10 @@ imported inside functions, so importing this module does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import (Exponent, Polynomial, format_monomial, minimalize_antichain,
+from .poly import (Exponent, Polynomial, Record, format_monomial, minimalize_antichain,
                    power_combinations)
 
 FM_ROW_CAP = 20_000
@@ -40,27 +39,27 @@ BLOCK_EVALS = 1 << 14
 EXACT_INT64 = 1 << 62
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Antichain-minimalized set of exponent vectors."""
 
-    nvars: int
-    exponents: tuple[Exponent, ...]
+    _fields = ("nvars", "exponents")
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __init__(self, nvars: int, exponents: tuple[Exponent, ...]):
+        if nvars < 1:
             raise ValidationError("monomial ideal needs at least one variable")
         exps = []
-        for e in self.exponents:
+        for e in exponents:
             e = tuple(e)
-            if len(e) != self.nvars:
+            if len(e) != nvars:
                 raise StructuralError("exponent arity mismatch")
             if any((not isinstance(x, int)) or x < 0 for x in e):
                 raise ValidationError("exponents must be nonnegative integers")
             exps.append(e)
-        object.__setattr__(self, "exponents", minimalize_antichain(exps))
-        if not self.exponents:
+        exponents = minimalize_antichain(exps)
+        if not exponents:
             raise ValidationError("monomial ideal needs at least one generator")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "exponents", exponents)
 
     @classmethod
     def _of(cls, nvars: int, exponents: tuple[Exponent, ...]) -> "MonomialIdeal":

@@ -60,13 +60,12 @@ block that raised is evaluated again point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
 
 from .errors import (EstimationError, ResourceCapError, SamplingError, StructuralError,
                      ValidationError)
-from .poly import Polynomial, RingContext
+from .poly import Polynomial, Record, RingContext
 
 UNDERFLOW_FLOOR = 1e-300
 RESIDUAL_THRESHOLD = 0.25
@@ -80,53 +79,58 @@ _JUMP = 64  # states one _AngleStream.angles call steps in Python ints
 _JUMP_MULT = pow(_PCG_MULT, _JUMP, 1 << 128)
 
 
-@dataclass(frozen=True)
-class VarietySampler:
+class VarietySampler(Record):
     """Deterministic point sampler on a parametrized curve or a solved
     hypersurface."""
 
-    kind: str
-    ring: RingContext
-    radii: tuple[float, ...]
-    samples_per_radius: int
-    seed: int
-    components: tuple[Polynomial, ...] | None = None
-    solved_var: int | None = None
-    solved_expr: Polynomial | None = None
-    defining: tuple[Polynomial, ...] = ()
+    _fields = ("kind", "ring", "radii", "samples_per_radius", "seed", "components",
+               "solved_var", "solved_expr", "defining")
 
-    def __post_init__(self):
-        if self.kind not in ("parametrized", "hypersurface"):
-            raise ValidationError(f"unknown sampler kind {self.kind!r}")
-        if self.samples_per_radius < 1:
+    def __init__(self, kind: str, ring: RingContext, radii: tuple[float, ...],
+                 samples_per_radius: int, seed: int,
+                 components: tuple[Polynomial, ...] | None = None,
+                 solved_var: int | None = None, solved_expr: Polynomial | None = None,
+                 defining: tuple[Polynomial, ...] = ()):
+        if kind not in ("parametrized", "hypersurface"):
+            raise ValidationError(f"unknown sampler kind {kind!r}")
+        if samples_per_radius < 1:
             raise ValidationError("need at least one sample per radius")
-        if not self.radii:
+        if not radii:
             raise ValidationError("need at least one radius")
-        if self.seed < 0:
+        if seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         prev = None
-        for r in self.radii:
+        for r in radii:
             if not (0 < r <= 1):
                 raise ValidationError("radii must lie in (0, 1]")
             if prev is not None and r >= prev:
                 raise ValidationError("radii must strictly decrease")
             prev = r
-        if self.kind == "parametrized":
-            if not self.components or len(self.components) != self.ring.n:
+        if kind == "parametrized":
+            if not components or len(components) != ring.n:
                 raise ValidationError("parametrized sampler needs one component per variable")
-            for c in self.components:
+            for c in components:
                 if c.ring.n != 1:
                     raise StructuralError("components must be univariate in the parameter")
                 if c.is_zero():
                     raise ValidationError("zero component cannot be sampled")
         else:
-            if self.solved_var is None or self.solved_expr is None:
+            if solved_var is None or solved_expr is None:
                 raise ValidationError("hypersurface sampler needs a solved coordinate")
-            if self.solved_expr.ring != self.ring:
+            if solved_expr.ring != ring:
                 raise StructuralError("solved expression ring mismatch")
-            for e in self.solved_expr.terms():
-                if e[self.solved_var] != 0:
+            for e in solved_expr.terms():
+                if e[solved_var] != 0:
                     raise ValidationError("solved expression must not use the solved variable")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "samples_per_radius", samples_per_radius)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "solved_var", solved_var)
+        object.__setattr__(self, "solved_expr", solved_expr)
+        object.__setattr__(self, "defining", defining)
 
 
 def monomial_curve_sampler(ring: RingContext, exponents, radii, samples_per_radius: int,
@@ -461,16 +465,22 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
     return [pt for block in _sample_blocks(sampler) for pt in block.points()]
 
 
-@dataclass(frozen=True)
-class LojaEstimate:
-    slope: float
-    intercept: float
-    residual: float
-    n_points: int
-    radii_range: tuple[float, float]
-    reliable: bool
-    log_a: tuple[float, ...]    # the fitted points: log sum_j |a_j| ...
-    log_phi: tuple[float, ...]  # ... and log |phi|, in sample order
+class LojaEstimate(Record):
+    _fields = ("slope", "intercept", "residual", "n_points", "radii_range", "reliable",
+               "log_a", "log_phi")
+
+    def __init__(self, slope: float, intercept: float, residual: float, n_points: int,
+                 radii_range: tuple[float, float], reliable: bool,
+                 log_a: tuple[float, ...], log_phi: tuple[float, ...]):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "radii_range", radii_range)
+        object.__setattr__(self, "reliable", reliable)
+        # the fitted points: log sum_j |a_j| and log |phi|, in sample order
+        object.__setattr__(self, "log_a", log_a)
+        object.__setattr__(self, "log_phi", log_phi)
 
 
 def _fit_blocks(phi: Polynomial, a_polys, blocks) -> LojaEstimate:

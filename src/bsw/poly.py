@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-from operator import add, le, mul, neg, sub
+from operator import add, attrgetter, le, mul, neg, sub
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 
@@ -60,17 +59,52 @@ _ORDER_KEYS = {
 RING_ORDERS = tuple(_ORDER_KEYS)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class Record:
+    """An immutable record of the fields named in `_fields`, in order.
+
+    Equality, hash and repr go by the field values as one tuple, and a
+    record equals only a record of its own class.  Each subclass writes its
+    own `__init__`, which checks its arguments and sets every field with
+    object.__setattr__; assigning or deleting an attribute afterwards raises
+    AttributeError.  Anything else in the instance dict, such as
+    RingContext.order_key, is outside equality, hash and repr.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingContext(Record):
     """Polynomial ring C[x_1..x_n] with weights and a monomial order."""
 
-    variable_names: tuple[str, ...]
-    weights: tuple[int, ...] = ()
-    order: str = "weighted-degrevlex"
+    _fields = ("variable_names", "weights", "order")
 
-    def __post_init__(self):
-        names = tuple(self.variable_names)
-        object.__setattr__(self, "variable_names", names)
+    def __init__(self, variable_names: tuple[str, ...], weights: tuple[int, ...] = (),
+                 order: str = "weighted-degrevlex"):
+        names = tuple(variable_names)
         if not names:
             raise ValidationError("ring needs at least one variable")
         if len(set(names)) != len(names):
@@ -78,17 +112,19 @@ class RingContext:
         for nm in names:
             if not nm.isidentifier():
                 raise ValidationError(f"bad variable name {nm!r}")
-        w = tuple(self.weights) if self.weights else (1,) * len(names)
+        w = tuple(weights) if weights else (1,) * len(names)
         if len(w) != len(names):
             raise ValidationError("weights length must match variable count")
         if any((not isinstance(x, int)) or x < 1 for x in w):
             raise ValidationError("weights must be positive integers")
+        if order not in _ORDER_KEYS:
+            raise ValidationError(f"unknown order tag {order!r}")
+        object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "weights", w)
-        if self.order not in _ORDER_KEYS:
-            raise ValidationError(f"unknown order tag {self.order!r}")
+        object.__setattr__(self, "order", order)
         # order_key(e) is the sort key of exponent e; not a field, so
         # equality and hashing stay by the three fields above
-        object.__setattr__(self, "order_key", partial(_ORDER_KEYS[self.order], w))
+        object.__setattr__(self, "order_key", partial(_ORDER_KEYS[order], w))
 
     @property
     def n(self) -> int:
@@ -207,6 +243,10 @@ class Polynomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # pickle's default would restore the slots through __setattr__
+        return (Polynomial, (self.ring, self._terms))
 
     # -- constructors -------------------------------------------------
 
@@ -343,11 +383,13 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-@dataclass(frozen=True)
-class WeightedDegreeInfo:
-    min_degree: int
-    max_degree: int
-    quasi_homogeneous: bool
+class WeightedDegreeInfo(Record):
+    _fields = ("min_degree", "max_degree", "quasi_homogeneous")
+
+    def __init__(self, min_degree: int, max_degree: int, quasi_homogeneous: bool):
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "quasi_homogeneous", quasi_homogeneous)
 
 
 def weighted_degree_info(p: Polynomial) -> WeightedDegreeInfo:

@@ -28,12 +28,11 @@ strata are measured inside Z.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .groebner import Ideal, krull_dimension, monomial_dimension
 from .modgb import Budget, TopOrder, VecPoly, divide, module_groebner, syzygy_columns
-from .poly import Polynomial, RingContext, mul_into, weighted_degree_info
+from .poly import Polynomial, Record, RingContext, mul_into, weighted_degree_info
 
 
 class PolyMatrix:
@@ -141,45 +140,46 @@ def minors(M: PolyMatrix, size: int, budget: Budget | int | None = None) -> list
     return out
 
 
-@dataclass(frozen=True)
-class FreeComplex:
+class FreeComplex(Record):
     """ranks[k] = rank E_k; maps[k-1] = f_k: E_k -> E_{k-1}."""
 
-    ring: RingContext
-    ranks: tuple[int, ...]
-    maps: tuple[PolyMatrix, ...]
-    graded: bool = False
-    shifts: tuple[tuple[int, ...], ...] | None = None
+    _fields = ("ring", "ranks", "maps", "graded", "shifts")
 
-    def __post_init__(self):
-        if len(self.maps) != len(self.ranks) - 1:
+    def __init__(self, ring: RingContext, ranks: tuple[int, ...], maps: tuple[PolyMatrix, ...],
+                 graded: bool = False, shifts: tuple[tuple[int, ...], ...] | None = None):
+        if len(maps) != len(ranks) - 1:
             raise StructuralError("need one map per adjacent rank pair")
-        for k, M in enumerate(self.maps, start=1):
-            if (M.rows, M.cols) != (self.ranks[k - 1], self.ranks[k]):
+        for k, M in enumerate(maps, start=1):
+            if (M.rows, M.cols) != (ranks[k - 1], ranks[k]):
                 raise StructuralError(f"map {k} shape does not match ranks")
-            if M.ring is not self.ring and M.ring != self.ring:
+            if M.ring is not ring and M.ring != ring:
                 raise StructuralError(f"map {k} lives in another ring than the complex")
-        for k in range(len(self.maps) - 1):
-            if not self.maps[k].compose(self.maps[k + 1]).is_zero():
+        for k in range(len(maps) - 1):
+            if not maps[k].compose(maps[k + 1]).is_zero():
                 raise StructuralError(f"composition f_{k+1} o f_{k+2} is nonzero")
-        if self.graded:
-            if self.shifts is None or len(self.shifts) != len(self.ranks):
+        if graded:
+            if shifts is None or len(shifts) != len(ranks):
                 raise StructuralError("graded complex needs shifts per level")
-            for lvl, (rk, sh) in enumerate(zip(self.ranks, self.shifts)):
+            for lvl, (rk, sh) in enumerate(zip(ranks, shifts)):
                 if len(sh) != rk:
                     raise StructuralError(f"shift count at level {lvl} mismatched")
-            for k, M in enumerate(self.maps, start=1):
+            for k, M in enumerate(maps, start=1):
                 for i in range(M.rows):
                     for j in range(M.cols):
                         p = M.entries[i][j]
                         if p.is_zero():
                             continue
                         info = weighted_degree_info(p)
-                        want = self.shifts[k][j] - self.shifts[k - 1][i]
+                        want = shifts[k][j] - shifts[k - 1][i]
                         if not info.quasi_homogeneous or info.max_degree != want:
                             raise StructuralError(
                                 f"entry ({i},{j}) of map {k} breaks the grading"
                             )
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "graded", graded)
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def length(self) -> int:
@@ -445,27 +445,39 @@ def jacobian_matrix(I: Ideal) -> PolyMatrix:
     )
 
 
-@dataclass(frozen=True)
-class StratumInfo:
-    ideal: Ideal
-    dim: int                 # -1 for empty
-    codim_in_z: int | None   # None = empty stratum (infinite codim)
+class StratumInfo(Record):
+    """dim is -1 for an empty stratum, whose codim_in_z is None (infinite)."""
+
+    _fields = ("ideal", "dim", "codim_in_z")
+
+    def __init__(self, ideal: Ideal, dim: int, codim_in_z: int | None):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "codim_in_z", codim_in_z)
 
     @property
     def empty(self) -> bool:
         return self.dim < 0
 
 
-@dataclass(frozen=True)
-class StrataReport:
-    ring: RingContext
-    d: int                       # dim Z
-    p: int                       # codim of Z in C^n
-    expected: tuple[int, ...]    # rho_k for the resolving complex
-    zk_ideals: dict              # k -> Ideal (rho_k-minors + I)
-    strata: dict                 # r -> StratumInfo, r = 0..length-p; Z^0 = Z_sing
-    purity_ok: bool
-    degenerate: tuple[str, ...]  # warnings from unit-minor conventions
+class StrataReport(Record):
+    """d = dim Z and p its codim in C^n; expected holds rho_k for the resolving
+    complex; zk_ideals maps k to the Ideal (rho_k-minors + I); strata maps r to
+    its StratumInfo, r = 0..length-p, with Z^0 = Z_sing; degenerate holds the
+    warnings from unit-minor conventions."""
+
+    _fields = ("ring", "d", "p", "expected", "zk_ideals", "strata", "purity_ok", "degenerate")
+
+    def __init__(self, ring: RingContext, d: int, p: int, expected: tuple[int, ...],
+                 zk_ideals: dict, strata: dict, purity_ok: bool, degenerate: tuple[str, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "zk_ideals", zk_ideals)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "purity_ok", purity_ok)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:

@@ -24,23 +24,25 @@ v(A)) + 1 in mode "closure-power"; a bound above SEARCH_CAP is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import ceil, gcd
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .poly import power_combinations
+from .poly import Record, power_combinations
 
 MU_CAP = 100_000
 SEARCH_CAP = 1_000
 TABLE_CAP = 1_100_000
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    generators: tuple[int, ...]
-    conductor: int
-    gap_mask: int  # bit s set iff s is a gap, the one stored form of the gaps
+class NumericalSemigroup(Record):
+    _fields = ("generators", "conductor", "gap_mask")
+
+    def __init__(self, generators: tuple[int, ...], conductor: int, gap_mask: int):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "conductor", conductor)
+        # bit s set iff s is a gap, the one stored form of the gaps
+        object.__setattr__(self, "gap_mask", gap_mask)
 
     def contains(self, s: int) -> bool:
         return s >= 0 and not self.gap_mask >> s & 1
@@ -81,11 +83,13 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
 
 
-@dataclass(frozen=True)
-class SemigroupIdeal:
+class SemigroupIdeal(Record):
     """Fractional ideal of a germ: antichain of positive shifts."""
 
-    shifts: tuple[int, ...]
+    _fields = ("shifts",)
+
+    def __init__(self, shifts: tuple[int, ...]):
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def valuation(self) -> int:

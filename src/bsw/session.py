@@ -56,7 +56,11 @@ that use it.  `parse_session` imports it when it meets a command of a kind in
 needs numpy pays for it before its first command runs, and one that does
 not (resolutions, strata, `check-*`, germ commands) never loads it.  No
 numpy module loads while a session runs: `loja` draws its angles from its
-own PCG64 stream, so numpy's random package is never imported.
+own PCG64 stream, so numpy's random package is never imported.  Nor do
+`dataclasses`, `traceback` or `datetime` load: `Command` and `Session` are
+`poly.Record`s like the package's other records, `run_command` imports
+`traceback` only for an `internal` block, and `run_session` writes the
+timestamp with `time.strftime`.
 """
 
 from __future__ import annotations
@@ -64,10 +68,8 @@ from __future__ import annotations
 import math
 import os
 import re
-import traceback
+import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from . import __version__
 from .closure import MonomialIdeal, bs_exponent, bs_verify_monomial, newton_closure
@@ -76,8 +78,8 @@ from .errors import (BudgetExceededError, EstimationError, ResourceCapError,
 from .groebner import Ideal
 from .loja import _fit_blocks, _sample_blocks, hypersurface_sampler, monomial_curve_sampler
 from .modgb import DEFAULT_BUDGET, Budget
-from .poly import (Polynomial, RING_ORDERS, RingContext, format_monomial, parse_polynomial,
-                   parse_polynomials, split_top_commas)
+from .poly import (Polynomial, RING_ORDERS, Record, RingContext, format_monomial,
+                   parse_polynomial, parse_polynomials, split_top_commas)
 from .resolution import (check_bs_condition, check_cm_depth, expected_ranks,
                          free_resolution, minimalize, normality_witness, strata)
 from .semigroup import (NumericalSemigroup, SemigroupIdeal, germ_bs_exponent,
@@ -98,19 +100,29 @@ class SessionSyntaxError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Command:
-    kind: str
-    line: int
-    col: int
-    inputs: dict
-    payload: dict
+class Command(Record):
+    _fields = ("kind", "line", "col", "inputs", "payload")
+
+    def __init__(self, kind: str, line: int, col: int, inputs: dict, payload: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass
-class Session:
-    n_statements: int = 0
-    commands: list[Command] = field(default_factory=list)
+class Session(Record):
+    """The parsed session; parse_session fills it in place, so unlike the
+    other records it is mutable and unhashable."""
+
+    _fields = ("n_statements", "commands")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n_statements: int = 0, commands: list[Command] | None = None):
+        self.n_statements = n_statements
+        self.commands = [] if commands is None else commands
 
 
 def _statements(text: str):
@@ -689,7 +701,9 @@ def run_command(cmd: Command, *, seed: int = 0, budget: int | None = None,
         message = str(exc)
         if kind == "internal":
             # a bug, not bad input: keep the traceback out of the
-            # reproducible report but record it on stderr
+            # reproducible report but record it on stderr (imported here,
+            # so that start-up does not load it)
+            import traceback
             traceback.print_exc()
             message = f"{type(exc).__name__}: {exc}"
         block.update(status="error", error={"kind": kind, "message": message},
@@ -713,7 +727,7 @@ def run_session(sess: Session, *, seed: int = 0, budget: int | None = None,
         "version": __version__,
         "seed": seed,
         "budget": budget,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "statements": sess.n_statements,
         "commands": len(blocks),
         "errors": n_err,

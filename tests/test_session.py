@@ -764,6 +764,14 @@ def test_report_shape_and_reproducibility(tmp_path):
     assert rep1 == rep2
 
 
+def test_report_timestamp_is_utc_now_to_the_second():
+    from datetime import datetime, timezone
+    stamp = run_session(parse("ring x;"))["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    drift = datetime.now(timezone.utc) - datetime.fromisoformat(stamp)
+    assert abs(drift.total_seconds()) <= 2
+
+
 def test_exit_codes():
     clean = run_session(parse(CUSP + "check-cm C;"))
     assert report_exit_code(clean) == 0
@@ -934,6 +942,35 @@ def test_resolve_workload_never_loads_numpy(tmp_path):
         probe = _numpy_probe(fh.read(), tmp_path)
     assert probe["status"] and set(probe["status"]) == {"ok"}
     assert not (probe["imported"] or probe["parsed"] or probe["ran"])
+
+
+# a fresh interpreter imports bsw and its CLI, parses and runs the session on
+# stdin, and names which of the modules that bsw leaves out it then holds
+STARTUP_PROBE = """
+import json, sys
+import bsw, bsw.cli
+from bsw.session import parse_session, run_session
+report = run_session(parse_session(sys.stdin.read()), csv_dir=sys.argv[1])
+print(json.dumps({"loaded": [m for m in ("dataclasses", "inspect", "traceback", "datetime")
+                             if m in sys.modules],
+                  "status": [b["status"] for b in report["blocks"]]}))
+"""
+
+
+def test_resolve_workload_loads_no_record_or_report_helpers(tmp_path):
+    # the records are built by hand, a traceback is imported only for an
+    # `internal` block and the timestamp comes from `time`, so start-up pays
+    # for none of these modules
+    with open(os.path.join(ROOT, "perfbench", "workloads", "resolve.bsw"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)], input=text,
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["status"] and set(probe["status"]) == {"ok"}
+    assert probe["loaded"] == []
 
 
 # the names of the loaded numpy modules after parsing and after running the
