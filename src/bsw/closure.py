@@ -58,15 +58,13 @@ class MonomialIdeal(Record):
         exponents = minimalize_antichain(exps)
         if not exponents:
             raise ValidationError("monomial ideal needs at least one generator")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "exponents", exponents)
+        super().__init__(nvars, exponents)
 
     @classmethod
     def _of(cls, nvars: int, exponents: tuple[Exponent, ...]) -> "MonomialIdeal":
         """Unchecked: `exponents` is a nonempty sorted antichain of int tuples."""
         M = object.__new__(cls)
-        object.__setattr__(M, "nvars", nvars)
-        object.__setattr__(M, "exponents", exponents)
+        Record.__init__(M, nvars, exponents)
         return M
 
     @classmethod

@@ -122,15 +122,8 @@ class VarietySampler(Record):
             for e in solved_expr.terms():
                 if e[solved_var] != 0:
                     raise ValidationError("solved expression must not use the solved variable")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "samples_per_radius", samples_per_radius)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "solved_var", solved_var)
-        object.__setattr__(self, "solved_expr", solved_expr)
-        object.__setattr__(self, "defining", defining)
+        super().__init__(kind, ring, radii, samples_per_radius, seed, components,
+                         solved_var, solved_expr, defining)
 
 
 def monomial_curve_sampler(ring: RingContext, exponents, radii, samples_per_radius: int,
@@ -466,21 +459,11 @@ def sample_variety(sampler: VarietySampler) -> list[tuple[complex, ...]]:
 
 
 class LojaEstimate(Record):
+    """log_a and log_phi are the fitted points, log sum_j |a_j| and
+    log |phi|, in sample order."""
+
     _fields = ("slope", "intercept", "residual", "n_points", "radii_range", "reliable",
                "log_a", "log_phi")
-
-    def __init__(self, slope: float, intercept: float, residual: float, n_points: int,
-                 radii_range: tuple[float, float], reliable: bool,
-                 log_a: tuple[float, ...], log_phi: tuple[float, ...]):
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "radii_range", radii_range)
-        object.__setattr__(self, "reliable", reliable)
-        # the fitted points: log sum_j |a_j| and log |phi|, in sample order
-        object.__setattr__(self, "log_a", log_a)
-        object.__setattr__(self, "log_phi", log_phi)
 
 
 def _fit_blocks(phi: Polynomial, a_polys, blocks) -> LojaEstimate:

@@ -63,14 +63,28 @@ class Record:
     """An immutable record of the fields named in `_fields`, in order.
 
     Equality, hash and repr go by the field values as one tuple, and a
-    record equals only a record of its own class.  Each subclass writes its
-    own `__init__`, which checks its arguments and sets every field with
-    object.__setattr__; assigning or deleting an attribute afterwards raises
-    AttributeError.  Anything else in the instance dict, such as
-    RingContext.order_key, is outside equality, hash and repr.
+    record equals only a record of its own class.  `__init__` sets the
+    fields, bound by position in `_fields` order and then by name, each
+    exactly once; a subclass that checks or normalises its arguments writes
+    its own `__init__` and ends it with `super().__init__(...)`.  Assigning
+    or deleting an attribute afterwards raises AttributeError.  Anything
+    else in the instance dict, such as RingContext.order_key, is outside
+    equality, hash and repr.
     """
 
     _fields: tuple[str, ...]
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of its fields "
+                            f"({', '.join(fields)}) exactly once")
+        # set one by one: touching self.__dict__ would turn CPython's inline
+        # attribute values into a plain dict and slow every later field read
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -119,12 +133,10 @@ class RingContext(Record):
             raise ValidationError("weights must be positive integers")
         if order not in _ORDER_KEYS:
             raise ValidationError(f"unknown order tag {order!r}")
-        object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "order", order)
         # order_key(e) is the sort key of exponent e; not a field, so
-        # equality and hashing stay by the three fields above
+        # equality and hashing stay by the three fields
         object.__setattr__(self, "order_key", partial(_ORDER_KEYS[order], w))
+        super().__init__(names, w, order)
 
     @property
     def n(self) -> int:
@@ -385,11 +397,6 @@ class Polynomial:
 
 class WeightedDegreeInfo(Record):
     _fields = ("min_degree", "max_degree", "quasi_homogeneous")
-
-    def __init__(self, min_degree: int, max_degree: int, quasi_homogeneous: bool):
-        object.__setattr__(self, "min_degree", min_degree)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "quasi_homogeneous", quasi_homogeneous)
 
 
 def weighted_degree_info(p: Polynomial) -> WeightedDegreeInfo:

@@ -175,11 +175,7 @@ class FreeComplex(Record):
                             raise StructuralError(
                                 f"entry ({i},{j}) of map {k} breaks the grading"
                             )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "graded", graded)
-        object.__setattr__(self, "shifts", shifts)
+        super().__init__(ring, ranks, maps, graded, shifts)
 
     @property
     def length(self) -> int:
@@ -450,11 +446,6 @@ class StratumInfo(Record):
 
     _fields = ("ideal", "dim", "codim_in_z")
 
-    def __init__(self, ideal: Ideal, dim: int, codim_in_z: int | None):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "codim_in_z", codim_in_z)
-
     @property
     def empty(self) -> bool:
         return self.dim < 0
@@ -467,17 +458,6 @@ class StrataReport(Record):
     warnings from unit-minor conventions."""
 
     _fields = ("ring", "d", "p", "expected", "zk_ideals", "strata", "purity_ok", "degenerate")
-
-    def __init__(self, ring: RingContext, d: int, p: int, expected: tuple[int, ...],
-                 zk_ideals: dict, strata: dict, purity_ok: bool, degenerate: tuple[str, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "zk_ideals", zk_ideals)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "purity_ok", purity_ok)
-        object.__setattr__(self, "degenerate", degenerate)
 
 
 def strata(C: FreeComplex, I: Ideal, budget: Budget | int | None = None) -> StrataReport:

@@ -36,13 +36,9 @@ TABLE_CAP = 1_100_000
 
 
 class NumericalSemigroup(Record):
-    _fields = ("generators", "conductor", "gap_mask")
+    """gap_mask has bit s set iff s is a gap, the one stored form of the gaps."""
 
-    def __init__(self, generators: tuple[int, ...], conductor: int, gap_mask: int):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "conductor", conductor)
-        # bit s set iff s is a gap, the one stored form of the gaps
-        object.__setattr__(self, "gap_mask", gap_mask)
+    _fields = ("generators", "conductor", "gap_mask")
 
     def contains(self, s: int) -> bool:
         return s >= 0 and not self.gap_mask >> s & 1
@@ -87,9 +83,6 @@ class SemigroupIdeal(Record):
     """Fractional ideal of a germ: antichain of positive shifts."""
 
     _fields = ("shifts",)
-
-    def __init__(self, shifts: tuple[int, ...]):
-        object.__setattr__(self, "shifts", shifts)
 
     @property
     def valuation(self) -> int:

@@ -103,13 +103,6 @@ class SessionSyntaxError(Exception):
 class Command(Record):
     _fields = ("kind", "line", "col", "inputs", "payload")
 
-    def __init__(self, kind: str, line: int, col: int, inputs: dict, payload: dict):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "payload", payload)
-
 
 class Session(Record):
     """The parsed session; parse_session fills it in place, so unlike the
@@ -121,8 +114,7 @@ class Session(Record):
     __hash__ = None
 
     def __init__(self, n_statements: int = 0, commands: list[Command] | None = None):
-        self.n_statements = n_statements
-        self.commands = [] if commands is None else commands
+        super().__init__(n_statements, [] if commands is None else commands)
 
 
 def _statements(text: str):

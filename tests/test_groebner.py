@@ -135,6 +135,26 @@ def test_intersection_nontrivial():
     assert not ideal_member(P("y"), inter)
 
 
+def test_intersection_with_the_zero_ideal_is_zero():
+    for I, J in ((ideal("x, y"), Ideal(R2, ())), (Ideal(R2, ()), ideal("x"))):
+        inter = ideal_combine(I, J, "intersection")
+        assert inter.ring is R2 and inter.generators == ()
+
+
+def test_ideal_member_and_combine_refuse_another_ring():
+    with pytest.raises(StructuralError, match="polynomial and ideal rings differ"):
+        ideal_member(P("x", R3), ideal("x"))
+    with pytest.raises(StructuralError, match="ideals live in different rings"):
+        ideal_combine(ideal("x"), ideal("x", R3), "sum")
+
+
+def test_ideal_refuses_non_polynomials_and_another_ring():
+    with pytest.raises(StructuralError, match="ideal generators must be Polynomials"):
+        Ideal(R2, ("x",))
+    with pytest.raises(StructuralError, match="generator ring mismatch"):
+        Ideal(R2, (P("x"), P("x", R3)))
+
+
 def test_combine_kind_validated():
     with pytest.raises(ValidationError):
         ideal_combine(ideal("x"), ideal("y"), "quotient")
@@ -516,6 +536,14 @@ def test_vecpoly_rejects_malformed_exponents():
         with pytest.raises(StructuralError):
             VecPoly(R2, 1, bad)
     assert VecPoly(R2, 1, {(0, (0, 2)): 3}).terms == {(0, (0, 2)): 3}
+
+
+def test_vecpoly_refuses_a_component_out_of_range_and_zero_has_no_lead():
+    for pos in (-1, 2):
+        with pytest.raises(StructuralError, match="component index out of range"):
+            VecPoly(R2, 2, {(pos, (0, 0)): 1})
+    with pytest.raises(ValidationError, match="zero vector has no leading term"):
+        TopOrder(R2).leading(VecPoly(R2, 2, {}))
 
 
 # ---------------------------------------------------------------- oracle spot check

@@ -118,6 +118,20 @@ def test_sampler_component_ring_checks():
                        samples_per_radius=5, seed=0, components=(bad, bad))
 
 
+def test_sampler_kind_component_and_solved_coordinate_checks():
+    t = Polynomial.variable(RingContext(("t",)), 0)
+    base = dict(ring=RW, radii=RADII, samples_per_radius=5, seed=0)
+    with pytest.raises(ValidationError, match="unknown sampler kind 'cone'"):
+        VarietySampler(kind="cone", **base)
+    with pytest.raises(ValidationError, match="zero component"):
+        VarietySampler(kind="parametrized", components=(t, t - t), **base)
+    with pytest.raises(ValidationError, match="needs a solved coordinate"):
+        VarietySampler(kind="hypersurface", solved_var=1, **base)
+    with pytest.raises(StructuralError, match="solved expression ring mismatch"):
+        VarietySampler(kind="hypersurface", solved_var=1,
+                       solved_expr=P("z^2", RingContext(("z", "w"))), **base)
+
+
 def test_hypersurface_solved_var_check():
     R = RingContext(("z", "w"))
     with pytest.raises(ValidationError):

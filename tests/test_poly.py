@@ -254,6 +254,18 @@ def test_ring_mismatch_rejected():
         P("x") + P("x", R3)
 
 
+def test_zero_lead_foreign_operand_and_negative_power():
+    zero = Polynomial.zero(R2)
+    with pytest.raises(ValidationError, match="zero polynomial has no leading term"):
+        zero.leading_term()
+    assert zero.monic() is zero
+    with pytest.raises(StructuralError, match="expected a Polynomial operand"):
+        P("x") * 2
+    for k in (-1, 1.0):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            P("x") ** k
+
+
 # ---------------------------------------------------------------- degrees
 
 def test_weighted_degree_info():

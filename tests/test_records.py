@@ -1,5 +1,6 @@
-"""The twelve record classes built on `bsw.poly.Record`: construction,
-field-wise equality, hash and repr, immutability and pickling."""
+"""The twelve record classes built on `bsw.poly.Record`: construction and
+the binding of its arguments, field-wise equality, hash and repr,
+immutability and pickling."""
 
 import pickle
 
@@ -68,6 +69,21 @@ def test_records_compare_hash_and_print_by_their_fields(cls, fields):
     assert repr(rec) == f"{cls.__name__}({body})"
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is cls and back == rec
+
+
+@pytest.mark.parametrize("cls, fields", EXAMPLES, ids=IDS)
+def test_records_bind_each_field_exactly_once(cls, fields):
+    values = tuple(fields.values())
+    first, *rest = fields
+    assert cls(values[0], **{name: fields[name] for name in rest}) == cls(*values)
+    refused = [(values + (None,), {}),  # one value too many
+               (values, {"extra": 1}),  # an unknown keyword
+               (values, {first: values[0]})]  # a field both by position and by name
+    if "__init__" not in vars(cls):  # Record binds the fields; no field has a default
+        refused += [(values[:-1], {}), ((), dict(list(fields.items())[1:]))]
+    for args, named in refused:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **named)
 
 
 @pytest.mark.parametrize("cls, fields", EXAMPLES[:-1], ids=IDS[:-1])

@@ -351,6 +351,15 @@ def test_koszul_shapes():
     assert koszul_complex((P("x", R3), P("y", R3), P("z", R3))).ranks == (1, 3, 3, 1)
 
 
+def test_koszul_refuses_no_elements_zero_and_mixed_rings():
+    with pytest.raises(ValidationError, match="at least one element"):
+        koszul_complex([])
+    with pytest.raises(StructuralError, match="Koszul inputs in different rings"):
+        koszul_complex([P("x"), P("x", R3)])
+    with pytest.raises(ValidationError, match="Koszul inputs must be nonzero"):
+        koszul_complex([P("x"), Polynomial.zero(R2)])
+
+
 def test_koszul_f2_sign_convention():
     K = koszul_complex((P("x"), P("y")))
     col = [K.maps[1].entries[0][0], K.maps[1].entries[1][0]]
@@ -401,6 +410,21 @@ def test_complex_property_enforced():
         FreeComplex(R2, (1, 1, 1), (PM(R2, [["x"]]), PM(R2, [["y"]])), False, None)
     with pytest.raises(StructuralError):
         FreeComplex(R2, (1, 2), (PM(R2, [["x"]]),), False, None)
+
+
+def test_complex_checks_map_count_shifts_and_grading():
+    f = PM(R2, [["x"]])
+    with pytest.raises(StructuralError, match="one map per adjacent rank pair"):
+        FreeComplex(R2, (1, 1, 1), (f,))
+    for shifts in (None, ((0,),)):
+        with pytest.raises(StructuralError, match="needs shifts per level"):
+            FreeComplex(R2, (1, 1), (f,), True, shifts)
+    with pytest.raises(StructuralError, match="shift count at level 1 mismatched"):
+        FreeComplex(R2, (1, 1), (f,), True, ((0,), (1, 1)))
+    for entry, shift in (("x", 2), ("x + y^2", 1)):
+        with pytest.raises(StructuralError, match=r"entry \(0,0\) of map 1 breaks the grading"):
+            FreeComplex(R2, (1, 1), (PM(R2, [[entry]]),), True, ((0,), (shift,)))
+    assert FreeComplex(R2, (1, 1), (f,), True, ((0,), (1,))).shifts == ((0,), (1,))
 
 
 def test_complex_refuses_a_map_over_another_ring():
@@ -585,6 +609,17 @@ def test_bs_condition_validates_m():
         check_bs_condition(S, Ideal(RW, (P("z", RW),)), 0)
 
 
+def test_rank_locus_strata_and_bs_condition_refuse_another_ring():
+    K = koszul_complex((P("x"), P("y")))
+    with pytest.raises(StructuralError, match="ambient ideal ring mismatch"):
+        rank_locus_ideal(K, 1, Ideal(R3, ()))
+    with pytest.raises(StructuralError, match="complex and ideal rings differ"):
+        strata(K, ideal("x", R3))
+    S, _ = cusp_strata()
+    with pytest.raises(StructuralError, match="test ideal ring mismatch"):
+        check_bs_condition(S, ideal("x"), 1)
+
+
 # ------------------------------------------------- resolution independence
 
 def test_strata_independent_of_resolution():
@@ -644,6 +679,16 @@ def test_compose_matches_entrywise_sums(pair):
     AB = A.compose(B)
     assert (AB.rows, AB.cols) == (A.rows, B.cols)
     assert [list(row) for row in AB.entries] == compose_by_sum(A, B)
+
+
+def test_matrix_refuses_ragged_rows_foreign_entries_and_mismatched_shapes():
+    with pytest.raises(StructuralError, match="ragged matrix"):
+        PolyMatrix(R2, [[P("x"), P("y")], [P("x")]])
+    for entry in (P("x", R3), "x"):
+        with pytest.raises(StructuralError, match="matrix entry ring mismatch"):
+            PolyMatrix(R2, [[entry]])
+    with pytest.raises(StructuralError, match="composition shape mismatch"):
+        PM(R2, [["x", "y"]]).compose(PM(R2, [["x", "y"]]))
 
 
 def test_compose_refuses_a_factor_over_another_ring():

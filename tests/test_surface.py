@@ -102,6 +102,33 @@ def test_package_invariants_never_rest_on_assert():
         assert lines == [], os.path.basename(path)
 
 
+def test_records_set_their_fields_only_through_record_init():
+    """`Record.__init__` is the one place that sets a record's fields: no
+    subclass sets one of its `_fields` with object.__setattr__, and each
+    `__init__` a subclass writes hands its values on to super().__init__."""
+    records = [node for tree in _trees(os.path.join(ROOT, "src/bsw/*.py"))
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "Record" for base in node.bases)]
+    assert len(records) >= 12
+    for node in records:
+        fields = next(ast.literal_eval(stmt.value) for stmt in node.body
+                      if isinstance(stmt, ast.Assign)
+                      and [getattr(t, "id", None) for t in stmt.targets] == ["_fields"])
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__setattr__"
+                    and getattr(call.func.value, "id", None) == "object"):
+                assert not (len(call.args) > 1 and isinstance(call.args[1], ast.Constant)
+                            and call.args[1].value in fields), (node.name, call.lineno)
+        for init in node.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                assert any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                           and call.func.attr == "__init__"
+                           and isinstance(call.func.value, ast.Call)
+                           and getattr(call.func.value.func, "id", None) == "super"
+                           for call in ast.walk(init)), node.name
+
+
 def test_readme_session_block_shows_every_command_kind():
     from bsw.session import _COMMANDS
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
